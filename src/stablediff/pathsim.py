@@ -486,8 +486,10 @@ class _ClockTables:
     uniformly in asinh(x) -- linear resolution near the origin where the
     clock accrues, constant resolution per octave in the tails.  Queries
     beyond the last node clamp to the edge value, which freezes the
-    coefficients at |x| = domain_cutoff exactly like the direct scheme's
-    guard interval.
+    coefficients at their |x| = domain_cutoff values.  The direct scheme
+    does not match this: its guard sits at 10 * domain_cutoff and uses the
+    true coefficients up to there, so the two schemes differ for paths
+    that leave [-domain_cutoff, domain_cutoff].
     """
 
     y: np.ndarray

@@ -17,12 +17,13 @@ origin.
 from __future__ import annotations
 
 import math
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import TAG_CMS, TAG_EXCURSION, TAG_GRID, NormalBuffer, stream
+from ._rng import TAG_CMS, TAG_EXCURSION, TAG_GRID, stream
 from .asymptotics import EULER_GAMMA, LimitLaw, _lambda_alpha
 from .errors import HorizonExceeded, InvalidAlpha, InvalidRequest
 
@@ -341,24 +342,29 @@ class _EngineTables:
         cfar = (a + b) / abs(q) if spec.alpha > 1.0 else 0.0
         self.compensator = w.sum() + cfar
 
-    def far_anti(self, x: np.ndarray) -> np.ndarray:
-        """Antiderivative of sgn_ab(x)|x|^p 1{|x|>1}; identically 0 on [-1,1]."""
+    def anti(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Antiderivative of the time-integral weight, written into ``out``.
+
+        With the near field split off (alpha >= 1) the weight is
+        sgn_ab(x)|x|^p 1{|x|>1} and the antiderivative is 0 on [-1, 1];
+        otherwise (alpha < 1, q > 0) it is the whole sgn_ab(x)|x|^p,
+        continuous at 0.
+        """
         a, b, q = self.spec.a, self.spec.b, self.q
-        ax = np.maximum(np.abs(x), 1.0)
-        if self.spec.alpha == 1.0:
-            core = np.log(ax)
+        core = np.abs(x, out=out)
+        if self.near:
+            np.maximum(core, 1.0, out=core)
+            if self.spec.alpha == 1.0:
+                np.log(core, out=core)
+            else:
+                core **= q
+                core -= 1.0
+                core /= q
         else:
-            core = (ax ** q - 1.0) / q
-        return np.where(x >= 0.0, a * core, -b * core)
-
-    def full_anti(self, x: np.ndarray) -> np.ndarray:
-        """Antiderivative of sgn_ab(x)|x|^p, alpha < 1 (q > 0, continuous at 0)."""
-        a, b, q = self.spec.a, self.spec.b, self.q
-        core = np.abs(x) ** q / q
-        return np.where(x >= 0.0, a * core, -b * core)
-
-    def anti(self, x: np.ndarray) -> np.ndarray:
-        return self.far_anti(x) if self.near else self.full_anti(x)
+            core **= q
+            core /= q
+        core *= np.where(x >= 0.0, a, -b)
+        return core
 
     def point_weight(self, x: np.ndarray) -> np.ndarray:
         """Integrand value for degenerate (zero-span) steps, singularity floored."""
@@ -380,95 +386,281 @@ def _near_field(diff_rows: np.ndarray, corr_rows: np.ndarray,
     return fld @ tab.weights
 
 
+# lockstep steps per walk chunk (see _excursion_block); at 512 paths and
+# dt = 1e-5, 64 and 128 ran alike and 32 took about 20% longer
+_CHUNK = 64
+
+
+def _mapped(*shape: int, dtype=np.float64) -> np.ndarray:
+    """A zero-filled array in its own anonymous memory mapping.
+
+    Its pages go back to the system when the array is freed.  The engine's
+    per-block buffers take several MB; allocated through malloc they stay in
+    the heap after the call (glibc trims the heap only past a threshold that
+    grows with the largest block ever freed), where later allocations of
+    other sizes do not reuse them, and the process's peak RSS grows.
+    """
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(count * dtype.itemsize, 1))
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
+
+
+class _ChunkWorkspace:
+    """Per-block scratch arrays for the chunked walk, allocated once.
+
+    Each ``view`` is a C-contiguous window on the front of a flat buffer
+    with room for two values per path-step of a full chunk, so the arrays
+    shrink with the live path count without reallocating.
+    """
+
+    def __init__(self, m: int):
+        self._size = 2 * (_CHUNK + 1) * m
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def view(self, name: str, *shape: int, dtype=np.float64) -> np.ndarray:
+        flat = self._bufs.get(name)
+        if flat is None:
+            flat = self._bufs[name] = _mapped(self._size, dtype=dtype)
+        return flat[:math.prod(shape)].reshape(shape)
+
+
+class _Scatter:
+    """One chunk's increments to a per-path table, two slots per path-step.
+
+    Slots are laid out (step, path, slot), the order in which a step-by-step
+    walk applies them; unused slots add 0.0, which leaves any table value
+    unchanged (no entry is ever -0.0).  ``np.add.at`` adds repeated indices
+    one after another in index order, so the table gets that walk's sums
+    bit for bit.
+    """
+
+    def __init__(self, table: np.ndarray, idx: np.ndarray, val: np.ndarray):
+        self.flat = table.reshape(-1)
+        self.idx, self.val = idx.reshape(-1), val.reshape(-1)
+        self.per_step = idx[0].size
+        self.done = 0
+
+    def through(self, s: int) -> None:
+        """Apply every pending increment of steps <= s."""
+        cut = (s + 1) * self.per_step
+        if cut > self.done:
+            np.add.at(self.flat, self.idx[self.done:cut], self.val[self.done:cut])
+            self.done = cut
+
+
+def _near_scatter(tab: _EngineTables, diff: np.ndarray, corr: np.ndarray,
+                  live: np.ndarray, lo, hi, tiny, any_tiny: bool, step, span, wa,
+                  ws: _ChunkWorkspace) -> tuple[_Scatter, _Scatter]:
+    """Near-field cell increments of one chunk, as a step-by-step walk makes them.
+
+    A step that moves spreads its duration uniformly over [lo, hi] clipped
+    to the grid: ``diff`` gets the density at the first and past the last
+    cell, and ``corr`` removes the parts of the end cells the step does not
+    cover, first cell first.  A zero-span step puts its whole duration into
+    its cell.
+    """
+    e0, top, delta, nc = tab.edges[0], tab.edges[-1], tab.delta, tab.n_cells
+    k, n = lo.shape
+    lo_c = np.maximum(lo, e0, out=ws.view("lo_c", k, n))
+    hi_c = np.minimum(hi, top, out=ws.view("hi_c", k, n))
+    idle = np.less_equal(hi_c, lo_c, out=ws.view("idle", k, n, dtype=np.bool_))
+    if any_tiny:
+        idle |= tiny
+    f = ws.view("fcell", k, n)
+    il = ws.view("il", k, n, dtype=np.int64)
+    ih = ws.view("ih", k, n, dtype=np.int64)
+    for x, cell in ((lo_c, il), (hi_c, ih)):
+        # clamping before the cast gives the same cells as casting first,
+        # and keeps far-away levels from overflowing the cast
+        np.subtract(x, e0, out=f)
+        f /= delta
+        np.clip(f, 0, nc - 1, out=f)
+        cell[...] = f
+    d_idx = ws.view("d_idx", k, n, 2, dtype=np.int64)
+    d_val = ws.view("d_val", k, n, 2)
+    c_idx = ws.view("c_idx", k, n, 2, dtype=np.int64)
+    c_val = ws.view("c_val", k, n, 2)
+    d_row, c_row = live * (nc + 1), live * nc
+    np.add(d_row, il, out=d_idx[:, :, 0])
+    np.add(d_row, ih, out=d_idx[:, :, 1])
+    d_idx[:, :, 1] += 1
+    np.add(c_row, il, out=c_idx[:, :, 0])
+    np.add(c_row, ih, out=c_idx[:, :, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dens = np.divide(step, span, out=ws.view("dens", k, n))
+        d_val[:, :, 0] = dens
+        np.negative(dens, out=d_val[:, :, 1])
+        # -(dens * (lo_c - (e0 + il * delta))) at the first cell and
+        # -(dens * ((e0 + (ih + 1) * delta) - hi_c)) at the last, in this
+        # operation order
+        g = c_val[:, :, 0]
+        np.multiply(il, delta, out=g)
+        g += e0
+        np.subtract(lo_c, g, out=g)
+        g *= dens
+        np.negative(g, out=g)
+        g = c_val[:, :, 1]
+        ih += 1
+        np.multiply(ih, delta, out=g)
+        g += e0
+        g -= hi_c
+        g *= dens
+        np.negative(g, out=g)
+    d_val[idle] = 0.0
+    c_val[idle] = 0.0
+    if any_tiny:
+        pm = tiny & (np.abs(wa) < top)
+        if pm.any():
+            ic = np.clip(((wa[pm] - e0) / delta).astype(np.int64), 0, nc - 1)
+            c_idx[pm, 0] = np.broadcast_to(c_row, (k, n))[pm] + ic
+            c_val[pm, 0] = step[pm]
+    return _Scatter(diff, d_idx, d_val), _Scatter(corr, c_idx, c_val)
+
+
 def _excursion_block(spec: StableSpec, tab: _EngineTables, t_arr: np.ndarray,
                      dt: float, seed: int, path_lo: int, m: int,
                      step_cap: int) -> np.ndarray:
+    """Walk m paths until each has crossed every local-time target.
+
+    The walk runs in chunks of up to ``_CHUNK`` lockstep steps.  Phase one
+    loops over the steps and advances only the Brownian recursion
+    ``w <- w + sqrt(max(dt, (0.1 |w|)^2)) z``, the one quantity a step hands
+    to the next.  Phase two derives everything else for the whole chunk at
+    once: the origin local time l0 and the running time integral as
+    cumulative sums from the carried state, the near-field cell scatter, and
+    the target crossings, replayed in step order.  Each path draws one normal
+    per step from its own keyed stream, and every per-path sum adds in step
+    order, so the output does not depend on the chunk length.  Paths that
+    finish inside a chunk walk on to its end; those steps are never read.
+    """
     nt = t_arr.size
     out = np.empty((m, nt), dtype=np.float64)
-    buf = NormalBuffer(seed, TAG_EXCURSION, np.arange(path_lo, path_lo + m))
+    live = np.arange(m)                    # block rows of unfinished paths, ascending
+    gens = [stream(seed, TAG_EXCURSION, path_lo + j) for j in range(m)]  # one per live path
     w_cur = np.zeros(m)
+    a_cur = tab.anti(w_cur)
     l0 = np.zeros(m)
     kfar = np.zeros(m)
-    ti = np.zeros(m, dtype=np.int64)
-    iters = 0
+    ti = np.zeros(m, dtype=np.int64)       # targets crossed so far
     delta0 = tab.sqdt                      # origin bandwidth = sqrt(dt)
     if tab.near:
-        diff = np.zeros((m, tab.n_cells + 1))
-        corr = np.zeros((m, tab.n_cells))
-        e0 = tab.edges[0]
-        top = tab.edges[-1]
-    active = np.arange(m)
-    while active.size:
-        wa = w_cur[active]
-        # level-dependent step: fine near the origin, coarse far away, so a
-        # step is never large relative to the distance to 0
-        step = np.maximum(dt, (0.1 * np.abs(wa)) ** 2)
-        z = buf.draw(active)
-        w1 = wa + np.sqrt(step) * z
-        lo = np.minimum(wa, w1)
-        hi = np.maximum(wa, w1)
-        span = hi - lo
-        tiny = span <= 1e-9
-        span_safe = np.where(tiny, 1.0, span)
-        # origin local time: linear-bridge overlap with (-delta0, delta0)
-        overlap = np.clip(np.minimum(hi, delta0) - np.maximum(lo, -delta0), 0.0, None)
-        frac0 = np.where(tiny, np.abs(wa) < delta0, overlap / span_safe)
-        dl = step * frac0 / (2.0 * delta0)
-        # running time-integral part of K (all of K when alpha < 1)
-        dk = step * np.where(
-            tiny,
-            tab.point_weight(wa),
-            (tab.anti(w1) - tab.anti(wa)) / np.where(tiny, 1.0, w1 - wa))
+        diff = _mapped(m, tab.n_cells + 1)
+        corr = _mapped(m, tab.n_cells)
+    ws = _ChunkWorkspace(m)
+    iters = 0
+    while live.size:
+        n = live.size
+        k = min(_CHUNK, step_cap + 1 - iters)
+        # ---- phase 1: the Brownian recursion, step by step -----------------
+        zt = ws.view("zt", n, k)
+        for gen, row in zip(gens, zt):
+            gen.standard_normal(out=row)
+        z = ws.view("z", k, n)
+        z[...] = zt.T
+        W = ws.view("w", k + 1, n)
+        step = ws.view("step", k, n)
+        tmp = ws.view("tmp", n)
+        W[0] = w_cur
+        for i in range(k):
+            # level-dependent step: fine near the origin, coarse far away, so
+            # a step is never large relative to the distance to 0
+            s = step[i]
+            np.abs(W[i], out=s)
+            s *= 0.1
+            np.square(s, out=s)
+            np.maximum(s, dt, out=s)
+            np.sqrt(s, out=tmp)
+            tmp *= z[i]
+            np.add(W[i], tmp, out=W[i + 1])
+        # ---- phase 2: everything else, over the (k, n) chunk ---------------
+        wa, w1 = W[:-1], W[1:]
+        lo = np.minimum(wa, w1, out=ws.view("lo", k, n))
+        hi = np.maximum(wa, w1, out=ws.view("hi", k, n))
+        span = np.subtract(hi, lo, out=ws.view("span", k, n))
+        tiny = np.less_equal(span, 1e-9, out=ws.view("tiny", k, n, dtype=np.bool_))
+        any_tiny = tiny.any()
+        # origin local time: linear-bridge overlap with (-delta0, delta0);
+        # row 0 of DL/DK carries the state, so a cumulative sum continues it
+        DL = ws.view("dl", k + 1, n)
+        DL[0] = l0
+        dl = DL[1:]
+        np.minimum(hi, delta0, out=dl)
+        dl -= np.maximum(lo, -delta0, out=ws.view("tmp2", k, n))
+        np.clip(dl, 0.0, None, out=dl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dl /= span
+        if any_tiny:
+            dl[tiny] = np.abs(wa[tiny]) < delta0
+        dl *= step
+        dl /= 2.0 * delta0
+        # running time-integral part of K (all of K when alpha < 1), with the
+        # antiderivative evaluated once per point
+        A = ws.view("anti", k + 1, n)
+        A[0] = a_cur
+        tab.anti(w1, out=A[1:])
+        DK = ws.view("dk", k + 1, n)
+        DK[0] = kfar
+        dk = DK[1:]
+        np.subtract(A[1:], A[:-1], out=dk)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dk /= np.subtract(w1, wa, out=ws.view("tmp2", k, n))
+        if any_tiny:
+            dk[tiny] = tab.point_weight(wa[tiny])
+        dk *= step
+        L = np.cumsum(DL, axis=0, out=ws.view("l0", k + 1, n))
+        KF = np.cumsum(DK, axis=0, out=ws.view("kfar", k + 1, n))
         if tab.near:
-            lo_c = np.maximum(lo, e0)
-            hi_c = np.minimum(hi, top)
-            reg = (hi_c > lo_c) & ~tiny
-            if np.any(reg):
-                rows = active[reg]
-                dens = step[reg] / span[reg]
-                il = np.clip(((lo_c[reg] - e0) / tab.delta).astype(np.int64),
-                             0, tab.n_cells - 1)
-                ih = np.clip(((hi_c[reg] - e0) / tab.delta).astype(np.int64),
-                             0, tab.n_cells - 1)
-                # rows are unique within a step, so fancy-indexed += is safe
-                diff[rows, il] += dens
-                diff[rows, ih + 1] -= dens
-                corr[rows, il] -= dens * (lo_c[reg] - (e0 + il * tab.delta))
-                corr[rows, ih] -= dens * ((e0 + (ih + 1) * tab.delta) - hi_c[reg])
-            pm = tiny & (np.abs(wa) < top)
-            if np.any(pm):
-                rows = active[pm]
-                ic = np.clip(((wa[pm] - e0) / tab.delta).astype(np.int64),
-                             0, tab.n_cells - 1)
-                corr[rows, ic] += step[pm]
-        l0n = l0[active] + dl
-        tia = ti[active].copy()
-        while True:
-            crossed = (tia < nt) & (l0n > t_arr[np.minimum(tia, nt - 1)])
-            if not np.any(crossed):
-                break
-            rl = np.nonzero(crossed)[0]
-            rows = active[rl]
-            frac = (t_arr[tia[rl]] - l0[rows]) / dl[rl]
-            val = kfar[rows] + frac * dk[rl]
+            d_sc, c_sc = _near_scatter(tab, diff, corr, live, lo, hi, tiny, any_tiny,
+                                       step, span, wa, ws)
+        # crossings: target j is read at the first step whose end l0 exceeds
+        # t_j; l0 is monotone, so counts locate every crossing in the chunk
+        ti_end = np.searchsorted(t_arr, L[k], side="left")
+        n_ev = ti_end - ti[live]
+        last = k
+        if n_ev.any():
+            col = np.repeat(np.arange(n), n_ev)
+            first = np.repeat(np.cumsum(n_ev) - n_ev, n_ev)
+            tgt = ti[live][col] + (np.arange(col.size) - first)
+            t_ev = t_arr[tgt]
+            s_ev = np.count_nonzero(L[1:, col] <= t_ev, axis=0)
+            rows = live[col]
+            frac = (t_ev - L[s_ev, col]) / DL[s_ev + 1, col]
+            val = KF[s_ev, col] + frac * DK[s_ev + 1, col]
             if tab.near:
-                # near field and its compensator are taken at the end of the
-                # crossing step; the single-step mismatch with the fractional
-                # time part is far below the estimator noise
-                val = val + _near_field(diff[rows], corr[rows], tab) \
-                    - l0n[rl] * tab.compensator
-            out[rows, tia[rl]] = val
-            tia[rl] += 1
-        w_cur[active] = w1
-        l0[active] = l0n
-        kfar[active] += dk
-        ti[active] = tia
-        iters += 1
+                # replay grouped as a step-by-step walk batches them: by step,
+                # then by pass (targets already crossed in that step), rows
+                # ascending; the near field and its compensator are taken at
+                # the end of the crossing step
+                pss = tgt - np.searchsorted(t_arr, L[s_ev, col], side="left")
+                order = np.lexsort((rows, pss, s_ev))
+                s_o, p_o = s_ev[order], pss[order]
+                cuts = np.flatnonzero((np.diff(s_o) != 0) | (np.diff(p_o) != 0)) + 1
+                for g in np.split(order, cuts):
+                    s = int(s_ev[g[0]])
+                    d_sc.through(s)
+                    c_sc.through(s)
+                    r = rows[g]
+                    out[r, tgt[g]] = val[g] + _near_field(diff[r], corr[r], tab) \
+                        - L[s_ev[g] + 1, col[g]] * tab.compensator
+            else:
+                out[rows, tgt] = val
+            if not np.any(ti_end < nt):
+                last = int(s_ev.max()) + 1
+        if tab.near:
+            d_sc.through(k - 1)
+            c_sc.through(k - 1)
+        iters += last
         if iters > step_cap:
             raise HorizonExceeded(
                 f"a path exceeded {step_cap} steps before its local-time target; "
                 f"dt = {dt:g} is too small relative to the requested horizon")
-        active = active[tia < nt]
+        keep = ti_end < nt
+        ti[live] = ti_end
+        w_cur, a_cur = W[k][keep], A[k][keep]
+        l0, kfar = L[k][keep], KF[k][keep]
+        live = live[keep]
+        gens = [gen for gen, kept in zip(gens, keep.tolist()) if kept]
     return out
 
 
@@ -492,8 +684,9 @@ def stable_via_excursions(spec: StableSpec, t_points, dt: float, n_paths: int,
         raise InvalidRequest("t_points must be strictly increasing and positive")
     if not (math.isfinite(dt) and 0.0 < dt <= 0.25):
         raise InvalidRequest(f"dt must lie in (0, 0.25], got {dt!r}")
-    if n_paths < 1:
-        raise InvalidRequest(f"need n_paths >= 1, got {n_paths}")
+    if not isinstance(n_paths, (int, np.integer)) or isinstance(n_paths, bool) \
+            or n_paths < 1:
+        raise InvalidRequest(f"n_paths must be an integer >= 1, got {n_paths!r}")
     tab = _EngineTables(spec, dt)
     step_cap = max(20_000_000, int(2000.0 * (t_arr[-1] + 1.0) / tab.sqdt))
     blocks = [(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]

@@ -107,8 +107,9 @@ def estimate_alpha(samples, seed: int = 0, n_boot: int = 200) -> AlphaEstimate:
     phase = np.outer(xi[window], x)
     cos_p, sin_p = np.cos(phase), np.sin(phase)
     for k in range(n_boot):
-        idx = gen.integers(0, x.size, size=x.size)
-        vals = cos_p[:, idx].mean(axis=1) + 1j * sin_p[:, idx].mean(axis=1)
+        # a resample's ECF is the multiplicity-weighted sum over the sample
+        counts = np.bincount(gen.integers(0, x.size, size=x.size), minlength=x.size)
+        vals = (cos_p @ counts + 1j * (sin_p @ counts)) / x.size
         boot[k] = slope_of(np.abs(vals))
     lo, hi = np.quantile(boot, [0.025, 0.975])
     return AlphaEstimate(alpha_hat=alpha_hat, ci=(float(lo), float(hi)),

@@ -2,6 +2,7 @@
 local time, and the excursion-route sampler, cross-checked against each other."""
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -9,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablediff._rng import TAG_EXCURSION, stream
 from stablediff.asymptotics import EULER_GAMMA, char_exponent
 from stablediff.errors import HorizonExceeded, InvalidAlpha, InvalidRequest
 from stablediff.stable import (
     BrownianGrid,
     StableSpec,
+    _EngineTables,
+    _excursion_block,
     estimate_local_time,
     inverse_local_time,
     local_time_field,
@@ -405,6 +409,62 @@ def test_excursions_validates_inputs():
         stable_via_excursions(sp, [1.0], 0.3, 4)
     with pytest.raises(InvalidRequest):
         stable_via_excursions(sp, [1.0], 1e-3, 0)
+    with pytest.raises(InvalidRequest):
+        stable_via_excursions(sp, [1.0], 1e-3, 2.5)
+
+
+# sha256 of the (64, 3) output of stable_via_excursions(StableSpec(alpha, 1.0,
+# 0.5), EXCURSION_PIN_TIMES, 1e-3, 64, seed=0).  The second target lies 1e-6
+# above the first, so every path crosses both in a single step.
+EXCURSION_PIN_TIMES = [0.3, 0.3 + 1e-6, 1.0]
+EXCURSION_PINS = {
+    0.5: "74128e35038b198cbc51b96d988b2ba8368fff46c3a1a5d772990b9ed08b09df",
+    1.0: "eedc0e433a970a3ab7e66c5eb264a401870f3ce28c05e2e0d114a40c8d025ed2",
+    1.5: "cd34e1b68ad0d0a8d3fdc85ce79e1b1ff9d7db765dd99bdcbe9ffa95d95c5e44",
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(EXCURSION_PINS))
+def test_excursions_bit_pinned(alpha):
+    out = stable_via_excursions(StableSpec(alpha, 1.0, 0.5), EXCURSION_PIN_TIMES,
+                                1e-3, 64, seed=0)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == EXCURSION_PINS[alpha]
+
+
+def origin_crossing_step(dt, seed, path, t):
+    """Steps one path of the excursion walk takes until its origin local time
+    exceeds t: a scalar replay of the walk's recursion and l0 estimator."""
+    z = stream(seed, TAG_EXCURSION, path).standard_normal(200_000)
+    d0 = math.sqrt(dt)
+    w = l0 = 0.0
+    for k in range(z.size):
+        step = max(dt, (0.1 * abs(w)) ** 2)
+        w1 = w + math.sqrt(step) * z[k]
+        lo, hi = min(w, w1), max(w, w1)
+        if hi - lo <= 1e-9:
+            frac0 = float(abs(w) < d0)
+        else:
+            frac0 = max(min(hi, d0) - max(lo, -d0), 0.0) / (hi - lo)
+        l0 += step * frac0 / (2.0 * d0)
+        w = w1
+        if l0 > t:
+            return k + 1
+    raise AssertionError("the replay did not reach t")
+
+
+def test_excursion_block_step_cap():
+    # the cap counts lockstep steps of the block: it passes when the slowest
+    # path finishes on the cap and raises one step below it
+    sp, dt = StableSpec(1.5, 1.0, -1.0), 1e-3
+    tab = _EngineTables(sp, dt)
+    t_arr = np.array([0.3])
+    need = max(origin_crossing_step(dt, 5, p, 0.3) for p in range(3))
+    assert need > 100
+    out = _excursion_block(sp, tab, t_arr, dt, 5, 0, 3, need)
+    assert np.all(np.isfinite(out))
+    with pytest.raises(HorizonExceeded,
+                       match=f"a path exceeded {need - 1} steps before its local-time target"):
+        _excursion_block(sp, tab, t_arr, dt, 5, 0, 3, need - 1)
 
 
 def test_excursions_degenerate_zero_weights():
