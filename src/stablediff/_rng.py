@@ -8,7 +8,8 @@ exist.  Combined with fixed path-block partitions and disjoint output writes,
 this makes whole runs bit-identical for any ``--threads`` value.
 
 Philox output is chunk-invariant: drawing 2×4096 doubles in two calls yields
-the same stream as one call of 8192, so buffered consumption is safe.
+the same stream as one call of 8192, so a walk may draw its normals a chunk
+of steps at a time.
 """
 
 from __future__ import annotations
@@ -31,35 +32,3 @@ def stream(seed: int, tag: int, index: int = 0) -> np.random.Generator:
     """Generator for one (seed, purpose, path) triple."""
     key = [np.uint64(seed & _MASK64), np.uint64(((tag & 0xFFFF) << 48) | (index & ((1 << 48) - 1)))]
     return np.random.Generator(np.random.Philox(key=key))
-
-
-class NormalBuffer:
-    """Per-path buffered standard normals for a block of paths.
-
-    Layout is ``(chunk, n_paths)`` so one step across the whole block is a
-    contiguous row read.  Each path's column is refilled from its own keyed
-    stream when its cursor runs off the end; refill cadence is per-path, so a
-    path's consumed sequence depends only on how many draws *it* made.
-    """
-
-    def __init__(self, seed: int, tag: int, path_indices: np.ndarray, chunk: int = 4096):
-        self.chunk = int(chunk)
-        self.n = len(path_indices)
-        self._gens = [stream(seed, tag, int(p)) for p in path_indices]
-        self._buf = np.empty((self.chunk, self.n), dtype=np.float64)
-        self._cursor = np.full(self.n, self.chunk, dtype=np.int64)  # empty => refill on first use
-
-    def _refill(self, cols: np.ndarray) -> None:
-        for j in cols:
-            self._buf[:, j] = self._gens[j].standard_normal(self.chunk)
-            self._cursor[j] = 0
-
-    def draw(self, active: np.ndarray) -> np.ndarray:
-        """One standard normal for each path in ``active`` (indices into the block)."""
-        need = active[self._cursor[active] >= self.chunk]
-        if need.size:
-            self._refill(need)
-        cur = self._cursor[active]
-        z = self._buf[cur, active]
-        self._cursor[active] = cur + 1
-        return z

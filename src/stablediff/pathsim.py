@@ -31,7 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._rng import TAG_DIRECT, TAG_TIMECHANGE, NormalBuffer, stream
+from ._rng import TAG_DIRECT, TAG_TIMECHANGE, stream
+from ._workspace import _ChunkWorkspace
 from .asymptotics import LimitLaw
 from .errors import (
     ConfigError,
@@ -60,6 +61,9 @@ _MAX_RETRIES = 3          # substitute draws attempted per exploded path
 _EXPLODED_TOL = 1e-3      # run fails if more than this fraction of paths explode
 _CLIP_RATE = 1e6          # cap on the clock rate dA/du of the time-change walk
 _CLIP_TOL = 1e-4          # run fails if more than this fraction of steps clip
+                          # (or lie off the clock tables)
+_WALK_CHUNK = 64          # lockstep steps per chunk of the time-change walk
+_WALK_ITER_CAP = 10_000_000   # lockstep steps a time-change block may take
 _MAGIC = b"SDFSAMP1"
 _SCHEMA = 1
 
@@ -489,12 +493,23 @@ class _ClockTables:
     coefficients at their |x| = domain_cutoff values.  The direct scheme
     does not match this: its guard sits at 10 * domain_cutoff and uses the
     true coefficients up to there, so the two schemes differ for paths
-    that leave [-domain_cutoff, domain_cutoff].
+    that leave [-domain_cutoff, domain_cutoff]; the walk counts such steps
+    and a run fails when there are too many.  ``slope_rate1`` and
+    ``slope_fval`` are the per-interval slopes ``np.interp`` uses, so one
+    bracket search serves both tables.
     """
 
     y: np.ndarray
     rate1: np.ndarray
     fval: np.ndarray
+    slope_rate1: np.ndarray = field(init=False, repr=False)
+    slope_fval: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        dy = np.diff(self.y)
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "slope_rate1", np.diff(self.rate1) / dy)
+            object.__setattr__(self, "slope_fval", np.diff(self.fval) / dy)
 
 
 def _clock_tables(model: DiffusionModel, f: Callable, n_nodes: int = 6001) -> _ClockTables:
@@ -514,9 +529,50 @@ def _clock_tables(model: DiffusionModel, f: Callable, n_nodes: int = 6001) -> _C
     return _ClockTables(y=y[keep], rate1=rate1[keep], fval=fval[keep])
 
 
+class _Bracket:
+    """One table search shared by every table read at the same points.
+
+    ``interp`` returns ``np.interp(y, tab.y, fp)`` bit for bit: inside the
+    table ``slope[j] * (y - y[j]) + fp[j]`` with j from ``searchsorted``,
+    exactly ``fp[j]`` on a node, and the edge cases (clamps, the last node,
+    nan) through ``np.interp`` itself.
+    """
+
+    def __init__(self, tab: _ClockTables, y: np.ndarray, ws: _ChunkWorkspace):
+        self.y = y
+        self.tab = tab
+        j = np.searchsorted(tab.y, y, side="right")
+        j -= 1
+        # as unsigned, j = -1 lies past the end: one compare flags both edges
+        self.off = np.greater_equal(j.view(np.uint64), tab.y.size - 1,
+                                    out=ws.view("off", *y.shape, dtype=np.bool_))
+        self.any_off = bool(self.off.any())
+        d = np.take(tab.y, j, mode="clip", out=ws.view("d", *y.shape))
+        np.subtract(y, d, out=d)
+        self.node = np.equal(d, 0.0, out=ws.view("node", *y.shape, dtype=np.bool_))
+        self.any_node = bool(self.node.any())
+        self.j, self.d = j, d
+
+    def interp(self, fp: np.ndarray, slope: np.ndarray, out: np.ndarray,
+               tmp: np.ndarray) -> np.ndarray:
+        np.take(slope, self.j, mode="clip", out=out)
+        with np.errstate(invalid="ignore"):   # an infinite slope on a node
+            out *= self.d
+        out += np.take(fp, self.j, mode="clip", out=tmp)
+        if self.any_node:
+            out[self.node] = tmp[self.node]
+        if self.any_off:
+            out[self.off] = np.interp(self.y[self.off], self.tab.y, fp)
+        return out
+
+    def outside(self) -> np.ndarray:
+        """Points strictly beyond the first or the last node."""
+        return self.off & ((self.y < self.tab.y[0]) | (self.y > self.tab.y[-1]))
+
+
 def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
                       indices: np.ndarray, max_extensions: int):
-    """Lockstep clock walk; returns (raw values, clipped steps, total steps).
+    """Lockstep clock walk; returns (raw values, clipped, off-table and total steps).
 
     Per step, with a = eps/kappa and y = W * kappa/eps: the clock gains
     dA = (kappa^2/eps) * psi(y)^{-2} du and the functional
@@ -525,6 +581,17 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
     read by linear interpolation within the step.  The Brownian horizon
     starts at 16*max(1, t_n)^2 and doubles while any unfinished path is
     beyond it, failing after ``max_extensions`` doublings.
+
+    The walk runs in chunks of up to ``_WALK_CHUNK`` lockstep steps.  Phase
+    one loops over the steps and advances only the Brownian recursion, the
+    one quantity a step hands to the next.  Phase two takes the chunk
+    path-major and derives the rest at once: one table search shared by
+    both coefficient tables, dA and dH, the running A, H and u as
+    cumulative sums from the carried state, and the target crossings,
+    located on the monotone A.  Each path draws one normal per step from
+    its own keyed stream and every sum adds in step order, so the output
+    does not depend on the chunk length.  Paths that finish inside a chunk
+    walk on to its end; those steps are never read or counted.
     """
     eps = cfg.epsilon
     a = eps / kappa
@@ -532,67 +599,123 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
     targets = np.asarray(cfg.horizon_times)
     n_t = targets.size
     width = len(indices)
-    buf = NormalBuffer(cfg.seed, TAG_TIMECHANGE, indices)
-    w = np.zeros(width)
-    A = np.zeros(width)
-    H = np.zeros(width)
-    u = np.zeros(width)
-    ti = np.zeros(width, dtype=np.int64)
     out = np.empty((width, n_t))
+    live = np.arange(width)                # block rows of unfinished paths, ascending
+    gens = [stream(cfg.seed, TAG_TIMECHANGE, int(p)) for p in indices]
+    w_cur = np.zeros(width)
+    a_cur = np.zeros(width)
+    h_cur = np.zeros(width)
+    u_cur = np.zeros(width)
+    ti = np.zeros(width, dtype=np.int64)   # targets crossed so far
+    ws = _ChunkWorkspace((_WALK_CHUNK + 1) * width)
     horizon = 16.0 * max(1.0, targets[-1]) ** 2
     extensions = 0
-    clipped = 0
-    total = 0
-    iters = 0
-    active = np.arange(width)
-    while active.size:
-        iters += 1
-        if iters > 10_000_000:
+    clipped = off_table = total = iters = 0
+    while live.size:
+        if iters >= _WALK_ITER_CAP:
             raise HorizonExceeded(
                 "time-change walk exceeded the iteration safety cap; "
                 "dt may be too small for the requested horizon")
-        wa = w[active]
-        du = cfg.dt * np.maximum(a, np.abs(wa)) ** 2
-        y = wa * y_scale
-        rate = np.interp(y, tab.y, tab.rate1) / eps
-        over = rate > _CLIP_RATE
-        if np.any(over):
-            clipped += int(np.count_nonzero(over))
-            rate = np.where(over, _CLIP_RATE, rate)
-        total += active.size
-        dA = rate * du
-        dH = dA * np.interp(y, tab.y, tab.fval) / eps
-        newA = A[active] + dA
-        crossing = newA >= targets[ti[active]]
-        if np.any(crossing):
-            for pos in np.nonzero(crossing)[0]:
-                p = active[pos]
-                j = ti[p]
-                while j < n_t and newA[pos] >= targets[j]:
-                    frac = (targets[j] - A[p]) / dA[pos]
-                    out[p, j] = H[p] + frac * dH[pos]
-                    j += 1
-                ti[p] = j
-        z = buf.draw(active)
-        A[active] = newA
-        H[active] += dH
-        w[active] = wa + np.sqrt(du) * z
-        u[active] += du
-        active = active[ti[active] < n_t]
-        while active.size and np.any(u[active] >= horizon):
+        n = live.size
+        k = min(_WALK_CHUNK, _WALK_ITER_CAP - iters)
+        # ---- phase 1: the Brownian recursion, step by step -----------------
+        zt = ws.view("zt", n, k)
+        for gen, row in zip(gens, zt):
+            gen.standard_normal(out=row)
+        z = ws.view("z", k, n)
+        z[...] = zt.T
+        W = ws.view("w", k + 1, n)
+        du = ws.view("du", k, n)
+        tmp = ws.view("tmp", n)
+        W[0] = w_cur
+        for i in range(k):
+            s = du[i]
+            np.abs(W[i], out=s)
+            np.maximum(s, a, out=s)
+            np.square(s, out=s)
+            s *= cfg.dt
+            np.sqrt(s, out=tmp)
+            tmp *= z[i]
+            np.add(W[i], tmp, out=W[i + 1])
+        # ---- phase 2: everything else, path-major over the (n, k) chunk ----
+        y = np.multiply(W[:-1].T, y_scale, out=ws.view("y", n, k))
+        br = _Bracket(tab, y, ws)
+        fp_tmp = ws.view("fp", n, k)
+        rate = br.interp(tab.rate1, tab.slope_rate1, ws.view("rate", n, k), fp_tmp)
+        rate /= eps
+        over = np.greater(rate, _CLIP_RATE, out=ws.view("over", n, k, dtype=np.bool_))
+        any_over = bool(over.any())
+        if any_over:
+            rate[over] = _CLIP_RATE
+        # row 0 of DA/DH/U carries the state, so a cumulative sum continues it
+        DA = ws.view("da", n, k + 1)
+        DA[:, 0] = a_cur
+        np.multiply(rate, du.T, out=DA[:, 1:])
+        fv = br.interp(tab.fval, tab.slope_fval, ws.view("fv", n, k), fp_tmp)
+        DH = ws.view("dh", n, k + 1)
+        DH[:, 0] = h_cur
+        dH = np.multiply(DA[:, 1:], fv, out=DH[:, 1:])
+        dH /= eps
+        U = ws.view("u", n, k + 1)
+        U[:, 0] = u_cur
+        U[:, 1:] = du.T
+        A = np.cumsum(DA, axis=1, out=ws.view("a", n, k + 1))
+        H = np.cumsum(DH, axis=1, out=ws.view("h", n, k + 1))
+        np.cumsum(U, axis=1, out=U)
+        # crossings: target j is read at the first step whose end A reaches
+        # t_j; A is monotone, so counts locate every crossing in the chunk
+        ti_live = ti[live]
+        ti_end = np.searchsorted(targets, A[:, k], side="right")
+        n_ev = ti_end - ti_live
+        steps = np.full(n, k)              # steps each path takes in the chunk
+        if n_ev.any():
+            col = np.repeat(np.arange(n), n_ev)
+            first = np.repeat(np.cumsum(n_ev) - n_ev, n_ev)
+            tgt = ti_live[col] + (np.arange(col.size) - first)
+            t_ev = targets[tgt]
+            s_ev = np.count_nonzero(A[col, 1:] < t_ev[:, None], axis=1)
+            frac = (t_ev - A[col, s_ev]) / DA[col, s_ev + 1]
+            out[live[col], tgt] = H[col, s_ev] + frac * DH[col, s_ev + 1]
+            done = tgt == n_t - 1
+            steps[col[done]] = s_ev[done] + 1
+        fin = ti_end == n_t
+        total += int(steps.sum())
+        if any_over or br.any_off:
+            taken = np.arange(k) < steps[:, None]
+            if any_over:
+                clipped += int(np.count_nonzero(over & taken))
+            if br.any_off:
+                off_table += int(np.count_nonzero(br.outside() & taken))
+        # horizon: u of every path still unfinished after each step; a
+        # finishing step is not checked, the one before it is
+        unfinished = steps - fin
+        reach = U[np.arange(n), unfinished].max()
+        while reach >= horizon:
             if extensions >= max_extensions:
+                pending = (U[:, 1:] >= horizon) & (np.arange(k) < unfinished[:, None])
+                per_step = np.count_nonzero(pending, axis=0)
                 raise HorizonExceeded(
                     f"clock did not reach t = {targets[-1]:g} within the Brownian "
                     f"horizon {horizon:g} after {max_extensions} extensions "
-                    f"({int(np.count_nonzero(u[active] >= horizon))} paths pending)")
+                    f"({int(per_step[np.argmax(per_step > 0)])} paths pending)")
             horizon *= 2.0
             extensions += 1
-    return out, clipped, total
+        iters += int(steps.max()) if fin.all() else k
+        keep = ~fin
+        ti[live] = ti_end
+        w_cur, a_cur = W[k][keep], A[:, k][keep]
+        h_cur, u_cur = H[:, k][keep], U[:, k][keep]
+        live = live[keep]
+        gens = [gen for gen, kept in zip(gens, keep.tolist()) if kept]
+    return out, clipped, off_table, total
 
 
 def _timechange_raw(model: DiffusionModel, f: Callable, cfg: SimConfig,
                     threads: int | None, max_extensions: int):
-    """Raw time-change sample matrix plus the clock-rate clip fraction."""
+    """Raw time-change sample matrix plus the clock-rate clip fraction.
+
+    Fails when the clipped or the off-table steps exceed ``_CLIP_TOL``.
+    """
     tab = _clock_tables(model, f)
     kappa = model.scale_speed().kappa
     blocks = [np.arange(lo, min(lo + _BLOCK, cfg.n_paths))
@@ -607,13 +730,18 @@ def _timechange_raw(model: DiffusionModel, f: Callable, cfg: SimConfig,
     else:
         parts = [run(b) for b in blocks]
     raw = np.vstack([p[0] for p in parts])
-    clipped = sum(p[1] for p in parts)
-    total = sum(p[2] for p in parts)
+    clipped, off_table, total = (sum(p[i] for p in parts) for i in (1, 2, 3))
     clip_fraction = clipped / total if total else 0.0
     if clip_fraction > _CLIP_TOL:
         raise InvalidRequest(
             f"clock rate hit the cap on {clip_fraction:.2%} of steps "
             f"(tolerance {_CLIP_TOL:.2%}); the run is not trustworthy")
+    off_fraction = off_table / total if total else 0.0
+    if off_fraction > _CLIP_TOL:
+        raise InvalidRequest(
+            f"clock walk left the coefficient tables on {off_fraction:.2%} of steps "
+            f"(tolerance {_CLIP_TOL:.2%}), where they freeze f and the clock rate "
+            "at their |x| = domain_cutoff values; the run is not trustworthy")
     return raw, clip_fraction
 
 
@@ -675,6 +803,9 @@ def simulate_timechange(model: DiffusionModel, f: Callable, cfg: SimConfig,
     ``int_0^{t_i/eps} f(X_s) ds`` (equal in law to the direct scheme's raw
     values); passing a law applies the same normalization as
     :func:`rescaled_functional`.  ``cfg.scheme`` must be ``"TimeChange"``.
+    Raises :class:`InvalidRequest` when more than a 1e-4 share of the walk's
+    steps hit the clock-rate cap, or lie beyond the ends of its coefficient
+    tables.
     """
     if cfg.scheme != "TimeChange":
         raise ConfigError(

@@ -17,13 +17,13 @@ origin.
 from __future__ import annotations
 
 import math
-import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._rng import TAG_CMS, TAG_EXCURSION, TAG_GRID, stream
+from ._workspace import _ChunkWorkspace, _mapped
 from .asymptotics import EULER_GAMMA, LimitLaw, _lambda_alpha
 from .errors import HorizonExceeded, InvalidAlpha, InvalidRequest
 
@@ -391,40 +391,6 @@ def _near_field(diff_rows: np.ndarray, corr_rows: np.ndarray,
 _CHUNK = 64
 
 
-def _mapped(*shape: int, dtype=np.float64) -> np.ndarray:
-    """A zero-filled array in its own anonymous memory mapping.
-
-    Its pages go back to the system when the array is freed.  The engine's
-    per-block buffers take several MB; allocated through malloc they stay in
-    the heap after the call (glibc trims the heap only past a threshold that
-    grows with the largest block ever freed), where later allocations of
-    other sizes do not reuse them, and the process's peak RSS grows.
-    """
-    dtype = np.dtype(dtype)
-    count = math.prod(shape)
-    buf = mmap.mmap(-1, max(count * dtype.itemsize, 1))
-    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
-
-
-class _ChunkWorkspace:
-    """Per-block scratch arrays for the chunked walk, allocated once.
-
-    Each ``view`` is a C-contiguous window on the front of a flat buffer
-    with room for two values per path-step of a full chunk, so the arrays
-    shrink with the live path count without reallocating.
-    """
-
-    def __init__(self, m: int):
-        self._size = 2 * (_CHUNK + 1) * m
-        self._bufs: dict[str, np.ndarray] = {}
-
-    def view(self, name: str, *shape: int, dtype=np.float64) -> np.ndarray:
-        flat = self._bufs.get(name)
-        if flat is None:
-            flat = self._bufs[name] = _mapped(self._size, dtype=dtype)
-        return flat[:math.prod(shape)].reshape(shape)
-
-
 class _Scatter:
     """One chunk's increments to a per-path table, two slots per path-step.
 
@@ -547,7 +513,7 @@ def _excursion_block(spec: StableSpec, tab: _EngineTables, t_arr: np.ndarray,
     if tab.near:
         diff = _mapped(m, tab.n_cells + 1)
         corr = _mapped(m, tab.n_cells)
-    ws = _ChunkWorkspace(m)
+    ws = _ChunkWorkspace(2 * (_CHUNK + 1) * m)   # two values per path-step
     iters = 0
     while live.size:
         n = live.size

@@ -53,7 +53,8 @@ def empirical_cf(samples, xi_grid) -> EmpiricalCF:
     if x.size < 100:
         raise InvalidRequest(f"empirical CF needs at least 100 samples, got {x.size}")
     phase = np.outer(xi, x)
-    re, im = np.cos(phase), np.sin(phase)
+    im = np.sin(phase)
+    re = np.cos(phase, out=phase)   # phase is not needed again
     values = re.mean(axis=1) + 1j * im.mean(axis=1)
     se_re = re.std(axis=1, ddof=1) / math.sqrt(x.size)
     se_im = im.std(axis=1, ddof=1) / math.sqrt(x.size)

@@ -1,6 +1,7 @@
 """Monte Carlo engines: configuration, the Euler-Maruyama route, the
 time-change route, normalization, error accounting, and serialization."""
 
+import hashlib
 import json
 import math
 
@@ -29,7 +30,7 @@ from stablediff.pathsim import (
     simulate_timechange,
 )
 from stablediff.validate import estimate_alpha, ks_two_sample
-from stablediff._rng import TAG_DIRECT, stream
+from stablediff._rng import TAG_DIRECT, TAG_TIMECHANGE, stream
 
 
 def f_id(x):
@@ -440,6 +441,131 @@ def test_clock_rate_clip_gate(kinetic3, monkeypatch):
                     seed=1, scheme="TimeChange")
     with pytest.raises(InvalidRequest, match="rate hit the cap"):
         simulate_timechange(kinetic3, f_id, cfg)
+
+
+def test_clock_horizon_extension_boundary(kinetic3):
+    # three doublings (16 -> 128) are the fewest this run needs
+    cfg = SimConfig(dt=0.01, epsilon=0.05, horizon_times=(1.0,), n_paths=64,
+                    seed=5, scheme="TimeChange")
+    with pytest.raises(HorizonExceeded,
+                       match=r"horizon 64 after 2 extensions \(1 paths pending\)"):
+        simulate_timechange(kinetic3, f_id, cfg, max_extensions=2)
+    s = simulate_timechange(kinetic3, f_id, cfg, max_extensions=3)
+    assert hashlib.sha256(s.values.tobytes()).hexdigest() == \
+        "9828b46e435bbc49d96962d1794b040905cece6ad3e43f31e2eafd11c51b6fd6"
+    # here u reaches 12.97 before a path's finishing step and 16.70 after it;
+    # only the paths still unfinished after a step meet the horizon (16)
+    cfg = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.5,), n_paths=8,
+                    seed=12, scheme="TimeChange")
+    s = simulate_timechange(kinetic3, f_id, cfg, max_extensions=0)
+    assert hashlib.sha256(s.values.tobytes()).hexdigest() == \
+        "8342524c1d965dca184469fa91edb6f98083db5ba3fd09761a0c64dce8cf5934"
+
+
+def test_clock_rate_clip_fraction_pinned(kinetic_critical, monkeypatch):
+    # a cap just under the peak clock rate (1.21397... at eps = 0.1) clips 4
+    # of the 71887 steps the paths take; steps walked past a path's finish
+    # are not counted
+    monkeypatch.setattr(pathsim, "_CLIP_RATE", 1.2139705)
+    cfg = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.5,), n_paths=200,
+                    seed=2, scheme="TimeChange")
+    s = simulate_timechange(kinetic_critical, f_id, cfg)
+    assert s.clip_fraction == 4 / 71887
+    assert hashlib.sha256(s.values.tobytes()).hexdigest() == \
+        "f2fdc33749be1a397adb72bdd1d3fc63bf7b1dbd6790f5fb83197b88e6a1c975"
+
+
+def truncated_tables(tab, y_max):
+    keep = np.abs(tab.y) < y_max
+    return pathsim._ClockTables(y=tab.y[keep], rate1=tab.rate1[keep], fval=tab.fval[keep])
+
+
+def test_bracket_interp_matches_np_interp():
+    # nodes with a zero, a -0.0 value and an interval whose slope overflows
+    xp = np.array([-2.0, -1.0, 0.0, 1e-300, 1.0, 3.0])
+    fp = np.array([1.0, -0.0, 2.0, 1e300, -1e300, 5.0])
+    tab = pathsim._ClockTables(y=xp, rate1=fp, fval=fp[::-1].copy())
+    y = np.array([[-5.0, -2.0, -1.5, -1.0, 0.0, 1e-301],
+                  [1e-300, 0.5, 1.0, 3.0, 4.0, np.nan]])
+    ws = pathsim._ChunkWorkspace(y.size)
+    br = pathsim._Bracket(tab, y, ws)
+    for fp_, slope in ((tab.rate1, tab.slope_rate1), (tab.fval, tab.slope_fval)):
+        got = br.interp(fp_, slope, np.empty_like(y), np.empty_like(y))
+        want = np.interp(y, xp, fp_)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert br.outside().tolist() == [[True] + [False] * 5, [False] * 4 + [True, False]]
+
+
+def test_clock_table_edge_gate(kinetic3, monkeypatch):
+    full = pathsim._clock_tables
+    monkeypatch.setattr(pathsim, "_clock_tables",
+                        lambda model, f: truncated_tables(full(model, f), 0.5))
+    cfg = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.5,), n_paths=8,
+                    seed=1, scheme="TimeChange")
+    with pytest.raises(InvalidRequest, match="left the coefficient tables"):
+        simulate_timechange(kinetic3, f_id, cfg)
+
+
+# sha256 of the raw (700, 3) TimeChange matrix at PIN_CFG, taken before the
+# walk was chunked; 700 paths make blocks of 512 and 188, and the second
+# target lies 1e-7 above the first, so paths cross both in one step
+TIMECHANGE_PIN_CFG = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.4, 0.4000001, 1.0),
+                               n_paths=700, seed=11, scheme="TimeChange")
+TIMECHANGE_PINS = {
+    "kinetic3": "824ab19f5235d491df4dd671b09b879850f6a5ce7d76cbb0663b84fe1c426cc0",
+    "kinetic_critical": "3407d73964ba392883da0df12bd7fb9039bcd28fc899038ad5dc1259725d305f",
+}
+
+
+@pytest.mark.parametrize("model", sorted(TIMECHANGE_PINS))
+def test_timechange_bit_pinned(model, request):
+    s = simulate_timechange(request.getfixturevalue(model), f_id, TIMECHANGE_PIN_CFG)
+    assert hashlib.sha256(s.values.tobytes()).hexdigest() == TIMECHANGE_PINS[model]
+
+
+def stepwise_walk(tab, kappa, cfg, path):
+    """One path of the clock walk replayed step by step with np.interp;
+    returns its readings and its (clipped, off-table, total) step counts."""
+    eps, t = cfg.epsilon, cfg.horizon_times
+    a, y_scale = eps / kappa, kappa / eps
+    z = stream(cfg.seed, TAG_TIMECHANGE, path).standard_normal(50_000)
+    w = A = H = 0.0
+    out, clipped, off, k = [], 0, 0, 0
+    while len(out) < len(t):
+        m = max(a, abs(w))
+        du = cfg.dt * (m * m)
+        y = w * y_scale
+        rate = np.interp(y, tab.y, tab.rate1) / eps
+        if rate > pathsim._CLIP_RATE:
+            rate, clipped = pathsim._CLIP_RATE, clipped + 1
+        off += not (tab.y[0] <= y <= tab.y[-1])
+        dA = rate * du
+        dH = dA * np.interp(y, tab.y, tab.fval) / eps
+        while len(out) < len(t) and A + dA >= t[len(out)]:
+            out.append(H + (t[len(out)] - A) / dA * dH)
+        A, H = A + dA, H + dH
+        w = w + math.sqrt(du) * z[k]
+        k += 1
+    return out, (clipped, off, k)
+
+
+@pytest.mark.parametrize("case", ["plain", "clipped", "off_table"])
+def test_timechange_block_matches_stepwise_walk(kinetic_critical, monkeypatch, case):
+    tab = pathsim._clock_tables(kinetic_critical, lambda x: -f_id(x))
+    if case == "clipped":
+        monkeypatch.setattr(pathsim, "_CLIP_RATE", 1.2139)
+    if case == "off_table":
+        tab = truncated_tables(tab, 3.0)
+    kappa = kinetic_critical.scale_speed().kappa
+    cfg = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.3, 0.3000001, 0.6),
+                    n_paths=8, seed=4, scheme="TimeChange")
+    paths = np.array([0, 3, 700, 5, 1, 2, 9, 6])
+    out, *counts = pathsim._timechange_block(tab, kappa, cfg, paths, 48)
+    ref = [stepwise_walk(tab, kappa, cfg, int(p)) for p in paths]
+    assert np.array_equal(out, np.array([r[0] for r in ref]))
+    assert counts == [sum(c) for c in zip(*(r[1] for r in ref))]
+    if case != "plain":
+        assert counts[0 if case == "clipped" else 1] > 0
 
 
 # ---------------------------------------------------------------------------
