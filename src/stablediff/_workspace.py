@@ -1,8 +1,9 @@
-"""Scratch memory for the chunked lockstep walks.
+"""Block runner and scratch memory for the chunked lockstep walks.
 
-Both walk engines (the excursion engine in :mod:`stablediff.stable` and the
-time-change clock walk in :mod:`stablediff.pathsim`) advance a block of
-paths in chunks of lockstep steps and keep every per-chunk array in one
+All three walk engines (the Euler-Maruyama engine and the time-change clock
+walk in :mod:`stablediff.pathsim`, the excursion engine in
+:mod:`stablediff.stable`) split their paths into fixed blocks, advance each
+block in chunks of lockstep steps and keep every per-chunk array in one
 workspace allocated per block.
 """
 
@@ -10,8 +11,24 @@ from __future__ import annotations
 
 import math
 import mmap
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 import numpy as np
+
+
+def _run_blocks(run: Callable, n_paths: int, width: int, threads: int | None) -> list:
+    """``run`` on consecutive blocks of ``width`` path positions, in order.
+
+    Each call gets an index array ``lo..hi-1``; the results come back in
+    block order.  The partition depends only on ``n_paths`` and ``width``,
+    so with keyed streams a run is the same for any ``threads``.
+    """
+    blocks = [np.arange(lo, min(lo + width, n_paths)) for lo in range(0, n_paths, width)]
+    if threads is not None and threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, blocks))
+    return [run(b) for b in blocks]
 
 
 def _mapped(*shape: int, dtype=np.float64) -> np.ndarray:

@@ -17,13 +17,12 @@ origin.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._rng import TAG_CMS, TAG_EXCURSION, TAG_GRID, stream
-from ._workspace import _ChunkWorkspace, _mapped
+from ._workspace import _ChunkWorkspace, _mapped, _run_blocks
 from .asymptotics import EULER_GAMMA, LimitLaw, _lambda_alpha
 from .errors import HorizonExceeded, InvalidAlpha, InvalidRequest
 
@@ -655,15 +654,8 @@ def stable_via_excursions(spec: StableSpec, t_points, dt: float, n_paths: int,
         raise InvalidRequest(f"n_paths must be an integer >= 1, got {n_paths!r}")
     tab = _EngineTables(spec, dt)
     step_cap = max(20_000_000, int(2000.0 * (t_arr[-1] + 1.0) / tab.sqdt))
-    blocks = [(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
-
-    def run(block: tuple[int, int]) -> np.ndarray:
-        lo, hi = block
-        return _excursion_block(spec, tab, t_arr, dt, seed, lo, hi - lo, step_cap)
-
-    if threads is not None and threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, blocks))
-    else:
-        parts = [run(b) for b in blocks]
+    parts = _run_blocks(
+        lambda idx: _excursion_block(spec, tab, t_arr, dt, seed, int(idx[0]), idx.size,
+                                     step_cap),
+        n_paths, _BLOCK, threads)
     return np.vstack(parts)

@@ -20,7 +20,7 @@ from stablediff.errors import (
     OutOfDomain,
     PathExploded,
 )
-from stablediff.model import eval_psi_phi, invariant_integral
+from stablediff.model import _vectorized, eval_psi_phi, invariant_integral
 from stablediff.pathsim import (
     FunctionalSample,
     SimConfig,
@@ -45,10 +45,15 @@ def f_zero(x):
     return np.zeros_like(np.asarray(x, dtype=np.float64))
 
 
-def outward_model(cutoff):
+def f_power(x):
+    x = np.asarray(x, dtype=np.float64)
+    return np.sign(x) * np.abs(x) ** 1.5
+
+
+def outward_model(cutoff, drift=f_id):
     # drift +x pushes paths out exponentially fast: explosion on demand
     return DiffusionModel(
-        drift=lambda x: np.asarray(x, dtype=np.float64),
+        drift=drift,
         diffusion=lambda x: np.ones_like(np.asarray(x, dtype=np.float64)),
         domain_cutoff=cutoff)
 
@@ -145,10 +150,25 @@ def test_degenerate_noise_model_rejected():
         simulate_path(flatline, T=1.0, dt=0.01)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_single_path_explosion_reports_step():
     with pytest.raises(PathExploded) as exc:
         simulate_path(outward_model(1.0), T=6.0, dt=0.005, seed=0)
     assert exc.value.step == 751
+
+
+def test_single_path_is_ensemble_path_zero(kinetic3):
+    # reference: a plain Euler loop over path 0's keyed stream, in the
+    # ensemble's expression order (kinetic(3)'s drift is exact in scalars)
+    dt = 0.01
+    ts, X = simulate_path(kinetic3, T=3.0, dt=dt, seed=2)
+    want = [0.0]
+    for z in stream(2, TAG_DIRECT, 0).standard_normal(len(X) - 1):
+        x = want[-1]
+        want.append(x + (float(kinetic3.drift(x)) * dt
+                         + float(kinetic3.diffusion(x)) * math.sqrt(dt) * z))
+    assert np.array_equal(X, want)
+    assert pathsim._em_final(kinetic3, T=3.0, dt=dt, seed=2, n_paths=3)[0] == X[-1]
 
 
 def test_ensemble_moments_match_invariant_law(heavy1):
@@ -263,6 +283,7 @@ def test_heavy_tail_index_recovered(kinetic3, law_levy):
     assert abs(est.alpha_hat - 4.0 / 3.0) < 0.15
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exploding_run_fails_with_counts(law_levy):
     cfg = SimConfig(dt=0.005, epsilon=0.5, horizon_times=(1.0,), n_paths=50,
                     seed=0, scheme="Direct")
@@ -273,6 +294,7 @@ def test_exploding_run_fails_with_counts(law_levy):
     assert exc.value.step is not None
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rare_explosion_replaced_by_substitute_draw(law_levy):
     # guard placed so the outward model loses about one path in four
     # thousand; the run survives, reports the count, and stays finite
@@ -294,6 +316,76 @@ def test_run_reproducible_across_threads(kinetic3, law_levy):
     at = rescaled_functional(kinetic3, f_id, law_levy, cfg_t, threads=1)
     bt = rescaled_functional(kinetic3, f_id, law_levy, cfg_t, threads=3)
     assert np.array_equal(at.values, bt.values)
+
+
+# sha256 of the raw Direct matrices for f_id and f_power side by side at
+# DIRECT_PIN_CFG, taken before the Euler walk was chunked; 2100 paths cross a
+# block boundary, the 500 steps are not a whole number of chunks, the first
+# target lies on a grid point and the second 1e-7 above it
+DIRECT_PIN_CFG = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.4, 0.4000001, 1.0),
+                           n_paths=2100, seed=11, scheme="Direct")
+DIRECT_PINS = {
+    "kinetic3": "bc2a2e0561c7c7fb92a4688934b2e185d317da81f349c5c7d7c46c3fa4057fc4",
+    "kinetic_critical": "642fe5291758eaf05f4e36e4aecc90dccc24327d55d3b01f97ef76c8cd95fe78",
+    "kinetic7": "543b4a1fa87f78a36dece59690a73f4f3bcd64d5940dce242e96c181333ca913",
+}
+
+
+def direct_pin_digest(model):
+    raw = np.hstack([pathsim._direct_raw(model, f, DIRECT_PIN_CFG, None)[0]
+                     for f in (f_id, f_power)])
+    return hashlib.sha256(raw.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("model", sorted(DIRECT_PINS))
+def test_direct_bit_pinned(model, request):
+    assert direct_pin_digest(request.getfixturevalue(model)) == DIRECT_PINS[model]
+
+
+@pytest.mark.parametrize("width", [128, pathsim._EULER_BLOCK])
+@pytest.mark.parametrize("chunk", [3, 64, 257])
+def test_direct_invariant_to_chunk_and_width(kinetic_critical, monkeypatch, chunk, width):
+    monkeypatch.setattr(pathsim, "_WALK_CHUNK", chunk)
+    monkeypatch.setattr(pathsim, "_EULER_BLOCK", width)
+    assert direct_pin_digest(kinetic_critical) == DIRECT_PINS["kinetic_critical"]
+
+
+BLOWUP_DRIFTS = {
+    "linear": f_id,
+    "cubic": lambda x: np.asarray(x, dtype=np.float64) ** 3,
+    # nan from |x| = 5 on, inside the guard: the state itself turns nan
+    "nan": lambda x: np.where(np.abs(x) < 5.0, np.asarray(x, dtype=np.float64), np.nan),
+}
+# sha256 of the exploded-step vector and the surviving paths' read-outs of a
+# 300-path block on outward_model(1.0, drift), taken before the Euler walk
+# was chunked
+EXPLODED_PINS = {
+    "linear": "404bdea7e549a47f84da4cd81527d75433ab18ed02fe742ce8bd83bfaf655a54",
+    "cubic": "3e4ec74aa222fb958ef9be0d85887a90d73656172bb541693cec85d2c7730192",
+    "nan": "b76bdf901b8ab4c2947653e74a82fb1ac3d6a628076d9bca78f9569bc0d09037",
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("chunk", [3, 64, 257])
+@pytest.mark.parametrize("drift", sorted(BLOWUP_DRIFTS))
+def test_direct_explosion_steps_pinned(monkeypatch, drift, chunk):
+    monkeypatch.setattr(pathsim, "_WALK_CHUNK", chunk)
+    model = outward_model(1.0, BLOWUP_DRIFTS[drift])
+    model.core()
+    cfg = SimConfig(dt=0.01, epsilon=0.5, horizon_times=(0.5, 1.0), n_paths=300,
+                    seed=0, scheme="Direct")
+    out, exploded = pathsim._direct_block(
+        _vectorized(model.drift), _vectorized(model.diffusion), f_id, cfg,
+        pathsim._GUARD_FACTOR * model.domain_cutoff, pathsim._emission_schedule(cfg),
+        np.arange(cfg.n_paths))
+    digest = hashlib.sha256(exploded.tobytes() + out[exploded < 0].tobytes()).hexdigest()
+    assert digest == EXPLODED_PINS[drift]
+    # in 64-step chunks: explosions mid-chunk, on a chunk's last step, and
+    # several in one chunk
+    steps = exploded[exploded >= 0]
+    assert np.any(steps % 64 != 0) and np.any(steps % 64 == 0)
+    assert np.bincount((steps - 1) // 64).max() >= 2
 
 
 def test_dt_refinement_keeps_mean_within_mc_error(kinetic7, law_diffusive):
