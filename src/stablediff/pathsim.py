@@ -537,6 +537,17 @@ class _ClockTables:
     and a run fails when there are too many.  ``slope_rate1`` and
     ``slope_fval`` are the per-interval slopes ``np.interp`` uses, so one
     bracket search serves both tables.
+
+    The bracket search is a guide-table lookup (see :class:`_Bracket`),
+    built once per table.  Buckets are uniform in asinh(y), one per
+    smallest node spacing in that variable but no more than 8 per node;
+    ``guide[b]`` counts the nodes whose bucket is at most b.  On the
+    kinetic and driftless presets the nodes are nearly uniform in asinh(y)
+    (spacings within a factor of 8), so no bucket holds two nodes.  On
+    heavy_tailed(1) they are not (a factor of ~1300): the cap puts ~20
+    nodes in each bucket near y = 0, and most queries there take the
+    searchsorted fallback.  ``ext`` is ``y`` padded with -inf and +inf, so
+    the bracket ``ext[k] <= y < ext[k + 1]`` of every count k is defined.
     """
 
     y: np.ndarray
@@ -544,12 +555,29 @@ class _ClockTables:
     fval: np.ndarray
     slope_rate1: np.ndarray = field(init=False, repr=False)
     slope_fval: np.ndarray = field(init=False, repr=False)
+    ext: np.ndarray = field(init=False, repr=False)
+    guide: np.ndarray = field(init=False, repr=False)
+    guide_shift: float = field(init=False, repr=False)
+    guide_scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
         dy = np.diff(self.y)
         with np.errstate(over="ignore"):
             object.__setattr__(self, "slope_rate1", np.diff(self.rate1) / dy)
             object.__setattr__(self, "slope_fval", np.diff(self.fval) / dy)
+        g = np.arcsinh(self.y)
+        with np.errstate(divide="ignore", over="ignore"):
+            scale = min(8 * (g.size - 1) / (g[-1] - g[0]), 1.0 / np.diff(g).min())
+        # a span too small to scale (zero, subnormal) makes one bucket
+        scale = float(scale) if np.isfinite(scale) else 1.0
+        # the node buckets, in the query's own expression
+        bucket = (g - g[0]) * scale
+        np.floor(bucket, out=bucket)
+        object.__setattr__(self, "ext", np.concatenate([[-np.inf], self.y, [np.inf]]))
+        object.__setattr__(self, "guide", np.searchsorted(
+            bucket, np.arange(bucket[-1] + 1.0), side="right"))
+        object.__setattr__(self, "guide_shift", float(g[0]))
+        object.__setattr__(self, "guide_scale", scale)
 
 
 def _clock_tables(model: DiffusionModel, f: Callable, n_nodes: int = 6001) -> _ClockTables:
@@ -572,16 +600,49 @@ def _clock_tables(model: DiffusionModel, f: Callable, n_nodes: int = 6001) -> _C
 class _Bracket:
     """One table search shared by every table read at the same points.
 
+    ``j`` is ``np.searchsorted(tab.y, y, side="right") - 1`` for every point.
+    The guide (see :class:`_ClockTables`) finds it in O(1): the bucket of
+    asinh(y), clamped with ``fmax``/``fmin`` so that nan and the infinities
+    land inside the guide, gives the count k of nodes up to the bucket's
+    end; one step down covers a bucket holding one node above y.  A point
+    is a hit when ``ext[k] <= y < ext[k + 1]``, and since the nodes
+    strictly increase that bracket fixes k as the searchsorted count, so a
+    hit is exact however it was found.  The misses -- nan, +inf, a rounding
+    at a bucket edge, a bucket holding several nodes -- and only they go
+    through ``np.searchsorted``; ``misses`` counts them.
+
     ``interp`` returns ``np.interp(y, tab.y, fp)`` bit for bit: inside the
-    table ``slope[j] * (y - y[j]) + fp[j]`` with j from ``searchsorted``,
-    exactly ``fp[j]`` on a node, and the edge cases (clamps, the last node,
-    nan) through ``np.interp`` itself.
+    table ``slope[j] * (y - y[j]) + fp[j]``, exactly ``fp[j]`` on a node,
+    and the edge cases (clamps, the last node, nan) through ``np.interp``
+    itself.
     """
 
     def __init__(self, tab: _ClockTables, y: np.ndarray, ws: _ChunkWorkspace):
         self.y = y
         self.tab = tab
-        j = np.searchsorted(tab.y, y, side="right")
+        # scratch: ``d``, ``off`` and ``node`` are overwritten below
+        t = np.arcsinh(y, out=ws.view("d", *y.shape))
+        t -= tab.guide_shift
+        t *= tab.guide_scale
+        np.fmax(t, 0.0, out=t)
+        np.fmin(t, tab.guide.size - 1, out=t)
+        b = ws.view("b", *y.shape, dtype=np.intp)
+        np.copyto(b, t, casting="unsafe")
+        # the default mode raises on an index the clamp failed to bound;
+        # every k lies in [0, n], so the ext reads need no check
+        k = np.take(tab.guide, b, out=ws.view("j", *y.shape, dtype=np.intp))
+        edge = np.take(tab.ext, k, mode="clip", out=t)
+        step = np.less(y, edge, out=ws.view("off", *y.shape, dtype=np.bool_))
+        k -= step
+        np.take(tab.ext, k, mode="clip", out=edge)
+        hit = np.less_equal(edge, y, out=ws.view("node", *y.shape, dtype=np.bool_))
+        np.take(tab.ext[1:], k, mode="clip", out=edge)
+        hit &= np.less(y, edge, out=step)
+        self.misses = hit.size - int(np.count_nonzero(hit))
+        if self.misses:
+            miss = ~hit
+            k[miss] = np.searchsorted(tab.y, y[miss], side="right")
+        j = k
         j -= 1
         # as unsigned, j = -1 lies past the end: one compare flags both edges
         self.off = np.greater_equal(j.view(np.uint64), tab.y.size - 1,

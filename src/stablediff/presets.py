@@ -14,33 +14,25 @@ Three model families cover the qualitatively different tail behaviors:
 
 Models can also be loaded from a coefficient table (CSV columns x, b, sigma)
 with linear interpolation between rows.
-
-Observables: ``id``, ``centered_id`` (id minus its invariant mean),
-``power(p)`` (x^p for integer p, sgn(x)|x|^p otherwise), ``table:<path>``
-(CSV columns x, f with linear interpolation).
 """
 
 from __future__ import annotations
 
 import csv
-import re
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import DiffusionModel, invariant_integral
+from .model import DiffusionModel
 
 __all__ = [
     "heavy_tailed",
     "kinetic",
     "driftless",
     "from_table",
-    "model_from_spec",
-    "observable_from_spec",
     "kinetic_tail_limits",
-    "PRESET_DOC",
 ]
 
 
@@ -80,7 +72,11 @@ def _kinetic_funcs(beta: float, c_plus: float, c_minus: float):
     def dlog_theta(v):
         return h_prime(v) / h(v) - v / (1.0 + v * v)
 
-    return theta, dlog_theta
+    def dlog_theta_symmetric(v):
+        # h' = 0 and h = avg, so the first term is +0.0 wherever it is finite
+        return 0.0 - v / (1.0 + v * v)
+
+    return theta, (dlog_theta if dif else dlog_theta_symmetric)
 
 
 def kinetic(beta: float, c_plus: float = 1.0, c_minus: float = 1.0) -> DiffusionModel:
@@ -179,84 +175,3 @@ def from_table(path: str | Path) -> DiffusionModel:
         domain_cutoff=cutoff,
         name=f"table:{path.name}",
     )
-
-
-# -- spec-string parsing (shared by the CLI and by tests) --------------------
-
-_CALL_RE = re.compile(r"^([a-z_]+)\(([^)]*)\)$")
-
-
-def _parse_args(argstr: str) -> list[float]:
-    argstr = argstr.strip()
-    if not argstr:
-        return []
-    return [float(a) for a in argstr.split(",")]
-
-
-def model_from_spec(spec: str) -> DiffusionModel:
-    """Parse strings like ``kinetic(3)``, ``heavy_tailed(1)``, ``table:m.csv``."""
-    spec = spec.strip()
-    if spec.startswith("table:"):
-        return from_table(spec[len("table:"):])
-    m = _CALL_RE.match(spec)
-    if not m:
-        raise ConfigError(f"unrecognized model spec: {spec!r}")
-    fam, args = m.group(1), _parse_args(m.group(2))
-    if fam == "heavy_tailed" and len(args) == 1:
-        return heavy_tailed(*args)
-    if fam == "kinetic" and len(args) in (1, 3):
-        return kinetic(*args)
-    if fam == "driftless" and len(args) == 2:
-        return driftless(*args)
-    raise ConfigError(f"unrecognized model spec: {spec!r}")
-
-
-def observable_from_spec(spec: str, model: DiffusionModel | None = None) -> Callable:
-    """Parse observable presets; ``centered_id`` needs the model for its mean."""
-    spec = spec.strip()
-    if spec == "id":
-        return lambda x: np.asarray(x, dtype=np.float64)
-    if spec == "centered_id":
-        if model is None:
-            raise ConfigError("centered_id requires a model to compute the invariant mean")
-        mu_id = invariant_integral(model, lambda x: np.asarray(x, dtype=np.float64))
-        return lambda x: np.asarray(x, dtype=np.float64) - mu_id
-    if spec.startswith("table:"):
-        path = Path(spec[len("table:"):])
-        if not path.exists():
-            raise ConfigError(f"observable table not found: {path}")
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        xs = np.asarray(data["x"], dtype=np.float64)
-        fs = np.asarray(data["f"], dtype=np.float64)
-        order = np.argsort(xs)
-        xs, fs = xs[order], fs[order]
-        return lambda q: np.interp(q, xs, fs)
-    m = _CALL_RE.match(spec)
-    if m and m.group(1) == "power":
-        (p,) = _parse_args(m.group(2))
-        if float(p).is_integer():
-            return lambda x: np.asarray(x, dtype=np.float64) ** int(p)
-        return lambda x: np.sign(x) * np.abs(np.asarray(x, dtype=np.float64)) ** p
-    raise ConfigError(f"unrecognized observable spec: {spec!r}")
-
-
-PRESET_DOC = {
-    "models": {
-        "heavy_tailed(theta)": "polynomial inward drift, invariant density ~ exp(-|x|^(theta+1))",
-        "kinetic(beta[,c_plus,c_minus])": "kinetic family, alpha=(beta+1)/3 with f=id; "
-        "optional asymmetric tail weights",
-        "driftless(beta,gamma)": "zero drift, sigma=(1+|x|)^(beta/2), identity scale",
-        "table:<path>": "CSV coefficient table x,b,sigma (linear interpolation)",
-    },
-    "observables": {
-        "id": "f(x) = x",
-        "centered_id": "f(x) = x - mu(x)",
-        "power(p)": "f(x) = x^p (integer p) or sgn(x)|x|^p",
-        "table:<path>": "CSV table x,f (linear interpolation)",
-    },
-    "stable_presets": {
-        "one_sided_half": "alpha=1/2, (a,b)=(1,0)",
-        "compensated_three_half": "alpha=3/2, (a,b)=(1,-1)",
-        "symmetric_cauchy_pair": "alpha=1, (a,b)=(1,1)",
-    },
-}

@@ -121,6 +121,24 @@ def test_asymmetric_kinetic_kappa():
     assert compute_kappa(m) == pytest.approx(1.0 / oracle, rel=1e-6)
 
 
+@pytest.mark.parametrize("beta", [3.0, 7.0])
+def test_symmetric_kinetic_drift_matches_general_form(beta):
+    # with c_plus = c_minus the drift skips h' and h; the general expression
+    # (h'/h - v/(1+v^2), h' = 0 * (1+v^2)^-1.5, h = 1 + 0 * v/sqrt(1+v^2))
+    # must come out bit for bit, signed zeros, nans and overflowing v*v included
+    rng = np.random.default_rng(0)
+    mag = 10.0 ** rng.uniform(-300.0, 300.0, 10**6)
+    v = np.concatenate([mag * rng.choice([-1.0, 1.0], mag.size),
+                        [0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200,
+                         5e-324, -5e-324, 1.3e154, 1.4e154]])
+    dif = 0.0
+    with np.errstate(all="ignore"):
+        h = 1.0 + dif * v / np.sqrt(1.0 + v * v)
+        want = 0.5 * beta * (dif * (1.0 + v * v) ** -1.5 / h - v / (1.0 + v * v))
+        got = presets.kinetic(beta).drift(v)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_kinetic_tail_ratio_reaches_limit(kinetic3):
     # |w|^{2-1/alpha} phi(w) -> f_± with alpha = 4/3 (spec of the tail limits)
     alpha, f_plus, f_minus = presets.kinetic_tail_limits(3.0)

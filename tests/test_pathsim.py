@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stablediff.pathsim as pathsim
@@ -586,6 +586,54 @@ def test_bracket_interp_matches_np_interp():
         want = np.interp(y, xp, fp_)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert br.outside().tolist() == [[True] + [False] * 5, [False] * 4 + [True, False]]
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nodes=st.lists(finite, min_size=2, max_size=40, unique=True),
+       tiny=st.booleans(), values=st.lists(finite, min_size=42, max_size=42),
+       extra=st.lists(finite, max_size=20))
+def test_bracket_matches_searchsorted(nodes, tiny, values, extra):
+    # a 1e-300 gap beside O(1) gaps puts several nodes in one guide bucket
+    xp = np.unique(np.asarray(nodes + ([0.0, 1e-300] if tiny else []), dtype=np.float64))
+    assume(xp.size >= 2)
+    fp = np.asarray(values[:xp.size])
+    tab = pathsim._ClockTables(y=xp, rate1=fp, fval=-fp)
+    mids = 0.5 * (xp[1:] + xp[:-1])
+    y = np.concatenate([xp, mids, extra, [xp[0] - 1.0, xp[-1] + 1.0, 0.0, -0.0,
+                                          np.inf, -np.inf, np.nan, 5e-324]])
+    br = pathsim._Bracket(tab, y, pathsim._ChunkWorkspace(y.size))
+    j = np.searchsorted(xp, y, side="right") - 1
+    assert np.array_equal(br.j, j)
+    assert np.array_equal(br.off, (j < 0) | (j >= xp.size - 1))
+    assert np.array_equal(br.node, y - xp[np.clip(j, 0, None)] == 0.0)
+    assert np.array_equal(br.outside(), (y < xp[0]) | (y > xp[-1]))
+    for fp_, slope in ((tab.rate1, tab.slope_rate1), (tab.fval, tab.slope_fval)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = br.interp(fp_, slope, np.empty_like(y), np.empty_like(y))
+        assert np.array_equal(got.view(np.int64), np.interp(y, xp, fp_).view(np.int64))
+
+
+@pytest.mark.parametrize("model", ["kinetic3", "kinetic_critical", "kinetic7"])
+def test_bracket_guide_hits_kinetic_tables(model, request):
+    # on the kinetic tables one guide bucket holds at most one node, so every
+    # finite point -- on a node, between nodes or beyond either end -- is
+    # found by the guide and one step down, without the searchsorted fallback
+    tab = pathsim._clock_tables(request.getfixturevalue(model), f_id)
+    g = np.arcsinh(tab.y)
+    rng = np.random.default_rng(4)
+    y = np.concatenate([tab.y, 0.5 * (tab.y[1:] + tab.y[:-1]), [0.0, -0.0],
+                        np.sinh(rng.uniform(g[0] - 1.0, g[-1] + 1.0, 50_000))])
+    br = pathsim._Bracket(tab, y, pathsim._ChunkWorkspace(y.size))
+    assert br.misses == 0
+    assert np.array_equal(br.j, np.searchsorted(tab.y, y, side="right") - 1)
+    # nan and +inf always miss and are placed by the fallback
+    br = pathsim._Bracket(tab, np.array([np.nan, np.inf, -np.inf]),
+                          pathsim._ChunkWorkspace(3))
+    assert br.misses == 2
+    assert br.j.tolist() == [tab.y.size - 1, tab.y.size - 1, -1]
 
 
 def test_clock_table_edge_gate(kinetic3, monkeypatch):
