@@ -52,9 +52,11 @@ from .model import (
     DiffusionModel,
     _GL15_W,
     _GL15_X,
+    _array_fn,
     _dyadic_octaves,
+    _integral_with_tail,
     _tail_extrapolate,
-    _vectorized,
+    _two_sided,
     adaptive_panels,
     compute_kappa,
     invariant_integral,
@@ -127,6 +129,7 @@ _S_WTS = _S_HALF[:, None] * _GL15_W
 _S_DECAY = np.exp(-0.5 * _S_PTS)
 
 _U_MAX = 300.0  # log-coordinate horizon; x up to e^300, ell probed up to e^380
+_ELL_PROBE = (1.0, 2.0, 8.0)  # array-contract probe: ell lives on [1, inf)
 
 
 def _rho_integrand(ell: Callable) -> Callable:
@@ -136,13 +139,13 @@ def _rho_integrand(ell: Callable) -> Callable:
     J(x) = x^{-1/2} int_0^inf e^{-s/2} / ell(x e^s) ds, truncated at s = 80
     (relative remainder ~ e^{-40}).  Then rho = int_0^inf G(u) du.
     """
-    ellv = _vectorized(ell, probe=(1.0, 2.0, 8.0))
+    ell = _array_fn(ell, "ell", _ELL_PROBE)
 
     def G(u):
         u = np.atleast_1d(np.asarray(u, dtype=np.float64))
         x = np.exp(u)
         args = x[:, None, None] * np.exp(_S_PTS)[None, :, :]
-        vals = ellv(args.reshape(-1)).reshape(args.shape)
+        vals = ell(args.reshape(-1)).reshape(args.shape)
         J = (_S_DECAY[None, :, :] * _S_WTS[None, :, :] / vals).sum(axis=(1, 2))
         J /= np.sqrt(x)
         return J * J * x
@@ -157,12 +160,11 @@ def compute_rho(ell: Callable) -> float:
     extrapolation from the outermost dyadic octaves; a non-decaying octave
     trend (e.g. ell = 1, where the integrand is constant in u) returns inf.
     """
-    G = _rho_integrand(ell)
-    total = adaptive_panels(G, np.linspace(0.0, _U_MAX, 121), 1e-10).sum()
-    tail, divergent = _tail_extrapolate(_dyadic_octaves(G, _U_MAX))
+    panels, tail, divergent = _integral_with_tail(
+        _rho_integrand(ell), np.linspace(0.0, _U_MAX, 121), 1e-10)
     if divergent or not np.isfinite(tail):
         return np.inf
-    return float(total + tail)
+    return float(panels.sum() + tail)
 
 
 def compute_rho_eps(ell: Callable, eps: float) -> float:
@@ -195,11 +197,11 @@ def slow_var_transforms(ell: Callable) -> SlowVarTransforms:
     All three are computed in u = log x coordinates.  Calling N when
     int_1^inf dv/(v ell(v)) diverges raises Divergent.
     """
-    ellv = _vectorized(ell, probe=(1.0, 2.0, 8.0))
+    ell = _array_fn(ell, "ell", _ELL_PROBE)
 
     def h(u):
         u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-        return 1.0 / ellv(np.exp(u))
+        return 1.0 / ell(np.exp(u))
 
     n_tail, n_divergent = _tail_extrapolate(_dyadic_octaves(h, _U_MAX))
     G = _rho_integrand(ell)
@@ -280,21 +282,20 @@ def _f_in_l1mu(alpha: float, ell: Callable) -> bool:
     return not slow_var_transforms(ell).n_divergent
 
 
-def _ratio_samples(core, fv, ell, alpha: float, sign: float, n_samples: int):
+def _ratio_samples(side, f, ell, alpha: float, n_samples: int):
     """Sampled tail ratio [sigma s']^{-2}|s|^{2-1/alpha} ell(|s|) f on a
     geometric grid of one side; computed in log space so that presets whose
     factors overflow double precision individually still yield the finite
     product.  Points where f itself overflows are returned as nan."""
-    side = core.pos if sign > 0 else core.neg
+    sign = side.sign
     xs = side.x[-1] * 2.0 ** -np.arange(n_samples, dtype=np.float64)[::-1]
     E = side.E_spline(xs)
     s_abs = side.s_at(xs)
-    sig = core._sigma(sign * xs)
-    fx = fv(sign * xs)
-    ellv = _vectorized(ell, probe=(1.0, 2.0, 8.0))
+    sig = side.sigma(sign * xs)
+    fx = f(sign * xs)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         log_pref = ((2.0 - 1.0 / alpha) * np.log(s_abs)
-                    + np.log(ellv(s_abs)) - 2.0 * E - 2.0 * np.log(sig))
+                    + np.log(ell(s_abs)) - 2.0 * E - 2.0 * np.log(sig))
         ratio = np.where(fx == 0.0, 0.0,
                          np.sign(fx) * np.exp(log_pref + np.log(np.abs(fx))))
     ratio[~np.isfinite(fx)] = np.nan
@@ -328,7 +329,7 @@ def classify_regime(
     within 0.02 of 2 fail and ask for a claimed alpha.
     """
     core = model.core()
-    fv = _vectorized(f)
+    f = _array_fn(f, "f")
     diagnostics: dict = {"mode": "claimed" if claimed is not None else "estimated",
                          "warnings": []}
 
@@ -340,13 +341,14 @@ def classify_regime(
         if ell is None:
             ell, ell_name = ell_one, "1"
         else:
+            ell = _array_fn(ell, "ell", _ELL_PROBE)
             ell_name = getattr(ell, "__name__", "ell")
         scale = abs(f_plus) + abs(f_minus)
         if scale <= 0.0:
             raise ClassificationFailed("claimed tail limits are both zero",
                                        diagnostics=diagnostics)
-        for sign, limit, key in ((+1.0, f_plus, "plus"), (-1.0, f_minus, "minus")):
-            xs, ratio = _ratio_samples(core, fv, ell, alpha, sign, n_samples)
+        for side, limit, key in ((core.pos, f_plus, "plus"), (core.neg, f_minus, "minus")):
+            xs, ratio = _ratio_samples(side, f, ell, alpha, n_samples)
             diagnostics[f"x_{key}"] = xs.tolist()
             diagnostics[f"ratio_{key}"] = ratio.tolist()
             finite = ratio[np.isfinite(ratio)]
@@ -380,12 +382,13 @@ def classify_regime(
 
     # -- no claim: estimate alpha from the slope of log|phi| vs log|w| -------
     slopes, weights, side_data = [], [], {}
-    for sign, side, key in ((+1.0, core.pos, "plus"), (-1.0, core.neg, "minus")):
+    for side, key in ((core.pos, "plus"), (core.neg, "minus")):
+        sign = side.sign
         w = side.s_abs[1:]
         x = side.x[1:]
-        fx = fv(sign * x)
+        fx = f(sign * x)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            log_phi = np.log(np.abs(fx)) - 2.0 * side.E[1:] - 2.0 * np.log(core._sigma(sign * x))
+            log_phi = np.log(np.abs(fx)) - 2.0 * side.E[1:] - 2.0 * np.log(side.sigma(sign * x))
         usable = np.isfinite(log_phi)
         if not usable.any():
             side_data[key] = None
@@ -437,7 +440,7 @@ def classify_regime(
             continue
         _, sign, xw, ww, lp = data
         vals = np.exp((2.0 - 1.0 / alpha) * np.log(ww) + lp)
-        tail_sign = float(np.sign(fv(np.asarray([sign * xw[-1]]))[0]))
+        tail_sign = float(np.sign(f(np.asarray([sign * xw[-1]]))[0]))
         f_pm[key] = tail_sign * float(vals.mean())
     regime, rho = _regime_of(alpha, ell_one)
     if rho is not None:
@@ -594,16 +597,15 @@ def _lambda_alpha(alpha: float, kappa: float) -> float:
 
 def _check_centered(model: DiffusionModel, f: Callable, tol: float = 1e-6) -> None:
     mu_f = invariant_integral(model, f)
-    fv = _vectorized(f)
     kappa = compute_kappa(model)
     # |f| has a kink wherever a centered f crosses zero, which can defeat the
     # default panel tolerance; 1% is plenty since |f| only calibrates the check
     try:
         total, tail, divergent = model.core().integrate_against_m(
-            lambda x: np.abs(fv(x)))
+            lambda x: np.abs(f(x)))
     except QuadratureError:
         total, tail, divergent = model.core().integrate_against_m(
-            lambda x: np.abs(fv(x)), rel_tol=1e-2)
+            lambda x: np.abs(f(x)), rel_tol=1e-2)
     if divergent or not np.isfinite(tail):
         raise NotIntegrable("int |f| dmu diverges")
     mu_abs = kappa * (total + tail)
@@ -628,37 +630,29 @@ def _diffusive_sigma_sq(model: DiffusionModel, f: Callable) -> float:
             f"tail integrals of f*m from both sides disagree at 0 by {mismatch:.3g}; "
             "f is not centered")
     total = 0.0
-    for sign, side in ((+1.0, core.pos), (-1.0, core.neg)):
-        def integrand(u, sign=sign, side=side):
-            return np.exp(side.E_spline(u)) * T(sign * u) ** 2
-        body = adaptive_panels(integrand, side.x, 1e-9).sum()
-        tail, divergent = _tail_extrapolate(_dyadic_octaves(integrand, side.x[-1]))
+    for side in (core.pos, core.neg):
+        def integrand(u, side=side):
+            return np.exp(side.E_spline(u)) * T(side.sign * u) ** 2
+        panels, tail, divergent = _integral_with_tail(integrand, side.x, 1e-9)
         if divergent or not np.isfinite(tail):
             raise NotIntegrable("the variance integral int s' (int_x^inf f m)^2 diverges")
-        total += body + tail
+        total += panels.sum() + tail
     return 4.0 * kappa * total
 
 
 def _xi_eps_exact(model: DiffusionModel, f: Callable, ell: Callable, kappa: float) -> Callable:
     core = model.core()
-    fv = _vectorized(f)
-    ellv = _vectorized(ell, probe=(1.0, 2.0, 8.0))
 
     def xi(eps: float) -> float:
         if eps <= 0.0:
             raise InvalidRequest("xi_eps requires eps > 0")
         w_edge = kappa / eps
         total = 0.0
-        for sign, side in ((+1.0, core.pos), (-1.0, core.neg)):
-            bound = abs(core.inv_s(sign * w_edge))
+        for side in (core.pos, core.neg):
+            bound = abs(core.inv_s(side.sign * w_edge))
             edges = np.append(side.x[side.x < bound], bound)
-
-            def integrand(u, sign=sign, side=side):
-                v = sign * u
-                return fv(v) * np.exp(-side.E_spline(u)) / core._sigma(v) ** 2
-
-            total += adaptive_panels(integrand, edges, 1e-10).sum()
-        return float(kappa * ellv(np.asarray([1.0 / eps]))[0] * total)
+            total += adaptive_panels(side.m_integrand(f), edges, 1e-10).sum()
+        return float(kappa * ell(np.asarray([1.0 / eps]))[0] * total)
 
     return xi
 
@@ -671,6 +665,7 @@ def limit_law(report: RegimeReport, model: DiffusionModel, f: Callable) -> Limit
     quadrature route; the Poisson route is available separately for
     cross-checking.
     """
+    f = _array_fn(f, "f")
     kappa = compute_kappa(model)
     alpha, regime = report.alpha, report.regime
     f_p, f_m = report.f_plus, report.f_minus
@@ -791,26 +786,32 @@ def poisson_solution(model: DiffusionModel, f: Callable,
     """
     core = model.core()
     kappa = compute_kappa(model)
-    fv = _vectorized(f)
+    f = _array_fn(f, "f")
 
-    sides = {}
-    for sign, side in ((+1.0, core.pos), (-1.0, core.neg)):
-        xs = np.linspace(0.0, side.x[-1], n_grid)
-        dx = xs[1] - xs[0]
-        E = side.E_spline(xs)
-        sig = core._sigma(sign * xs)
-        m = np.exp(-E) / sig**2
-        fm = fv(sign * xs) * m
-
-        # geometric tail estimate beyond the cutoff, from trapezoid octaves
+    def octave_tail(xs, y):
+        """Geometric tail beyond xs[-1] from trapezoid sums of |y| over 8 octaves."""
         hi = xs[-1]
         octs = []
         for _ in range(8):
             lo = hi / 2.0
-            mask = (xs >= lo) & (xs <= hi)
-            octs.append(float(np.trapezoid(np.abs(fm[mask]), xs[mask])))
+            # xs ascends, so the octave [lo, hi] is one slice
+            i, j = np.searchsorted(xs, lo, "left"), np.searchsorted(xs, hi, "right")
+            octs.append(float(np.trapezoid(np.abs(y[i:j]), xs[i:j])))
             hi = lo
-        tail_abs, divergent = _tail_extrapolate(np.asarray(octs[::-1]))
+        return _tail_extrapolate(np.asarray(octs[::-1]))
+
+    sides = {}
+    for side in (core.pos, core.neg):
+        sign = side.sign
+        xs = np.linspace(0.0, side.x[-1], n_grid)
+        dx = xs[1] - xs[0]
+        E = side.E_spline(xs)
+        sig = side.sigma(sign * xs)
+        m = np.exp(-E) / sig**2
+        fm = f(sign * xs) * m
+
+        # geometric tail estimate beyond the cutoff, from trapezoid octaves
+        tail_abs, divergent = octave_tail(xs, fm)
         if divergent or not np.isfinite(tail_abs):
             raise PoissonUnavailable(
                 "int_x^inf f m diverges; the Poisson solution does not exist")
@@ -847,14 +848,7 @@ def poisson_solution(model: DiffusionModel, f: Callable,
     def _var_piece(xs, dx, gp, sig, m):
         integrand = (gp * sig) ** 2 * m
         body = float(simpson(integrand, dx=dx))
-        hi = xs[-1]
-        octs = []
-        for _ in range(8):
-            lo = hi / 2.0
-            mask = (xs >= lo) & (xs <= hi)
-            octs.append(float(np.trapezoid(integrand[mask], xs[mask])))
-            hi = lo
-        tail, divergent = _tail_extrapolate(np.asarray(octs[::-1]))
+        tail, divergent = octave_tail(xs, integrand)
         if divergent or not np.isfinite(tail):
             raise PoissonUnavailable("int (g' sigma)^2 dmu diverges")
         return body + tail
@@ -863,23 +857,11 @@ def poisson_solution(model: DiffusionModel, f: Callable,
                         + _var_piece(xn, dxn, gp_neg, sig_n, mn))
 
     def g(x):
-        x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = np.interp(x[pos], xp, g_pos)
-        out[~pos] = np.interp(-x[~pos], xn, g_neg)
-        return float(out[0]) if scalar else out
+        return _two_sided(x, lambda u: np.interp(u, xp, g_pos),
+                          lambda u: np.interp(u, xn, g_neg))
 
     def g_prime(x):
-        x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = np.interp(x[pos], xp, gp_pos)
-        out[~pos] = np.interp(-x[~pos], xn, gp_neg)
-        return float(out[0]) if scalar else out
+        return _two_sided(x, lambda u: np.interp(u, xp, gp_pos),
+                          lambda u: np.interp(u, xn, gp_neg))
 
     return PoissonSolution(g=g, g_prime=g_prime, gamma_sq=float(gamma_sq))

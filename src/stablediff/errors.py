@@ -1,9 +1,9 @@
 """Exception hierarchy.
 
 Every error raised by this package derives from :class:`StableDiffError`, so
-callers (and the CLI) can catch one type and still report machine-readable
-diagnostics.  Errors that carry numeric evidence expose it as attributes
-rather than burying it in the message string.
+callers can catch one type and still report machine-readable diagnostics.
+Errors that carry numeric evidence expose it as attributes rather than
+burying it in the message string.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ class StableDiffError(Exception):
     """Base class for all package errors."""
 
     def payload(self) -> dict:
-        """Machine-readable form used by the CLI error channel."""
+        """Machine-readable form of the error: its type, message and evidence."""
         return {"error": type(self).__name__, "message": str(self)}
 
 

@@ -23,6 +23,16 @@ fresh Gauss panel from the nearest node, and s^-1 by bracketed root-finding
 against that evaluator.  Improper integrals (kappa, mu(h)) are truncated
 at the domain cutoff with a geometric tail extrapolation from the outermost
 octaves; non-decaying octave trends raise instead of silently truncating.
+Every integral against the speed measure goes through one integrand
+(:meth:`_Side.m_integrand`) and one panels-plus-tail step
+(:func:`_integral_with_tail`).
+
+Array contract: every callable the package takes -- drift, diffusion, an
+observable f, a slowly varying ell -- maps a float64 array to a float64
+array of the same shape.  Each is probed once where it enters the package,
+and one that raises on an array or returns another shape raises
+:class:`ConfigError` naming the argument.  A constant is written
+``np.full_like(x, c)``, not ``lambda x: c``.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.optimize import brentq
 
 from .errors import (
+    ConfigError,
     NotIntegrable,
     NotPositiveRecurrent,
     OutOfDomain,
@@ -64,21 +75,43 @@ _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 _GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
 
 
-def _vectorized(fn: Callable, probe: tuple = (0.0, 0.5, -0.5)) -> Callable:
-    """Return a callable that accepts ndarray input, wrapping scalar-only fns.
+def _array_fn(fn: Callable, name: str, probe=(0.0, 0.5, -0.5)) -> Callable:
+    """Check the array contract of a user callable and return ``fn`` itself.
 
-    ``probe`` are the sample arguments used to sniff array support; pass
-    positive values for functions not defined at or below zero.
+    ``fn`` must map a float64 array to an array of the same shape; a
+    callable that raises on the ``probe`` array, or returns another shape,
+    raises :class:`ConfigError` naming the argument.  Pass positive probe
+    values for functions not defined at or below zero.
     """
+    x = np.asarray(probe, dtype=np.float64)
     try:
         with np.errstate(all="ignore"):
-            out = fn(np.asarray(probe, dtype=np.float64))
-        if np.shape(out) == (len(probe),):
-            return fn
-    except Exception:
-        pass
-    vf = np.vectorize(fn, otypes=[np.float64])
-    return lambda x: vf(x)
+            shape = np.shape(fn(x))
+    except Exception as exc:
+        raise ConfigError(
+            f"{name} must accept a float64 array; on one of shape {x.shape} it raised "
+            f"{type(exc).__name__}: {exc}") from exc
+    if shape != x.shape:
+        raise ConfigError(
+            f"{name} must return an array of its argument's shape {x.shape}, got "
+            f"shape {shape}; write a constant c as np.full_like(x, c)")
+    return fn
+
+
+def _two_sided(x, pos_fn: Callable, neg_fn: Callable):
+    """``pos_fn(x)`` where x >= 0 and ``neg_fn(-x)`` where x < 0.
+
+    Both functions take distances from 0 (array in, array out); a scalar
+    ``x`` gives a float.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = pos_fn(x[pos])
+    out[~pos] = neg_fn(-x[~pos])
+    return float(out[0]) if scalar else out
 
 
 def _panel_values(fn: Callable, lo: np.ndarray, hi: np.ndarray, rule_x, rule_w) -> np.ndarray:
@@ -143,16 +176,29 @@ def _side_nodes(cutoff: float) -> np.ndarray:
 class _Side:
     """Cached quantities on one half-axis (x stored as distance from 0)."""
 
+    sign: float                   # +1 for x >= 0, -1 for x <= 0
     x: np.ndarray                 # nodes, ascending, x[0] = 0
     E: np.ndarray                 # exponent at nodes
     s_abs: np.ndarray             # |s(+-x)| at nodes (s is odd-signed per side)
-    m_int: np.ndarray             # per-panel integrals of m
     E_spline: CubicSpline
-    m_total: float                # int m over this side (truncated)
-    m_tail: float                 # geometric tail estimate beyond cutoff
-    m_divergent: bool             # octave trend says int m = inf
+    sigma: Callable               # the model's diffusion coefficient
     m_overflow: bool              # m left double range before the cutoff
     sprime_octaves: np.ndarray    # per-octave integrals of s', inner -> outer
+    m_total: float = field(init=False)      # int m over this side (truncated)
+    m_tail: float = field(init=False)       # geometric tail estimate beyond cutoff
+    m_divergent: bool = field(init=False)   # octave trend says int m = inf
+
+    def m_integrand(self, h: Callable | None = None) -> Callable:
+        """u -> h(v) exp(-E(u)) / sigma(v)^2 at v = sign * u, the integrand of
+        int h dm over this side in the distance u = |x|; m itself if h is None."""
+        sign, E, sigma = self.sign, self.E_spline, self.sigma
+
+        def g(u):
+            v = sign * u
+            w = np.exp(-E(u)) if h is None else h(v) * np.exp(-E(u))
+            return w / sigma(v) ** 2
+
+        return g
 
     def s_at(self, u: np.ndarray) -> np.ndarray:
         """|s| at |x| = u: nearest-node value plus a Gauss panel of exp(E).
@@ -209,18 +255,30 @@ def _tail_extrapolate(octaves: np.ndarray) -> tuple[float, bool]:
     return float(o2 * rho / (1.0 - rho)), False
 
 
+def _integral_with_tail(g: Callable, edges: np.ndarray, rel_tol: float):
+    """(panels, tail, divergent) of int g over ``edges`` and beyond ``edges[-1]``.
+
+    ``panels`` are the adaptive panel integrals.  The tail extrapolates the
+    dyadic octaves of |g| and takes the sign of the outermost sixteenth of
+    the panels; a divergent trend or a non-finite estimate gives tail = inf.
+    """
+    panels = adaptive_panels(g, edges, rel_tol)
+    t, divergent = _tail_extrapolate(_dyadic_octaves(lambda u: np.abs(g(u)), edges[-1]))
+    outer = panels[-max(1, panels.size // 16):].sum()
+    tail = float(np.sign(outer) * t) if np.isfinite(t) else np.inf
+    return panels, tail, divergent
+
+
 class _QuadCore:
     """All cached numerics for one model.  Immutable after construction."""
 
     def __init__(self, model: "DiffusionModel"):
         self.model = model
         self.tol = model.quadrature_tol
-        b = _vectorized(model.drift)
-        sig = _vectorized(model.diffusion)
-        self._b, self._sigma = b, sig
-
         # Assumption checks on a probe grid.
         probe = np.linspace(-model.domain_cutoff, model.domain_cutoff, 401)
+        self._b = b = _array_fn(model.drift, "drift", probe)
+        self._sigma = sig = _array_fn(model.diffusion, "diffusion", probe)
         sv = sig(probe)
         bv = b(probe)
         if not np.all(np.isfinite(sv)) or not np.all(np.isfinite(bv)):
@@ -281,21 +339,16 @@ class _QuadCore:
         if np.any(sprime_panels < 0.0):
             raise QuadratureError("scale function lost monotonicity on the grid")
 
-        def m_of(u):
-            v = sign * u
-            return np.exp(-E_spline(u)) / sig(v) ** 2
-
-        m_panels = adaptive_panels(m_of, xs, max(self.tol, 1e-12))
-        m_oct = _dyadic_octaves(m_of, xs[-1])
-        m_tail, m_div = _tail_extrapolate(m_oct)
-        sp_oct = _dyadic_octaves(lambda u: np.exp(E_spline(u)), xs[-1])
-        return _Side(
-            x=xs, E=E, s_abs=s_abs, m_int=m_panels,
-            E_spline=E_spline,
-            m_total=float(m_panels.sum()), m_tail=m_tail,
-            m_divergent=bool(m_div), m_overflow=m_overflow,
-            sprime_octaves=sp_oct,
+        side = _Side(
+            sign=sign, x=xs, E=E, s_abs=s_abs, E_spline=E_spline, sigma=sig,
+            m_overflow=m_overflow,
+            sprime_octaves=_dyadic_octaves(lambda u: np.exp(E_spline(u)), xs[-1]),
         )
+        m_panels, side.m_tail, m_div = _integral_with_tail(
+            side.m_integrand(), xs, max(self.tol, 1e-12))
+        side.m_total = float(m_panels.sum())
+        side.m_divergent = bool(m_div)
+        return side
 
     # -- pointwise evaluators (array in, array out) ------------------------
 
@@ -308,37 +361,16 @@ class _QuadCore:
         return x
 
     def E_at(self, x):
-        x = self._split(x)
-        pos = x >= 0
-        out = np.empty_like(x)
-        out[pos] = self.pos.E_spline(x[pos])
-        out[~pos] = self.neg.E_spline(-x[~pos])
-        return out
+        return _two_sided(self._split(x), self.pos.E_spline, self.neg.E_spline)
 
     def sprime(self, x):
         return np.exp(self.E_at(x))
 
     def m(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.exp(-self.E_at(x)) / self._sigma(x) ** 2
+        return _two_sided(self._split(x), self.pos.m_integrand(), self.neg.m_integrand())
 
     def s(self, x):
-        x = self._split(x)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        pos = x >= 0
-        out = np.empty_like(x)
-        out[pos] = self.pos.s_at(x[pos])
-        out[~pos] = -self.neg.s_at(-x[~pos])
-        return float(out[0]) if scalar else out
-
-    @property
-    def s_hi(self) -> float:
-        return float(self.pos.s_abs[-1])
-
-    @property
-    def s_lo(self) -> float:
-        return -float(self.neg.s_abs[-1])
+        return _two_sided(self._split(x), self.pos.s_at, lambda u: -self.neg.s_at(u))
 
     def inv_s(self, w):
         """Inverse scale by bracketed root-finding (bisection bracket from the
@@ -370,33 +402,23 @@ class _QuadCore:
 
     # -- integrals ---------------------------------------------------------
 
-    def integrate_against_m(self, h: Callable, need_tail: bool = True,
-                            rel_tol: float | None = None):
+    def integrate_against_m(self, h: Callable, rel_tol: float | None = None):
         """(int h*m over the truncated domain, tail estimate, divergent?).
 
+        ``h`` must satisfy the array contract (see :func:`_array_fn`).
         Divergence is judged per side from the dyadic octave trend of |h|*m.
         ``rel_tol`` overrides the model tolerance (integrands with kinks,
         e.g. |f| of a centered observable, cannot reach the default).
         """
-        hv = _vectorized(h)
         tol = max(self.tol, 1e-12) if rel_tol is None else rel_tol
         total = 0.0
         tail = 0.0
         divergent = False
-        for sign, side in ((+1.0, self.pos), (-1.0, self.neg)):
-            def integrand(u, sign=sign, side=side):
-                v = sign * u
-                return hv(v) * np.exp(-side.E_spline(u)) / self._sigma(v) ** 2
-            panels = adaptive_panels(integrand, side.x, tol)
+        for side in (self.pos, self.neg):
+            panels, t, d = _integral_with_tail(side.m_integrand(h), side.x, tol)
             total += panels.sum()
-            if need_tail:
-                oct_abs = _dyadic_octaves(
-                    lambda u, g=integrand: np.abs(g(u)), side.x[-1])
-                t, d = _tail_extrapolate(oct_abs)
-                # sign of the outer tail follows the outermost panel sum
-                outer = panels[-max(1, panels.size // 16):].sum()
-                tail += np.sign(outer) * t if np.isfinite(t) else np.inf
-                divergent = divergent or d or side.m_overflow
+            tail += t
+            divergent = divergent or d or side.m_overflow
         return float(total), tail, divergent
 
     def fm_tail_integral(self, f: Callable):
@@ -408,57 +430,26 @@ class _QuadCore:
         two assemblies to agree at 0; the mismatch is returned for the caller
         to police.
         """
-        fv = _vectorized(f)
-        per_side = {}
-        tails = {}
-        for sign, side in ((+1.0, self.pos), (-1.0, self.neg)):
-            def integrand(u, sign=sign, side=side):
-                v = sign * u
-                return fv(v) * np.exp(-side.E_spline(u)) / self._sigma(v) ** 2
-            panels = adaptive_panels(integrand, side.x, max(self.tol, 1e-12))
-            oct_abs = _dyadic_octaves(
-                lambda u, g=integrand: np.abs(g(u)), side.x[-1])
-            t_est, div = _tail_extrapolate(oct_abs)
-            if div:
+        cum = {}
+        for side in (self.pos, self.neg):
+            panels, tail, div = _integral_with_tail(
+                side.m_integrand(f), side.x, max(self.tol, 1e-12))
+            if div or not np.isfinite(tail):
                 raise NotIntegrable("tail integral of f against the speed measure diverges")
-            outer = panels[-max(1, panels.size // 16):].sum()
-            tails[sign] = float(np.sign(outer) * t_est)
-            per_side[sign] = panels
-        # cumulative tail from +cutoff inward on the positive side
-        cum_pos = np.concatenate([[0.0], np.cumsum(per_side[+1.0][::-1])])[::-1] + tails[+1.0]
-        # cumulative from -cutoff inward on the negative side: -int_{-inf}^x
-        cum_neg = -(np.concatenate([[0.0], np.cumsum(per_side[-1.0][::-1])])[::-1] + tails[-1.0])
+            # cumulative tail from the cutoff inward
+            cum[side.sign] = np.concatenate([[0.0], np.cumsum(panels[::-1])])[::-1] + tail
+        cum_pos = cum[+1.0]
+        # on the negative side the tail integral is -int_{-inf}^x
+        cum_neg = -cum[-1.0]
         mismatch = float(cum_pos[0] - cum_neg[0])  # both estimate T(0)
 
         pos_spline = CubicHermiteSpline(
             self.pos.x, cum_pos,
-            -fv(self.pos.x) * np.exp(-self.pos.E) / self._sigma(self.pos.x) ** 2)
+            -f(self.pos.x) * np.exp(-self.pos.E) / self._sigma(self.pos.x) ** 2)
         neg_spline = CubicHermiteSpline(
             self.neg.x, cum_neg,
-            fv(-self.neg.x) * np.exp(-self.neg.E) / self._sigma(-self.neg.x) ** 2)
-
-        def T(x):
-            x = np.asarray(x, dtype=np.float64)
-            scalar = x.ndim == 0
-            x = np.atleast_1d(x)
-            out = np.empty_like(x)
-            pos = x >= 0
-            out[pos] = pos_spline(x[pos])
-            out[~pos] = neg_spline(-x[~pos])
-            return float(out[0]) if scalar else out
-
-        return T, mismatch
-
-    def w_tables(self, f: Callable | None = None):
-        """(w_nodes, psi(w), phi(w)) on the image of the node grid, sorted."""
-        xw = np.concatenate([-self.neg.x[::-1], self.pos.x[1:]])
-        w = np.concatenate([-self.neg.s_abs[::-1], self.pos.s_abs[1:]])
-        sp = np.exp(np.concatenate([self.neg.E[::-1], self.pos.E[1:]]))
-        psi = sp * self._sigma(xw)
-        phi = None
-        if f is not None:
-            phi = _vectorized(f)(xw) / psi**2
-        return w, psi, phi
+            f(-self.neg.x) * np.exp(-self.neg.E) / self._sigma(-self.neg.x) ** 2)
+        return (lambda x: _two_sided(x, pos_spline, neg_spline)), mismatch
 
 
 @dataclass
@@ -467,6 +458,9 @@ class DiffusionModel:
 
     ``drift`` and ``diffusion`` must be finite on [-domain_cutoff,
     domain_cutoff] and ``diffusion > 0`` everywhere (checked at cache build).
+    Both follow the array contract of the module docstring: called on a
+    float64 array they return an array of its shape (``np.full_like(x, c)``
+    for a constant), else :meth:`core` raises :class:`ConfigError`.
     Instances are immutable in use: all evaluators are pure once the internal
     cache is built (single-threaded build, safe concurrent reads thereafter).
     """
@@ -505,15 +499,16 @@ class DiffusionModel:
 
     def transformed(self, f: Callable) -> "TransformedCoeffs":
         core = self.core()
+        f = _array_fn(f, "f")
 
         def psi(w):
             x = core.inv_s(w)
-            return core.sprime(np.asarray(x)) * _vectorized(self.diffusion)(np.asarray(x))
+            return core.sprime(np.asarray(x)) * self.diffusion(np.asarray(x))
 
         def phi(w):
             x = np.asarray(core.inv_s(w))
-            p = core.sprime(x) * _vectorized(self.diffusion)(x)
-            return _vectorized(f)(x) / p**2
+            p = core.sprime(x) * self.diffusion(x)
+            return f(x) / p**2
 
         return TransformedCoeffs(psi=psi, phi=phi)
 
@@ -612,6 +607,7 @@ def check_harris(model: DiffusionModel) -> HarrisVerdict:
 
 def invariant_integral(model: DiffusionModel, h: Callable, with_error: bool = False):
     """mu(h) = kappa * int h*m, with divergence detection on the tails."""
+    h = _array_fn(h, "h")
     kappa = compute_kappa(model)
     total, tail, divergent = model.core().integrate_against_m(h)
     if divergent or not np.isfinite(tail):

@@ -48,7 +48,7 @@ from .errors import (
     InvalidRequest,
     PathExploded,
 )
-from .model import DiffusionModel, _vectorized
+from .model import DiffusionModel, _array_fn
 
 __all__ = [
     "SCHEMES",
@@ -171,10 +171,6 @@ class FunctionalSample:
     #: stable-law parameters, ...) carried through both file formats
     extra: dict = field(default_factory=dict)
 
-    #: diffusion engines plus the stable-process samplers, which reuse this
-    #: container (and its file formats) for their own path matrices
-    KNOWN_SCHEMES = SCHEMES + ("excursion", "cms")
-
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         self.times = tuple(float(t) for t in self.times)
@@ -184,9 +180,8 @@ class FunctionalSample:
                 f"values must be (n_paths, {len(self.times)}), got {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise InvalidRequest("sample values must all be finite")
-        if self.scheme not in self.KNOWN_SCHEMES:
-            raise InvalidRequest(
-                f"scheme must be one of {self.KNOWN_SCHEMES}, got {self.scheme!r}")
+        if self.scheme not in SCHEMES:
+            raise InvalidRequest(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
     @property
     def n_paths(self) -> int:
@@ -286,16 +281,15 @@ def simulate_path(model: DiffusionModel, T: float, dt: float, seed: int = 0):
         raise InvalidRequest(f"T must be a finite positive number, got {T!r}")
     if not (isinstance(dt, (int, float)) and math.isfinite(dt) and 0.0 < dt <= T):
         raise InvalidRequest(f"dt must lie in (0, T], got {dt!r}")
-    model.core()  # runs the coefficient checks (finiteness, sigma > 0)
+    model.core()  # runs the coefficient checks (array contract, finiteness, sigma > 0)
     n = int(math.ceil(T / dt - 1e-9))
     times = np.arange(n + 1) * dt
     guard = _GUARD_FACTOR * model.domain_cutoff
     X = np.empty(n + 1)
     X[0] = 0.0
     exploded = np.full(1, -1, dtype=np.int64)
-    for k0, rows in _euler_walk(_vectorized(model.drift), _vectorized(model.diffusion),
-                                dt, n, guard, int(seed), np.zeros(1, dtype=np.int64),
-                                exploded):
+    for k0, rows in _euler_walk(model.drift, model.diffusion, dt, n, guard, int(seed),
+                                np.zeros(1, dtype=np.int64), exploded):
         if exploded[0] >= 0:
             k = int(exploded[0])
             raise PathExploded(
@@ -318,7 +312,7 @@ def additive_functional(path, f: Callable) -> np.ndarray:
     if times.ndim != 1 or times.shape != X.shape or times.size < 2:
         raise InvalidRequest("path must be a (times, X) pair of equal-length 1-d arrays")
     dt = times[1] - times[0]
-    vals = np.asarray(_vectorized(f)(X[:-1]), dtype=np.float64)
+    vals = np.asarray(_array_fn(f, "f")(X[:-1]), dtype=np.float64)
     F = np.empty_like(times)
     F[0] = 0.0
     np.cumsum(vals, out=F[1:])
@@ -337,12 +331,11 @@ def _em_final(model: DiffusionModel, T: float, dt: float, seed: int,
     model.core()
     n = int(math.ceil(T / dt - 1e-9))
     guard = _GUARD_FACTOR * model.domain_cutoff
-    bv = _vectorized(model.drift)
-    sv = _vectorized(model.diffusion)
 
     def run(idx):
         exploded = np.full(len(idx), -1, dtype=np.int64)
-        for _, rows in _euler_walk(bv, sv, dt, n, guard, int(seed), idx, exploded):
+        for _, rows in _euler_walk(model.drift, model.diffusion, dt, n, guard, int(seed),
+                                   idx, exploded):
             if np.any(exploded >= 0):
                 k = int(exploded[exploded >= 0].min())
                 raise PathExploded(
@@ -477,12 +470,10 @@ def _direct_raw(model: DiffusionModel, f: Callable, cfg: SimConfig,
     ``path + n_paths * retry`` so the matrix stays full; the run fails when
     explosions exceed the tolerated fraction.
     """
-    model.core()  # runs the coefficient checks (finiteness, sigma > 0)
+    model.core()  # runs the coefficient checks (array contract, finiteness, sigma > 0)
     sched = _emission_schedule(cfg)
     guard = _GUARD_FACTOR * model.domain_cutoff
-    bv = _vectorized(model.drift)
-    sv = _vectorized(model.diffusion)
-    fv = _vectorized(f)
+    bv, sv, fv = model.drift, model.diffusion, _array_fn(f, "f")
 
     def run(keys):
         parts = _run_blocks(
@@ -587,10 +578,10 @@ def _clock_tables(model: DiffusionModel, f: Callable, n_nodes: int = 6001) -> _C
     x[n_nodes // 2] = 0.0
     y = np.asarray(ss.scale(x), dtype=np.float64)
     psi = np.asarray(ss.scale_deriv(x), dtype=np.float64) \
-        * np.asarray(_vectorized(model.diffusion)(x), dtype=np.float64)
+        * np.asarray(model.diffusion(x), dtype=np.float64)
     with np.errstate(over="ignore"):
         rate1 = (ss.kappa / psi) ** 2
-    fval = np.asarray(_vectorized(f)(x), dtype=np.float64)
+    fval = np.asarray(f(x), dtype=np.float64)
     ok = np.isfinite(y) & np.isfinite(rate1) & np.isfinite(fval)
     y, rate1, fval = y[ok], rate1[ok], fval[ok]
     keep = np.concatenate([[True], np.diff(y) > 0.0])
@@ -817,7 +808,7 @@ def _timechange_raw(model: DiffusionModel, f: Callable, cfg: SimConfig,
 
     Fails when the clipped or the off-table steps exceed ``_CLIP_TOL``.
     """
-    tab = _clock_tables(model, f)
+    tab = _clock_tables(model, _array_fn(f, "f"))
     kappa = model.scale_speed().kappa
     parts = _run_blocks(
         lambda idx: _timechange_block(tab, kappa, cfg, idx, max_extensions),

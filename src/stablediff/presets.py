@@ -56,7 +56,8 @@ def heavy_tailed(theta: float) -> DiffusionModel:
     )
 
 
-def _kinetic_funcs(beta: float, c_plus: float, c_minus: float):
+def _kinetic_dlog_theta(c_plus: float, c_minus: float):
+    """(log theta)' for theta(v) = h(v)/sqrt(1+v^2), h(v) = avg + dif v/sqrt(1+v^2)."""
     avg = 0.5 * (c_plus + c_minus)
     dif = 0.5 * (c_plus - c_minus)
 
@@ -66,9 +67,6 @@ def _kinetic_funcs(beta: float, c_plus: float, c_minus: float):
     def h_prime(v):
         return dif * (1.0 + v * v) ** -1.5
 
-    def theta(v):
-        return h(v) / np.sqrt(1.0 + v * v)
-
     def dlog_theta(v):
         return h_prime(v) / h(v) - v / (1.0 + v * v)
 
@@ -76,7 +74,7 @@ def _kinetic_funcs(beta: float, c_plus: float, c_minus: float):
         # h' = 0 and h = avg, so the first term is +0.0 wherever it is finite
         return 0.0 - v / (1.0 + v * v)
 
-    return theta, (dlog_theta if dif else dlog_theta_symmetric)
+    return dlog_theta if dif else dlog_theta_symmetric
 
 
 def kinetic(beta: float, c_plus: float = 1.0, c_minus: float = 1.0) -> DiffusionModel:
@@ -85,7 +83,7 @@ def kinetic(beta: float, c_plus: float = 1.0, c_minus: float = 1.0) -> Diffusion
         raise ConfigError("kinetic requires beta > 1 for positive recurrence")
     if c_plus <= 0 or c_minus <= 0:
         raise ConfigError("kinetic tail weights c_plus, c_minus must be positive")
-    _, dlog_theta = _kinetic_funcs(beta, c_plus, c_minus)
+    dlog_theta = _kinetic_dlog_theta(c_plus, c_minus)
 
     def drift(v):
         v = np.asarray(v, dtype=np.float64)

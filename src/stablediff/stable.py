@@ -50,6 +50,12 @@ def _xlogx(x: float) -> float:
     return x * math.log(abs(x)) if x != 0.0 else 0.0
 
 
+def _check_count(name: str, value) -> None:
+    """InvalidRequest unless ``value`` is an integer >= 1 (a bool is not)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        raise InvalidRequest(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StableSpec:
     """A stable law written in jump-weight form.
@@ -130,8 +136,7 @@ def sample_stable_cf(spec: StableSpec, t: float, n: int, seed: int = 0) -> np.nd
     """
     if not (math.isfinite(t) and t > 0.0):
         raise InvalidRequest(f"t must be positive, got {t!r}")
-    if n < 1:
-        raise InvalidRequest(f"need n >= 1 samples, got {n}")
+    _check_count("n", n)
     if spec.c == 0.0:
         return np.zeros(n)
     gen = stream(seed, TAG_CMS, 0)
@@ -161,8 +166,7 @@ def sample_limit_law(law: LimitLaw, t: float, n: int, seed: int = 0) -> np.ndarr
     """
     if not (math.isfinite(t) and t > 0.0):
         raise InvalidRequest(f"t must be positive, got {t!r}")
-    if n < 1:
-        raise InvalidRequest(f"need n >= 1 samples, got {n}")
+    _check_count("n", n)
     if law.regime in ("Diffusive", "CriticalDiffusive"):
         z = stream(seed, TAG_CMS, 0).standard_normal(n)
         return law.sigma_alpha * math.sqrt(t) * z
@@ -196,8 +200,7 @@ class BrownianGrid:
                  delta: float | None = None) -> "BrownianGrid":
         if not (math.isfinite(dt) and dt > 0.0):
             raise InvalidRequest(f"dt must be positive, got {dt!r}")
-        if steps < 1:
-            raise InvalidRequest(f"need steps >= 1, got {steps}")
+        _check_count("steps", steps)
         if delta is None:
             delta = math.sqrt(dt)
         elif not (math.isfinite(delta) and delta > 0.0):
@@ -649,9 +652,7 @@ def stable_via_excursions(spec: StableSpec, t_points, dt: float, n_paths: int,
         raise InvalidRequest("t_points must be strictly increasing and positive")
     if not (math.isfinite(dt) and 0.0 < dt <= 0.25):
         raise InvalidRequest(f"dt must lie in (0, 0.25], got {dt!r}")
-    if not isinstance(n_paths, (int, np.integer)) or isinstance(n_paths, bool) \
-            or n_paths < 1:
-        raise InvalidRequest(f"n_paths must be an integer >= 1, got {n_paths!r}")
+    _check_count("n_paths", n_paths)
     tab = _EngineTables(spec, dt)
     step_cap = max(20_000_000, int(2000.0 * (t_arr[-1] + 1.0) / tab.sqdt))
     parts = _run_blocks(

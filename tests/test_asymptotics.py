@@ -26,6 +26,7 @@ from stablediff.asymptotics import (
 )
 from stablediff.errors import (
     ClassificationFailed,
+    ConfigError,
     Divergent,
     InvalidAlpha,
     InvalidRequest,
@@ -57,6 +58,14 @@ def test_hardcoded_constants():
 
 def test_rho_trivial_ell_diverges():
     assert math.isinf(compute_rho(ell_one))
+
+
+def test_scalar_only_observable_and_ell_are_config_errors(kinetic3):
+    alpha, fp, fm = presets.kinetic_tail_limits(3.0)
+    with pytest.raises(ConfigError, match=r"^f "):
+        classify_regime(kinetic3, lambda x: float(x), claimed=(alpha, None, fp, fm))
+    with pytest.raises(ConfigError, match=r"^ell "):
+        compute_rho(lambda v: (1.0 + math.log(v)) ** 2)
 
 
 def test_rho_eps_trivial_ell():

@@ -1,5 +1,7 @@
 """Scale/speed machinery against closed forms and independent quadrature."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from scipy.integrate import quad
 
 import stablediff
 from stablediff import presets
-from stablediff.errors import NotIntegrable, NotPositiveRecurrent, OutOfDomain
+from stablediff.errors import ConfigError, NotIntegrable, NotPositiveRecurrent, OutOfDomain
 from stablediff.model import (
     check_harris,
     compute_kappa,
@@ -114,7 +116,11 @@ def test_kinetic_beta3_second_moment_diverges(kinetic3):
 def test_asymmetric_kinetic_kappa():
     # speed density is (theta(x)/theta(0))^beta under the s'(0)=1 convention
     m = presets.kinetic(2.0, 1.0, 0.25)
-    theta, _ = presets._kinetic_funcs(2.0, 1.0, 0.25)
+
+    def theta(v):
+        # theta = h / sqrt(1+v^2) with h running from c_minus = 0.25 to c_plus = 1
+        return (0.625 + 0.375 * v / np.sqrt(1.0 + v * v)) / np.sqrt(1.0 + v * v)
+
     oracle = quad(lambda v: (theta(v) / theta(0.0)) ** 2, -np.inf, np.inf)[0]
     # beta=2 gives the fattest admissible speed tail (~x^-2); the geometric
     # tail extrapolation from cutoff 600 is good to ~1e-7 relative there
@@ -193,6 +199,20 @@ def test_sigma_must_be_positive():
     )
     with pytest.raises(OutOfDomain):
         m.core()
+
+
+@pytest.mark.parametrize("name, fn, hint", [
+    ("drift", lambda x: -math.tanh(x), "raised TypeError"),
+    ("diffusion", lambda x: 1.0, "np.full_like"),
+], ids=["drift", "diffusion"])
+def test_scalar_only_coefficient_is_a_config_error(name, fn, hint):
+    # the array contract: a coefficient that cannot take an array is refused
+    # by name at the cache build, never evaluated point by point
+    coeffs = {"drift": lambda x: -np.asarray(x, dtype=np.float64),
+              "diffusion": lambda x: np.ones_like(np.asarray(x, dtype=np.float64))}
+    coeffs[name] = fn
+    with pytest.raises(ConfigError, match=rf"^{name} .*{hint}"):
+        stablediff.DiffusionModel(**coeffs, domain_cutoff=5.0).core()
 
 
 # -- structural invariants -------------------------------------------------------

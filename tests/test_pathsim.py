@@ -20,7 +20,7 @@ from stablediff.errors import (
     OutOfDomain,
     PathExploded,
 )
-from stablediff.model import _vectorized, eval_psi_phi, invariant_integral
+from stablediff.model import eval_psi_phi, invariant_integral
 from stablediff.pathsim import (
     FunctionalSample,
     SimConfig,
@@ -107,13 +107,22 @@ def test_config_step_grid_covers_horizon(eps, t1, k):
         SimConfig(dt=dt * 100.0 * k * 1.01, epsilon=eps, horizon_times=(t1,), n_paths=2)
 
 
+@pytest.mark.parametrize("scheme", pathsim.SCHEMES)
+def test_scalar_only_observable_is_a_config_error(kinetic3, law_levy, scheme):
+    cfg = SimConfig(dt=0.05, epsilon=0.05, horizon_times=(1.0,), n_paths=2, seed=0,
+                    scheme=scheme)
+    with pytest.raises(ConfigError, match=r"^f "):
+        rescaled_functional(kinetic3, lambda x: float(x), law_levy, cfg)
+
+
 def test_sample_container_validates():
     ok = dict(law=None, scheme="Direct", seed=0, dt=0.1, epsilon=0.1,
               times=(1.0, 2.0))
     FunctionalSample(values=np.zeros((3, 2)), **ok)
-    # the stable-process samplers reuse the container for their matrices
-    FunctionalSample(values=np.zeros((3, 2)), **{**ok, "scheme": "excursion"})
-    FunctionalSample(values=np.zeros((3, 2)), **{**ok, "scheme": "cms"})
+    # only the two diffusion engines produce samples
+    for scheme in ("excursion", "cms"):
+        with pytest.raises(InvalidRequest):
+            FunctionalSample(values=np.zeros((3, 2)), **{**ok, "scheme": scheme})
     with pytest.raises(InvalidRequest):
         FunctionalSample(values=np.array([[1.0, np.nan]]), **ok)
     with pytest.raises(InvalidRequest):
@@ -376,7 +385,7 @@ def test_direct_explosion_steps_pinned(monkeypatch, drift, chunk):
     cfg = SimConfig(dt=0.01, epsilon=0.5, horizon_times=(0.5, 1.0), n_paths=300,
                     seed=0, scheme="Direct")
     out, exploded = pathsim._direct_block(
-        _vectorized(model.drift), _vectorized(model.diffusion), f_id, cfg,
+        model.drift, model.diffusion, f_id, cfg,
         pathsim._GUARD_FACTOR * model.domain_cutoff, pathsim._emission_schedule(cfg),
         np.arange(cfg.n_paths))
     digest = hashlib.sha256(exploded.tobytes() + out[exploded < 0].tobytes()).hexdigest()

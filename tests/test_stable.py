@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablediff._rng import TAG_EXCURSION, stream
-from stablediff.asymptotics import EULER_GAMMA, char_exponent
+from stablediff.asymptotics import EULER_GAMMA, LimitLaw, char_exponent
 from stablediff.errors import HorizonExceeded, InvalidAlpha, InvalidRequest
 from stablediff.stable import (
     BrownianGrid,
@@ -207,6 +207,14 @@ def test_sampler_rejects_bad_requests():
         sample_stable_cf(sp, -1.0, 10)
     with pytest.raises(InvalidRequest):
         sample_stable_cf(sp, 1.0, 0)
+    # non-integer counts get the typed error, not numpy's TypeError
+    law = LimitLaw(regime="Diffusive", alpha=2.0, sigma_alpha=1.0, kappa=1.0,
+                   f_plus=1.0, f_minus=-1.0)
+    for n in (2.5, True):
+        with pytest.raises(InvalidRequest):
+            sample_stable_cf(sp, 1.0, n)
+        with pytest.raises(InvalidRequest):
+            sample_limit_law(law, 1.0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +288,9 @@ def test_grid_rejects_bad_parameters():
         BrownianGrid.simulate(0.01, 0)
     with pytest.raises(InvalidRequest):
         BrownianGrid.simulate(0.01, 100, delta=-0.1)
+    for steps in (2.5, True):
+        with pytest.raises(InvalidRequest):
+            BrownianGrid.simulate(0.01, steps)
 
 
 def test_estimate_matches_counting_oracle():
