@@ -59,7 +59,6 @@ from .model import (
     _two_sided,
     adaptive_panels,
     compute_kappa,
-    invariant_integral,
 )
 
 __all__ = [
@@ -595,9 +594,16 @@ def _lambda_alpha(alpha: float, kappa: float) -> float:
             * (alpha**alpha / math.gamma(alpha)) ** 2)
 
 
-def _check_centered(model: DiffusionModel, f: Callable, tol: float = 1e-6) -> None:
-    mu_f = invariant_integral(model, f)
+def _check_centered(model: DiffusionModel, f: Callable, fm_sides: list,
+                    tol: float = 1e-6) -> None:
+    """NotCentered unless mu(f) vanishes; ``fm_sides`` are the
+    ``m_side_integrals`` of f, from which mu(f) is summed as
+    :func:`invariant_integral` sums it."""
     kappa = compute_kappa(model)
+    total, tail, divergent = model.core().sum_sides(fm_sides)
+    if divergent or not np.isfinite(tail):
+        raise NotIntegrable("int f dmu diverges (non-decaying tail trend)")
+    mu_f = kappa * (total + tail)
     # |f| has a kink wherever a centered f crosses zero, which can defeat the
     # default panel tolerance; 1% is plenty since |f| only calibrates the check
     try:
@@ -618,13 +624,14 @@ def _check_centered(model: DiffusionModel, f: Callable, tol: float = 1e-6) -> No
             f"(tolerance {slack:.3g}); center f by subtracting it")
 
 
-def _diffusive_sigma_sq(model: DiffusionModel, f: Callable) -> float:
+def _diffusive_sigma_sq(model: DiffusionModel, f: Callable, fm_sides: list) -> float:
     """sigma_alpha^2 = 4 kappa int s'(x) (int_x^inf f m)^2 dx by adaptive
     Gauss panels on the model grid plus a geometric estimate of the
-    beyond-cutoff tail (route A; the Poisson route B is independent)."""
+    beyond-cutoff tail (route A; the Poisson route B is independent).
+    ``fm_sides`` are the ``m_side_integrals`` of f."""
     core = model.core()
     kappa = compute_kappa(model)
-    T, mismatch = core.fm_tail_integral(f)
+    T, mismatch = core.fm_tail_integral(f, fm_sides)
     if abs(mismatch) > 1e-6 * (1.0 + abs(T(0.0))):
         raise NotCentered(
             f"tail integrals of f*m from both sides disagree at 0 by {mismatch:.3g}; "
@@ -671,11 +678,15 @@ def limit_law(report: RegimeReport, model: DiffusionModel, f: Callable) -> Limit
     f_p, f_m = report.f_plus, report.f_minus
     notes: list[str] = []
 
+    # the f*m quadrature, shared by the centering check and sigma^2
+    fm_sides = None
+    if report.f_in_L1mu or regime == "Diffusive":
+        fm_sides = model.core().m_side_integrals(f)
     if report.f_in_L1mu:
-        _check_centered(model, f)
+        _check_centered(model, f, fm_sides)
 
     if regime == "Diffusive":
-        sigma_sq = _diffusive_sigma_sq(model, f)
+        sigma_sq = _diffusive_sigma_sq(model, f, fm_sides)
         rho = report.tail_diagnostics.get("rho")
         if rho is None and alpha == 2.0:
             rho = compute_rho(report.ell)

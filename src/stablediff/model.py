@@ -402,38 +402,47 @@ class _QuadCore:
 
     # -- integrals ---------------------------------------------------------
 
-    def integrate_against_m(self, h: Callable, rel_tol: float | None = None):
-        """(int h*m over the truncated domain, tail estimate, divergent?).
+    def m_side_integrals(self, h: Callable, rel_tol: float | None = None) -> list:
+        """``(panels, tail, divergent)`` of int h*m on the positive side, then
+        the negative one (see :func:`_integral_with_tail`).
 
         ``h`` must satisfy the array contract (see :func:`_array_fn`).
-        Divergence is judged per side from the dyadic octave trend of |h|*m.
         ``rel_tol`` overrides the model tolerance (integrands with kinks,
         e.g. |f| of a centered observable, cannot reach the default).
         """
         tol = max(self.tol, 1e-12) if rel_tol is None else rel_tol
+        return [_integral_with_tail(side.m_integrand(h), side.x, tol)
+                for side in (self.pos, self.neg)]
+
+    def integrate_against_m(self, h: Callable, rel_tol: float | None = None):
+        """(int h*m over the truncated domain, tail estimate, divergent?)."""
+        return self.sum_sides(self.m_side_integrals(h, rel_tol))
+
+    def sum_sides(self, sides: list):
+        """(total, tail estimate, divergent?) of :meth:`m_side_integrals`.
+
+        Divergence is judged per side from the dyadic octave trend of |h|*m.
+        """
         total = 0.0
         tail = 0.0
         divergent = False
-        for side in (self.pos, self.neg):
-            panels, t, d = _integral_with_tail(side.m_integrand(h), side.x, tol)
+        for side, (panels, t, d) in zip((self.pos, self.neg), sides):
             total += panels.sum()
             tail += t
             divergent = divergent or d or side.m_overflow
         return float(total), tail, divergent
 
-    def fm_tail_integral(self, f: Callable):
+    def fm_tail_integral(self, f: Callable, sides: list):
         """Evaluator of T(x) = int_x^inf f*m du with decay-safe assembly.
 
         T is assembled from the right on x >= 0 and from the left (as
         -int_-inf^x f*m) on x < 0, which avoids catastrophic cancellation when
         both tails decay much faster than the bulk.  Requires mu(f) = 0 for the
         two assemblies to agree at 0; the mismatch is returned for the caller
-        to police.
+        to police.  ``sides`` are the :meth:`m_side_integrals` of f.
         """
         cum = {}
-        for side in (self.pos, self.neg):
-            panels, tail, div = _integral_with_tail(
-                side.m_integrand(f), side.x, max(self.tol, 1e-12))
+        for side, (panels, tail, div) in zip((self.pos, self.neg), sides):
             if div or not np.isfinite(tail):
                 raise NotIntegrable("tail integral of f against the speed measure diverges")
             # cumulative tail from the cutoff inward

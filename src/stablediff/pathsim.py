@@ -39,8 +39,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._rng import TAG_DIRECT, TAG_TIMECHANGE, stream
-from ._workspace import _ChunkWorkspace, _run_blocks
+from ._rng import TAG_DIRECT, TAG_TIMECHANGE
+from ._workspace import _ChunkWorkspace, _Normals, _run_blocks
 from .asymptotics import LimitLaw
 from .errors import (
     ConfigError,
@@ -63,15 +63,15 @@ __all__ = [
 SCHEMES = ("Direct", "TimeChange")
 
 _EULER_BLOCK = 2048       # lockstep block width of the Euler-Maruyama engine
-_BLOCK = 512              # lockstep block width of the time-change walk
+_BLOCK = 1024             # lockstep block width of the time-change walk
+_CLOCK_SLAB = 256         # normals a clock-walk path draws per generator call;
+                          # half the default, to bound the wider block's memory
 _GUARD_FACTOR = 10.0      # explosion guard at |X| > guard_factor * domain_cutoff
 _MAX_RETRIES = 3          # substitute draws attempted per exploded path
 _EXPLODED_TOL = 1e-3      # run fails if more than this fraction of paths explode
 _CLIP_RATE = 1e6          # cap on the clock rate dA/du of the time-change walk
 _CLIP_TOL = 1e-4          # run fails if more than this fraction of steps clip
                           # (or lie off the clock tables)
-_WALK_CHUNK = 64          # lockstep steps per chunk of either walk
-_NOISE_SLAB = 512         # normals a path draws per refill in the Euler walk
 _WALK_ITER_CAP = 10_000_000   # lockstep steps a time-change block may take
 _MAGIC = b"SDFSAMP1"
 _SCHEMA = 1
@@ -354,15 +354,15 @@ def _euler_walk(bv, sv, dt: float, n_steps: int, guard: float, seed: int,
                 indices: np.ndarray, exploded: np.ndarray):
     """The Euler-Maruyama kernel: a block of paths from X_0 = 0, chunk by chunk.
 
-    Yields ``(k0, X)`` per chunk of up to ``_WALK_CHUNK`` steps; ``X[i]``
+    Yields ``(k0, X)`` per chunk of up to ``_CHUNK`` steps; ``X[i]``
     holds the block's states at step ``k0 + i``, so ``X[0]`` repeats the
     previous chunk's last row.  ``X`` is scratch memory that the next chunk
     overwrites.  Each step is ``X[i+1] = X[i] + (b*dt + (s*sqrt(dt))*z)``
     with b and s the drift and diffusion at ``X[i]`` and z the path's next
-    normal, keyed by (seed, path index, step) and drawn in slabs of whole
-    chunks.  Before a chunk is yielded, ``exploded[j]`` is set to the first
-    step at which path j lay beyond ``guard`` (or was nan), if it is still
-    -1.  Every state is clamped to [-lim, lim], lim the next float above
+    normal, keyed by (seed, path index, step) (see :class:`_Normals`).
+    Before a chunk is yielded, ``exploded[j]`` is set to the first step at
+    which path j lay beyond ``guard`` (or was nan), if it is still -1.
+    Every state is clamped to [-lim, lim], lim the next float above
     the guard, and a nan state goes to -lim: a path that left stays
     flagged, and its coefficients are never evaluated far outside the guard
     interval, where they could overflow.  The states of such a path mean
@@ -371,25 +371,16 @@ def _euler_walk(bv, sv, dt: float, n_steps: int, guard: float, seed: int,
     n = len(indices)
     sqdt = math.sqrt(dt)
     lim = float(np.nextafter(guard, math.inf))
-    gens = [stream(seed, TAG_DIRECT, int(p)) for p in indices]
-    slab = _WALK_CHUNK * -(-_NOISE_SLAB // _WALK_CHUNK)
-    ws = _ChunkWorkspace(max(slab, _WALK_CHUNK + 1) * n)
+    normals = _Normals(seed, TAG_DIRECT, indices, steps=n_steps)
+    ws = _ChunkWorkspace(n)
     drift_dt = ws.view("drift_dt", n)
     noise = ws.view("noise", n)
     X = ws.view("x", 1, n)
     X[0] = 0.0
-    zt, zpos = None, slab
     k0 = 0
     while k0 < n_steps:
-        k = min(_WALK_CHUNK, n_steps - k0)
-        if zpos == slab:
-            zt = ws.view("zt", n, min(slab, n_steps - k0))
-            for gen, row in zip(gens, zt):
-                gen.standard_normal(out=row)
-            zpos = 0
-        z = ws.view("z", k, n)
-        z[...] = zt[:, zpos:zpos + k].T
-        zpos += k
+        z = normals.take(n_steps - k0)
+        k = len(z)
         X = ws.view("x", k + 1, n)          # row 0 is the carried state
         for i in range(k):
             x = X[i]
@@ -441,7 +432,7 @@ def _direct_block(bv, sv, fv, cfg: SimConfig, guard: float, sched: dict,
     dt, n_steps = cfg.dt, cfg.n_steps
     out = np.empty((n, len(cfg.horizon_times)))
     exploded = np.full(n, -1, dtype=np.int64)
-    ws = _ChunkWorkspace((_WALK_CHUNK + 1) * n)
+    ws = _ChunkWorkspace(n)
     # row 0 carries f(X) and the running sum at the chunk's first step
     ws.view("fx", 1, n)[0] = np.asarray(fv(np.zeros(n)), dtype=np.float64)
     ws.view("fsum", 1, n)[0] = 0.0
@@ -674,16 +665,18 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
     starts at 16*max(1, t_n)^2 and doubles while any unfinished path is
     beyond it, failing after ``max_extensions`` doublings.
 
-    The walk runs in chunks of up to ``_WALK_CHUNK`` lockstep steps.  Phase
+    The walk runs in chunks of up to ``_CHUNK`` lockstep steps.  Phase
     one loops over the steps and advances only the Brownian recursion, the
     one quantity a step hands to the next.  Phase two takes the chunk
     path-major and derives the rest at once: one table search shared by
     both coefficient tables, dA and dH, the running A, H and u as
     cumulative sums from the carried state, and the target crossings,
-    located on the monotone A.  Each path draws one normal per step from
-    its own keyed stream and every sum adds in step order, so the output
-    does not depend on the chunk length.  Paths that finish inside a chunk
-    walk on to its end; those steps are never read or counted.
+    located on the monotone A.  Each path takes one normal per step from
+    its own keyed stream, drawn ahead in slabs of ``_CLOCK_SLAB`` (see
+    :class:`_Normals`), and every sum adds in step order, so the output
+    depends neither on the chunk length nor on the block width.  Paths that
+    finish inside a chunk walk on to its end; those steps are never read or
+    counted.
     """
     eps = cfg.epsilon
     a = eps / kappa
@@ -693,13 +686,13 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
     width = len(indices)
     out = np.empty((width, n_t))
     live = np.arange(width)                # block rows of unfinished paths, ascending
-    gens = [stream(cfg.seed, TAG_TIMECHANGE, int(p)) for p in indices]
+    normals = _Normals(cfg.seed, TAG_TIMECHANGE, indices, slab=_CLOCK_SLAB)
     w_cur = np.zeros(width)
     a_cur = np.zeros(width)
     h_cur = np.zeros(width)
     u_cur = np.zeros(width)
     ti = np.zeros(width, dtype=np.int64)   # targets crossed so far
-    ws = _ChunkWorkspace((_WALK_CHUNK + 1) * width)
+    ws = _ChunkWorkspace(width)
     horizon = 16.0 * max(1.0, targets[-1]) ** 2
     extensions = 0
     clipped = off_table = total = iters = 0
@@ -709,19 +702,18 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
                 "time-change walk exceeded the iteration safety cap; "
                 "dt may be too small for the requested horizon")
         n = live.size
-        k = min(_WALK_CHUNK, _WALK_ITER_CAP - iters)
         # ---- phase 1: the Brownian recursion, step by step -----------------
-        zt = ws.view("zt", n, k)
-        for gen, row in zip(gens, zt):
-            gen.standard_normal(out=row)
-        z = ws.view("z", k, n)
-        z[...] = zt.T
+        z = normals.take(_WALK_ITER_CAP - iters)
+        k = len(z)
         W = ws.view("w", k + 1, n)
-        du = ws.view("du", k, n)
+        # U[i + 1] holds du of step i until phase 2 sums it into u; row 0
+        # of U, DA and DH carries the state, so a cumulative sum continues it
+        U = ws.view("u", k + 1, n)
         tmp = ws.view("tmp", n)
         W[0] = w_cur
+        U[0] = u_cur
         for i in range(k):
-            s = du[i]
+            s = U[i + 1]
             np.abs(W[i], out=s)
             np.maximum(s, a, out=s)
             np.square(s, out=s)
@@ -729,7 +721,10 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
             np.sqrt(s, out=tmp)
             tmp *= z[i]
             np.add(W[i], tmp, out=W[i + 1])
+        w_end = W[k].copy()
         # ---- phase 2: everything else, path-major over the (n, k) chunk ----
+        # buffers are reused once read: DA takes W's, f's values the rate's,
+        # and the running A and H those of y and f
         y = np.multiply(W[:-1].T, y_scale, out=ws.view("y", n, k))
         br = _Bracket(tab, y, ws)
         fp_tmp = ws.view("fp", n, k)
@@ -739,21 +734,19 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
         any_over = bool(over.any())
         if any_over:
             rate[over] = _CLIP_RATE
-        # row 0 of DA/DH/U carries the state, so a cumulative sum continues it
-        DA = ws.view("da", n, k + 1)
+        DA = ws.view("w", n, k + 1)
         DA[:, 0] = a_cur
-        np.multiply(rate, du.T, out=DA[:, 1:])
-        fv = br.interp(tab.fval, tab.slope_fval, ws.view("fv", n, k), fp_tmp)
+        np.multiply(rate, U[1:].T, out=DA[:, 1:])
+        fv = br.interp(tab.fval, tab.slope_fval, rate, fp_tmp)
         DH = ws.view("dh", n, k + 1)
         DH[:, 0] = h_cur
         dH = np.multiply(DA[:, 1:], fv, out=DH[:, 1:])
         dH /= eps
-        U = ws.view("u", n, k + 1)
-        U[:, 0] = u_cur
-        U[:, 1:] = du.T
-        A = np.cumsum(DA, axis=1, out=ws.view("a", n, k + 1))
-        H = np.cumsum(DH, axis=1, out=ws.view("h", n, k + 1))
-        np.cumsum(U, axis=1, out=U)
+        outside = br.outside() if br.any_off else None   # reads y
+        A = np.cumsum(DA, axis=1, out=ws.view("y", n, k + 1))
+        H = np.cumsum(DH, axis=1, out=ws.view("rate", n, k + 1))
+        for i in range(k):
+            np.add(U[i], U[i + 1], out=U[i + 1])
         # crossings: target j is read at the first step whose end A reaches
         # t_j; A is monotone, so counts locate every crossing in the chunk
         ti_live = ti[live]
@@ -772,20 +765,20 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
             steps[col[done]] = s_ev[done] + 1
         fin = ti_end == n_t
         total += int(steps.sum())
-        if any_over or br.any_off:
+        if any_over or outside is not None:
             taken = np.arange(k) < steps[:, None]
             if any_over:
                 clipped += int(np.count_nonzero(over & taken))
-            if br.any_off:
-                off_table += int(np.count_nonzero(br.outside() & taken))
+            if outside is not None:
+                off_table += int(np.count_nonzero(outside & taken))
         # horizon: u of every path still unfinished after each step; a
         # finishing step is not checked, the one before it is
         unfinished = steps - fin
-        reach = U[np.arange(n), unfinished].max()
+        reach = U[unfinished, np.arange(n)].max()
         while reach >= horizon:
             if extensions >= max_extensions:
-                pending = (U[:, 1:] >= horizon) & (np.arange(k) < unfinished[:, None])
-                per_step = np.count_nonzero(pending, axis=0)
+                pending = (U[1:] >= horizon) & (np.arange(k)[:, None] < unfinished)
+                per_step = np.count_nonzero(pending, axis=1)
                 raise HorizonExceeded(
                     f"clock did not reach t = {targets[-1]:g} within the Brownian "
                     f"horizon {horizon:g} after {max_extensions} extensions "
@@ -795,10 +788,10 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
         iters += int(steps.max()) if fin.all() else k
         keep = ~fin
         ti[live] = ti_end
-        w_cur, a_cur = W[k][keep], A[:, k][keep]
-        h_cur, u_cur = H[:, k][keep], U[:, k][keep]
+        w_cur, a_cur = w_end[keep], A[:, k][keep]
+        h_cur, u_cur = H[:, k][keep], U[k][keep]
         live = live[keep]
-        gens = [gen for gen, kept in zip(gens, keep.tolist()) if kept]
+        normals.keep(keep)
     return out, clipped, off_table, total
 
 

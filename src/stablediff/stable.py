@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import TAG_CMS, TAG_EXCURSION, TAG_GRID, stream
-from ._workspace import _ChunkWorkspace, _mapped, _run_blocks
+from ._workspace import _ChunkWorkspace, _Normals, _mapped, _run_blocks
 from .asymptotics import EULER_GAMMA, LimitLaw, _lambda_alpha
 from .errors import HorizonExceeded, InvalidAlpha, InvalidRequest
 
@@ -388,11 +388,6 @@ def _near_field(diff_rows: np.ndarray, corr_rows: np.ndarray,
     return fld @ tab.weights
 
 
-# lockstep steps per walk chunk (see _excursion_block); at 512 paths and
-# dt = 1e-5, 64 and 128 ran alike and 32 took about 20% longer
-_CHUNK = 64
-
-
 class _Scatter:
     """One chunk's increments to a per-path table, two slots per path-step.
 
@@ -497,15 +492,16 @@ def _excursion_block(spec: StableSpec, tab: _EngineTables, t_arr: np.ndarray,
     to the next.  Phase two derives everything else for the whole chunk at
     once: the origin local time l0 and the running time integral as
     cumulative sums from the carried state, the near-field cell scatter, and
-    the target crossings, replayed in step order.  Each path draws one normal
-    per step from its own keyed stream, and every per-path sum adds in step
-    order, so the output does not depend on the chunk length.  Paths that
-    finish inside a chunk walk on to its end; those steps are never read.
+    the target crossings, replayed in step order.  Each path takes one
+    normal per step from its own keyed stream, drawn ahead in slabs (see
+    :class:`_Normals`), and every per-path sum adds in step order, so the
+    output does not depend on the chunk length.  Paths that finish inside a
+    chunk walk on to its end; those steps are never read.
     """
     nt = t_arr.size
     out = np.empty((m, nt), dtype=np.float64)
     live = np.arange(m)                    # block rows of unfinished paths, ascending
-    gens = [stream(seed, TAG_EXCURSION, path_lo + j) for j in range(m)]  # one per live path
+    normals = _Normals(seed, TAG_EXCURSION, range(path_lo, path_lo + m))
     w_cur = np.zeros(m)
     a_cur = tab.anti(w_cur)
     l0 = np.zeros(m)
@@ -515,17 +511,13 @@ def _excursion_block(spec: StableSpec, tab: _EngineTables, t_arr: np.ndarray,
     if tab.near:
         diff = _mapped(m, tab.n_cells + 1)
         corr = _mapped(m, tab.n_cells)
-    ws = _ChunkWorkspace(2 * (_CHUNK + 1) * m)   # two values per path-step
+    ws = _ChunkWorkspace(2 * m)            # two values per path-step
     iters = 0
     while live.size:
         n = live.size
-        k = min(_CHUNK, step_cap + 1 - iters)
         # ---- phase 1: the Brownian recursion, step by step -----------------
-        zt = ws.view("zt", n, k)
-        for gen, row in zip(gens, zt):
-            gen.standard_normal(out=row)
-        z = ws.view("z", k, n)
-        z[...] = zt.T
+        z = normals.take(step_cap + 1 - iters)
+        k = len(z)
         W = ws.view("w", k + 1, n)
         step = ws.view("step", k, n)
         tmp = ws.view("tmp", n)
@@ -628,7 +620,7 @@ def _excursion_block(spec: StableSpec, tab: _EngineTables, t_arr: np.ndarray,
         w_cur, a_cur = W[k][keep], A[k][keep]
         l0, kfar = L[k][keep], KF[k][keep]
         live = live[keep]
-        gens = [gen for gen, kept in zip(gens, keep.tolist()) if kept]
+        normals.keep(keep)
     return out
 
 

@@ -280,6 +280,28 @@ def test_limit_law_rejects_uncentered(kinetic7):
         limit_law(rep, kinetic7, shifted)
 
 
+def test_diffusive_law_runs_one_fm_quadrature(monkeypatch):
+    # kinetic(7, 1, 0.5) with f = id centered: float.hex of mu(f) and
+    # sigma_alpha taken when the centering check and sigma^2 each ran their
+    # own f*m quadrature
+    model = presets.kinetic(7.0, 1.0, 0.5)
+    core = model.core()
+    mu_id = invariant_integral(model, lambda x: np.asarray(x, float))
+    f = lambda x: np.asarray(x, float) - mu_id
+    alpha, f_p, f_m = presets.kinetic_tail_limits(7.0, 1.0, 0.5)
+    rep = classify_regime(model, f, claimed=(alpha, None, f_p, f_m))
+    total, tail, _ = core.sum_sides(core.m_side_integrals(f))
+    mu_f = compute_kappa(model) * (total + tail)
+    assert mu_f.hex() == invariant_integral(model, f).hex() == "0x1.483d423a89382p-55"
+    seen = []
+    real = type(core).m_side_integrals
+    monkeypatch.setattr(type(core), "m_side_integrals",
+                        lambda self, h, rel_tol=None: seen.append(h) or real(self, h, rel_tol))
+    law = limit_law(rep, model, f)
+    assert law.sigma_alpha.hex() == "0x1.20e225e961dcfp-1"
+    assert seen.count(f) == 1
+
+
 # ---------------------------------------------------------------------------
 # critical diffusive limit law
 

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stablediff.pathsim as pathsim
+from stablediff import _workspace
 from stablediff import DiffusionModel
 from stablediff.asymptotics import LimitLaw
 from stablediff.errors import (
@@ -354,7 +355,7 @@ def test_direct_bit_pinned(model, request):
 @pytest.mark.parametrize("width", [128, pathsim._EULER_BLOCK])
 @pytest.mark.parametrize("chunk", [3, 64, 257])
 def test_direct_invariant_to_chunk_and_width(kinetic_critical, monkeypatch, chunk, width):
-    monkeypatch.setattr(pathsim, "_WALK_CHUNK", chunk)
+    monkeypatch.setattr(_workspace, "_CHUNK", chunk)
     monkeypatch.setattr(pathsim, "_EULER_BLOCK", width)
     assert direct_pin_digest(kinetic_critical) == DIRECT_PINS["kinetic_critical"]
 
@@ -379,7 +380,7 @@ EXPLODED_PINS = {
 @pytest.mark.parametrize("chunk", [3, 64, 257])
 @pytest.mark.parametrize("drift", sorted(BLOWUP_DRIFTS))
 def test_direct_explosion_steps_pinned(monkeypatch, drift, chunk):
-    monkeypatch.setattr(pathsim, "_WALK_CHUNK", chunk)
+    monkeypatch.setattr(_workspace, "_CHUNK", chunk)
     model = outward_model(1.0, BLOWUP_DRIFTS[drift])
     model.core()
     cfg = SimConfig(dt=0.01, epsilon=0.5, horizon_times=(0.5, 1.0), n_paths=300,
@@ -656,8 +657,8 @@ def test_clock_table_edge_gate(kinetic3, monkeypatch):
 
 
 # sha256 of the raw (700, 3) TimeChange matrix at PIN_CFG, taken before the
-# walk was chunked; 700 paths make blocks of 512 and 188, and the second
-# target lies 1e-7 above the first, so paths cross both in one step
+# walk was chunked; the second target lies 1e-7 above the first, so paths
+# cross both in one step
 TIMECHANGE_PIN_CFG = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.4, 0.4000001, 1.0),
                                n_paths=700, seed=11, scheme="TimeChange")
 TIMECHANGE_PINS = {
@@ -670,6 +671,16 @@ TIMECHANGE_PINS = {
 def test_timechange_bit_pinned(model, request):
     s = simulate_timechange(request.getfixturevalue(model), f_id, TIMECHANGE_PIN_CFG)
     assert hashlib.sha256(s.values.tobytes()).hexdigest() == TIMECHANGE_PINS[model]
+
+
+@pytest.mark.parametrize("width", [128, pathsim._BLOCK])
+@pytest.mark.parametrize("chunk", [3, 64, 257])
+def test_timechange_invariant_to_chunk_and_width(kinetic_critical, monkeypatch, chunk, width):
+    # 700 paths make blocks of 128 (the last of 60) or one block
+    monkeypatch.setattr(_workspace, "_CHUNK", chunk)
+    monkeypatch.setattr(pathsim, "_BLOCK", width)
+    s = simulate_timechange(kinetic_critical, f_id, TIMECHANGE_PIN_CFG)
+    assert hashlib.sha256(s.values.tobytes()).hexdigest() == TIMECHANGE_PINS["kinetic_critical"]
 
 
 def stepwise_walk(tab, kappa, cfg, path):

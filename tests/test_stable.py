@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablediff import _workspace, stable
 from stablediff._rng import TAG_EXCURSION, stream
 from stablediff.asymptotics import EULER_GAMMA, LimitLaw, char_exponent
 from stablediff.errors import HorizonExceeded, InvalidAlpha, InvalidRequest
@@ -437,6 +438,22 @@ EXCURSION_PINS = {
 
 @pytest.mark.parametrize("alpha", sorted(EXCURSION_PINS))
 def test_excursions_bit_pinned(alpha):
+    out = stable_via_excursions(StableSpec(alpha, 1.0, 0.5), EXCURSION_PIN_TIMES,
+                                1e-3, 64, seed=0)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == EXCURSION_PINS[alpha]
+
+
+@pytest.mark.parametrize("alpha, width", [(0.5, 24), (0.5, stable._BLOCK),
+                                          (1.5, stable._BLOCK)])
+@pytest.mark.parametrize("chunk", [3, 64, 257])
+def test_excursions_invariant_to_chunk_and_width(monkeypatch, chunk, alpha, width):
+    # 64 paths make blocks of 24 (the last of 16) or one block.  At alpha >= 1
+    # one matrix-vector product reads the near field of every path crossing
+    # a target in the same step, and its per-row sums depend on the row
+    # count, so there the output depends on the block width and only the
+    # chunk length varies
+    monkeypatch.setattr(_workspace, "_CHUNK", chunk)
+    monkeypatch.setattr(stable, "_BLOCK", width)
     out = stable_via_excursions(StableSpec(alpha, 1.0, 0.5), EXCURSION_PIN_TIMES,
                                 1e-3, 64, seed=0)
     assert hashlib.sha256(out.tobytes()).hexdigest() == EXCURSION_PINS[alpha]
