@@ -40,7 +40,6 @@ from .pathsim import (
     additive_functional,
     rescaled_functional,
     simulate_path,
-    simulate_timechange,
 )
 from .presets import driftless, from_table, heavy_tailed, kinetic
 from .stable import (
@@ -96,7 +95,6 @@ __all__ = [
     "simulate_path",
     "additive_functional",
     "rescaled_functional",
-    "simulate_timechange",
     "heavy_tailed",
     "kinetic",
     "driftless",

@@ -5,7 +5,8 @@ walk in :mod:`stablediff.pathsim`, the excursion engine in
 :mod:`stablediff.stable`) split their paths into fixed blocks and advance
 each block in chunks of up to ``_CHUNK`` lockstep steps.  Per block, a
 :class:`_Normals` hands out each chunk's keyed normals and a
-:class:`_ChunkWorkspace` holds every other per-chunk array.
+:class:`_ChunkWorkspace` holds every other per-chunk array;
+:func:`_first_passages` is the two clock walks' read-out.
 """
 
 from __future__ import annotations
@@ -131,3 +132,28 @@ class _Normals:
         """Drop the live paths where ``mask`` is False; the rest keep their order."""
         self._rows = np.flatnonzero(mask) if self._rows is None else self._rows[mask]
         self._gens = [gen for gen, kept in zip(self._gens, mask.tolist()) if kept]
+
+
+def _first_passages(clock, dclock, value, dvalue, targets, crossed, side: str):
+    """Where a chunk's non-decreasing clocks first pass sorted targets.
+
+    ``clock`` and ``value`` are step-major ``(k+1, n)`` running sums with
+    the carried state in row 0; row s+1 of ``dclock`` and ``dvalue`` holds
+    step s's increments.  Column j passed ``crossed[j]`` targets before the
+    chunk; target t is passed in the first step s whose end ``clock[s+1]``
+    reaches t (``side="right"``) or exceeds it (``side="left"``).  Returns
+    the counts at the chunk's end and, per passage in column then target
+    order, the column, target index, step s and the in-step interpolated
+    ``value[s] + (t - clock[s]) / dclock[s+1] * dvalue[s+1]``.
+    """
+    end = np.searchsorted(targets, clock[-1], side=side)
+    n_ev = end - crossed
+    col = np.repeat(np.arange(n_ev.size), n_ev)
+    # passage i of column j is target i - (passages of columns < j) + crossed[j]
+    tgt = np.arange(col.size) - np.repeat(np.cumsum(n_ev) - end, n_ev)
+    t = targets[tgt]
+    short = np.less if side == "right" else np.less_equal
+    step = np.count_nonzero(short(clock[1:, col], t), axis=0)
+    val = value[step, col] + (t - clock[step, col]) / dclock[step + 1, col] \
+        * dvalue[step + 1, col]
+    return end, col, tgt, step, val

@@ -63,7 +63,8 @@ class ClassificationFailed(StableDiffError):
 
 
 class InvalidRequest(StableDiffError):
-    """A regime-specific quantity was requested outside its regime."""
+    """A quantity outside its regime, an argument out of range, a foreign or
+    inconsistent file, an unimplemented normalization, or a failed walk gate."""
 
 
 class NotCentered(StableDiffError):

@@ -1,7 +1,10 @@
 """Monte Carlo engines for the rescaled additive functional.
 
-Two independent routes produce samples of the running integral
-``int_0^{t/eps} f(X_s) ds`` on a grid of horizon times ``t_i``:
+:func:`rescaled_functional`, the one entry point, samples the running
+integral ``int_0^{t/eps} f(X_s) ds`` on a grid of horizon times ``t_i`` --
+raw without a limit law, normalized with one -- by two independent routes,
+and raises when a run fails a gate (too many exploded paths, clipped clock
+rates or off-table steps):
 
 * ``Direct`` -- Euler--Maruyama on the diffusion itself, integrating f along
   the path with the left-endpoint rule.
@@ -35,12 +38,12 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ._rng import TAG_DIRECT, TAG_TIMECHANGE
-from ._workspace import _ChunkWorkspace, _Normals, _run_blocks
+from ._workspace import _ChunkWorkspace, _Normals, _first_passages, _run_blocks
 from .asymptotics import LimitLaw
 from .errors import (
     ConfigError,
@@ -57,7 +60,6 @@ __all__ = [
     "simulate_path",
     "additive_functional",
     "rescaled_functional",
-    "simulate_timechange",
 ]
 
 SCHEMES = ("Direct", "TimeChange")
@@ -73,6 +75,7 @@ _CLIP_RATE = 1e6          # cap on the clock rate dA/du of the time-change walk
 _CLIP_TOL = 1e-4          # run fails if more than this fraction of steps clip
                           # (or lie off the clock tables)
 _WALK_ITER_CAP = 10_000_000   # lockstep steps a time-change block may take
+_MAX_EXTENSIONS = 48      # doublings of the clock walk's Brownian horizon
 _MAGIC = b"SDFSAMP1"
 _SCHEMA = 1
 
@@ -204,12 +207,17 @@ class FunctionalSample:
             "extra": self.extra,
         }
 
-    @classmethod
-    def _from_meta(cls, meta: dict, values: np.ndarray) -> "FunctionalSample":
+    @staticmethod
+    def _shape(meta: dict) -> tuple[int, int]:
+        """The ``(n_paths, n_times)`` a file's header declares, once its format checks pass."""
         if meta.get("format") != "stablediff-functional-sample":
             raise InvalidRequest("not a functional-sample file")
         if meta.get("schema") != _SCHEMA:
             raise InvalidRequest(f"unsupported schema {meta.get('schema')!r}")
+        return int(meta["n_paths"]), int(meta["n_times"])
+
+    @classmethod
+    def _from_meta(cls, meta: dict, values: np.ndarray) -> "FunctionalSample":
         law = None if meta["law"] is None else LimitLaw.from_json(meta["law"])
         return cls(values=values, law=law, scheme=meta["scheme"], seed=meta["seed"],
                    dt=meta["dt"], epsilon=meta["epsilon"], times=tuple(meta["times"]),
@@ -237,8 +245,14 @@ class FunctionalSample:
         if not lines or not lines[0].startswith("# "):
             raise InvalidRequest("not a functional-sample file (missing metadata line)")
         meta = json.loads(lines[0][2:])
-        body = lines[2:]
-        values = np.array([[float(v) for v in ln.split(",")[1:]] for ln in body if ln])
+        n_paths, n_times = cls._shape(meta)
+        rows = [ln.split(",")[1:] for ln in lines[2:] if ln]
+        if len(rows) != n_paths or any(len(r) != n_times for r in rows):
+            raise InvalidRequest(f"sample body is not {n_paths} rows of {n_times} values")
+        try:
+            values = np.array([[float(v) for v in r] for r in rows]).reshape(n_paths, n_times)
+        except ValueError:
+            raise InvalidRequest("sample body holds a value that is not a float") from None
         return cls._from_meta(meta, values)
 
     # -- binary format -------------------------------------------------------
@@ -255,12 +269,16 @@ class FunctionalSample:
         blob = Path(path).read_bytes()
         if blob[: len(_MAGIC)] != _MAGIC:
             raise InvalidRequest("not a functional-sample file (bad magic)")
-        (hlen,) = struct.unpack_from("<I", blob, len(_MAGIC))
         start = len(_MAGIC) + 4
+        hlen = struct.unpack_from("<I", blob, len(_MAGIC))[0] if len(blob) >= start else 0
+        if len(blob) < start or start + hlen > len(blob):
+            raise InvalidRequest("sample file ends inside its header")
         meta = json.loads(blob[start:start + hlen].decode("utf-8"))
+        n_paths, n_times = cls._shape(meta)
+        if len(blob) != start + hlen + 8 * n_paths * n_times:
+            raise InvalidRequest(f"sample payload is not {n_paths} x {n_times} float64 values")
         values = np.frombuffer(blob[start + hlen:], dtype="<f8").astype(np.float64)
-        values = values.reshape(meta["n_paths"], meta["n_times"])
-        return cls._from_meta(meta, values)
+        return cls._from_meta(meta, values.reshape(n_paths, n_times))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +339,7 @@ def additive_functional(path, f: Callable) -> np.ndarray:
 
 
 def _em_final(model: DiffusionModel, T: float, dt: float, seed: int,
-              n_paths: int, threads: int | None = None) -> np.ndarray:
+              n_paths: int) -> np.ndarray:
     """Terminal states of an Euler-Maruyama ensemble (test instrumentation).
 
     Same discretization and keying as :func:`simulate_path` across path
@@ -342,7 +360,7 @@ def _em_final(model: DiffusionModel, T: float, dt: float, seed: int,
                     f"ensemble path left the guard interval at step {k}", step=k)
         return rows[-1].copy()
 
-    return np.concatenate(_run_blocks(run, n_paths, _EULER_BLOCK, threads))
+    return np.concatenate(_run_blocks(run, n_paths, _EULER_BLOCK, None))
 
 
 # ---------------------------------------------------------------------------
@@ -654,29 +672,29 @@ class _Bracket:
 
 
 def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
-                      indices: np.ndarray, max_extensions: int):
+                      indices: np.ndarray):
     """Lockstep clock walk; returns (raw values, clipped, off-table and total steps).
 
     Per step, with a = eps/kappa and y = W * kappa/eps: the clock gains
     dA = (kappa^2/eps) * psi(y)^{-2} du and the functional
     dH = dA * f(s^{-1}(y))/eps, both left-rule; W then moves by
-    sqrt(du) * Z with du = dt * max(a, |W|)^2.  When A crosses t_i, H is
+    sqrt(du) * Z with du = dt * max(a, |W|)^2.  When A reaches t_i, H is
     read by linear interpolation within the step.  The Brownian horizon
     starts at 16*max(1, t_n)^2 and doubles while any unfinished path is
-    beyond it, failing after ``max_extensions`` doublings.
+    beyond it, failing after ``_MAX_EXTENSIONS`` doublings.
 
     The walk runs in chunks of up to ``_CHUNK`` lockstep steps.  Phase
     one loops over the steps and advances only the Brownian recursion, the
-    one quantity a step hands to the next.  Phase two takes the chunk
-    path-major and derives the rest at once: one table search shared by
-    both coefficient tables, dA and dH, the running A, H and u as
-    cumulative sums from the carried state, and the target crossings,
-    located on the monotone A.  Each path takes one normal per step from
-    its own keyed stream, drawn ahead in slabs of ``_CLOCK_SLAB`` (see
-    :class:`_Normals`), and every sum adds in step order, so the output
-    depends neither on the chunk length nor on the block width.  Paths that
-    finish inside a chunk walk on to its end; those steps are never read or
-    counted.
+    one quantity a step hands to the next.  Phase two derives the rest over
+    the step-major ``(k, n)`` chunk at once: one table search shared by
+    both coefficient tables, dA and dH, the running A, H and u, summed from
+    the carried state in one row loop in step order, and the target
+    crossings on the monotone A (see :func:`_first_passages`).  Each path
+    takes one normal per step from its own keyed stream, drawn ahead in
+    slabs of ``_CLOCK_SLAB`` (see :class:`_Normals`), and every sum adds in
+    step order, so the output depends neither on the chunk length nor on
+    the block width.  Paths that finish inside a chunk walk on to its end;
+    those steps are never read or counted.
     """
     eps = cfg.epsilon
     a = eps / kappa
@@ -687,10 +705,7 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
     out = np.empty((width, n_t))
     live = np.arange(width)                # block rows of unfinished paths, ascending
     normals = _Normals(cfg.seed, TAG_TIMECHANGE, indices, slab=_CLOCK_SLAB)
-    w_cur = np.zeros(width)
-    a_cur = np.zeros(width)
-    h_cur = np.zeros(width)
-    u_cur = np.zeros(width)
+    w_cur, a_cur, h_cur, u_cur = np.zeros((4, width))   # the carried state
     ti = np.zeros(width, dtype=np.int64)   # targets crossed so far
     ws = _ChunkWorkspace(width)
     horizon = 16.0 * max(1.0, targets[-1]) ** 2
@@ -706,8 +721,7 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
         z = normals.take(_WALK_ITER_CAP - iters)
         k = len(z)
         W = ws.view("w", k + 1, n)
-        # U[i + 1] holds du of step i until phase 2 sums it into u; row 0
-        # of U, DA and DH carries the state, so a cumulative sum continues it
+        # U[i + 1] holds du of step i until phase 2 sums it; row 0 carries u
         U = ws.view("u", k + 1, n)
         tmp = ws.view("tmp", n)
         W[0] = w_cur
@@ -722,51 +736,44 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
             tmp *= z[i]
             np.add(W[i], tmp, out=W[i + 1])
         w_end = W[k].copy()
-        # ---- phase 2: everything else, path-major over the (n, k) chunk ----
+        # ---- phase 2: everything else, over the (k, n) chunk ---------------
         # buffers are reused once read: DA takes W's, f's values the rate's,
         # and the running A and H those of y and f
-        y = np.multiply(W[:-1].T, y_scale, out=ws.view("y", n, k))
+        y = np.multiply(W[:-1], y_scale, out=ws.view("y", k, n))
         br = _Bracket(tab, y, ws)
-        fp_tmp = ws.view("fp", n, k)
-        rate = br.interp(tab.rate1, tab.slope_rate1, ws.view("rate", n, k), fp_tmp)
+        fp_tmp = ws.view("fp", k, n)
+        rate = br.interp(tab.rate1, tab.slope_rate1, ws.view("rate", k, n), fp_tmp)
         rate /= eps
-        over = np.greater(rate, _CLIP_RATE, out=ws.view("over", n, k, dtype=np.bool_))
+        over = np.greater(rate, _CLIP_RATE, out=ws.view("over", k, n, dtype=np.bool_))
         any_over = bool(over.any())
         if any_over:
             rate[over] = _CLIP_RATE
-        DA = ws.view("w", n, k + 1)
-        DA[:, 0] = a_cur
-        np.multiply(rate, U[1:].T, out=DA[:, 1:])
+        DA = W                             # row i + 1 holds dA of step i
+        np.multiply(rate, U[1:], out=DA[1:])
         fv = br.interp(tab.fval, tab.slope_fval, rate, fp_tmp)
-        DH = ws.view("dh", n, k + 1)
-        DH[:, 0] = h_cur
-        dH = np.multiply(DA[:, 1:], fv, out=DH[:, 1:])
+        DH = ws.view("dh", k + 1, n)
+        dH = np.multiply(DA[1:], fv, out=DH[1:])
         dH /= eps
         outside = br.outside() if br.any_off else None   # reads y
-        A = np.cumsum(DA, axis=1, out=ws.view("y", n, k + 1))
-        H = np.cumsum(DH, axis=1, out=ws.view("rate", n, k + 1))
+        A = ws.view("y", k + 1, n)
+        H = ws.view("rate", k + 1, n)
+        A[0] = a_cur
+        H[0] = h_cur
         for i in range(k):
+            np.add(A[i], DA[i + 1], out=A[i + 1])
+            np.add(H[i], DH[i + 1], out=H[i + 1])
             np.add(U[i], U[i + 1], out=U[i + 1])
-        # crossings: target j is read at the first step whose end A reaches
-        # t_j; A is monotone, so counts locate every crossing in the chunk
-        ti_live = ti[live]
-        ti_end = np.searchsorted(targets, A[:, k], side="right")
-        n_ev = ti_end - ti_live
+        # target j is read in the first step whose end A reaches t_j
+        ti_end, col, tgt, s_ev, val = _first_passages(A, DA, H, DH, targets, ti[live],
+                                                      "right")
+        out[live[col], tgt] = val
         steps = np.full(n, k)              # steps each path takes in the chunk
-        if n_ev.any():
-            col = np.repeat(np.arange(n), n_ev)
-            first = np.repeat(np.cumsum(n_ev) - n_ev, n_ev)
-            tgt = ti_live[col] + (np.arange(col.size) - first)
-            t_ev = targets[tgt]
-            s_ev = np.count_nonzero(A[col, 1:] < t_ev[:, None], axis=1)
-            frac = (t_ev - A[col, s_ev]) / DA[col, s_ev + 1]
-            out[live[col], tgt] = H[col, s_ev] + frac * DH[col, s_ev + 1]
-            done = tgt == n_t - 1
-            steps[col[done]] = s_ev[done] + 1
+        done = tgt == n_t - 1
+        steps[col[done]] = s_ev[done] + 1
         fin = ti_end == n_t
         total += int(steps.sum())
         if any_over or outside is not None:
-            taken = np.arange(k) < steps[:, None]
+            taken = np.arange(k)[:, None] < steps
             if any_over:
                 clipped += int(np.count_nonzero(over & taken))
             if outside is not None:
@@ -776,27 +783,27 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
         unfinished = steps - fin
         reach = U[unfinished, np.arange(n)].max()
         while reach >= horizon:
-            if extensions >= max_extensions:
+            if extensions >= _MAX_EXTENSIONS:
                 pending = (U[1:] >= horizon) & (np.arange(k)[:, None] < unfinished)
                 per_step = np.count_nonzero(pending, axis=1)
                 raise HorizonExceeded(
                     f"clock did not reach t = {targets[-1]:g} within the Brownian "
-                    f"horizon {horizon:g} after {max_extensions} extensions "
+                    f"horizon {horizon:g} after {_MAX_EXTENSIONS} extensions "
                     f"({int(per_step[np.argmax(per_step > 0)])} paths pending)")
             horizon *= 2.0
             extensions += 1
         iters += int(steps.max()) if fin.all() else k
         keep = ~fin
         ti[live] = ti_end
-        w_cur, a_cur = w_end[keep], A[:, k][keep]
-        h_cur, u_cur = H[:, k][keep], U[k][keep]
+        w_cur, a_cur = w_end[keep], A[k][keep]
+        h_cur, u_cur = H[k][keep], U[k][keep]
         live = live[keep]
         normals.keep(keep)
     return out, clipped, off_table, total
 
 
 def _timechange_raw(model: DiffusionModel, f: Callable, cfg: SimConfig,
-                    threads: int | None, max_extensions: int):
+                    threads: int | None):
     """Raw time-change sample matrix plus the clock-rate clip fraction.
 
     Fails when the clipped or the off-table steps exceed ``_CLIP_TOL``.
@@ -804,7 +811,7 @@ def _timechange_raw(model: DiffusionModel, f: Callable, cfg: SimConfig,
     tab = _clock_tables(model, _array_fn(f, "f"))
     kappa = model.scale_speed().kappa
     parts = _run_blocks(
-        lambda idx: _timechange_block(tab, kappa, cfg, idx, max_extensions),
+        lambda idx: _timechange_block(tab, kappa, cfg, idx),
         cfg.n_paths, _BLOCK, threads)
     raw = np.vstack([p[0] for p in parts])
     clipped, off_table, total = (sum(p[i] for p in parts) for i in (1, 2, 3))
@@ -846,50 +853,28 @@ def _normalized(raw: np.ndarray, law: LimitLaw, cfg: SimConfig) -> np.ndarray:
     raise InvalidRequest(f"unknown regime {law.regime!r}")
 
 
-def rescaled_functional(model: DiffusionModel, f: Callable, law: LimitLaw,
+def rescaled_functional(model: DiffusionModel, f: Callable, law: LimitLaw | None,
                         cfg: SimConfig, *, threads: int | None = None) -> FunctionalSample:
-    """Sample the normalized functional under ``cfg.scheme``.
+    """Sample the functional under ``cfg.scheme``, normalized by ``law``.
 
-    The raw integrals ``int_0^{t_i/eps} f(X_s) ds`` are rescaled by the
-    regime recorded on ``law``: sqrt(eps) (diffusive),
-    sqrt(eps/rho_eps) (critical diffusive), eps^(1/alpha) (heavy-tailed), or
+    With ``law=None`` the values are the raw integrals
+    ``int_0^{t_i/eps} f(X_s) ds``, equal in law under either scheme.  A law
+    rescales them by its regime: sqrt(eps) (diffusive), sqrt(eps/rho_eps)
+    (critical diffusive), eps^(1/alpha) (heavy-tailed), or
     eps * F - xi_eps * t_i (critical heavy-tailed, exact centering).  Runs
     are byte-identical for fixed ``cfg.seed`` whatever ``threads`` is.
+
+    Raises :class:`PathExploded` when over 1e-3 of Direct paths leave the
+    guard interval, :class:`InvalidRequest` when over 1e-4 of the clock
+    walk's steps hit the rate cap or lie beyond its coefficient tables.
     """
-    if law is None:
-        raise InvalidRequest("rescaled_functional needs a limit law; "
-                             "use simulate_timechange for raw values")
     if cfg.scheme == "Direct":
         raw, n_exploded = _direct_raw(model, f, cfg, threads)
         clip = 0.0
     else:
-        raw, clip = _timechange_raw(model, f, cfg, threads, max_extensions=48)
+        raw, clip = _timechange_raw(model, f, cfg, threads)
         n_exploded = 0
     return FunctionalSample(
-        values=_normalized(raw, law, cfg), law=law, scheme=cfg.scheme,
-        seed=cfg.seed, dt=cfg.dt, epsilon=cfg.epsilon, times=cfg.horizon_times,
-        n_exploded=n_exploded, clip_fraction=clip)
-
-
-def simulate_timechange(model: DiffusionModel, f: Callable, cfg: SimConfig,
-                        law: LimitLaw | None = None, *, threads: int | None = None,
-                        max_extensions: int = 48) -> FunctionalSample:
-    """Sample the functional through the clock walk, skipping X entirely.
-
-    With ``law=None`` the values are the raw integrals
-    ``int_0^{t_i/eps} f(X_s) ds`` (equal in law to the direct scheme's raw
-    values); passing a law applies the same normalization as
-    :func:`rescaled_functional`.  ``cfg.scheme`` must be ``"TimeChange"``.
-    Raises :class:`InvalidRequest` when more than a 1e-4 share of the walk's
-    steps hit the clock-rate cap, or lie beyond the ends of its coefficient
-    tables.
-    """
-    if cfg.scheme != "TimeChange":
-        raise ConfigError(
-            f"simulate_timechange needs cfg.scheme == 'TimeChange', got {cfg.scheme!r}")
-    raw, clip = _timechange_raw(model, f, cfg, threads, max_extensions)
-    values = raw if law is None else _normalized(raw, law, cfg)
-    return FunctionalSample(
-        values=values, law=law, scheme=cfg.scheme, seed=cfg.seed, dt=cfg.dt,
-        epsilon=cfg.epsilon, times=cfg.horizon_times,
-        n_exploded=0, clip_fraction=clip)
+        values=raw if law is None else _normalized(raw, law, cfg), law=law,
+        scheme=cfg.scheme, seed=cfg.seed, dt=cfg.dt, epsilon=cfg.epsilon,
+        times=cfg.horizon_times, n_exploded=n_exploded, clip_fraction=clip)

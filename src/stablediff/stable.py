@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import TAG_CMS, TAG_EXCURSION, TAG_GRID, stream
-from ._workspace import _ChunkWorkspace, _Normals, _mapped, _run_blocks
+from ._workspace import _ChunkWorkspace, _Normals, _first_passages, _mapped, _run_blocks
 from .asymptotics import EULER_GAMMA, LimitLaw, _lambda_alpha
 from .errors import HorizonExceeded, InvalidAlpha, InvalidRequest
 
@@ -573,49 +573,36 @@ def _excursion_block(spec: StableSpec, tab: _EngineTables, t_arr: np.ndarray,
         if tab.near:
             d_sc, c_sc = _near_scatter(tab, diff, corr, live, lo, hi, tiny, any_tiny,
                                        step, span, wa, ws)
-        # crossings: target j is read at the first step whose end l0 exceeds
-        # t_j; l0 is monotone, so counts locate every crossing in the chunk
-        ti_end = np.searchsorted(t_arr, L[k], side="left")
-        n_ev = ti_end - ti[live]
-        last = k
-        if n_ev.any():
-            col = np.repeat(np.arange(n), n_ev)
-            first = np.repeat(np.cumsum(n_ev) - n_ev, n_ev)
-            tgt = ti[live][col] + (np.arange(col.size) - first)
-            t_ev = t_arr[tgt]
-            s_ev = np.count_nonzero(L[1:, col] <= t_ev, axis=0)
-            rows = live[col]
-            frac = (t_ev - L[s_ev, col]) / DL[s_ev + 1, col]
-            val = KF[s_ev, col] + frac * DK[s_ev + 1, col]
-            if tab.near:
-                # replay grouped as a step-by-step walk batches them: by step,
-                # then by pass (targets already crossed in that step), rows
-                # ascending; the near field and its compensator are taken at
-                # the end of the crossing step
-                pss = tgt - np.searchsorted(t_arr, L[s_ev, col], side="left")
-                order = np.lexsort((rows, pss, s_ev))
-                s_o, p_o = s_ev[order], pss[order]
-                cuts = np.flatnonzero((np.diff(s_o) != 0) | (np.diff(p_o) != 0)) + 1
-                for g in np.split(order, cuts):
-                    s = int(s_ev[g[0]])
-                    d_sc.through(s)
-                    c_sc.through(s)
-                    r = rows[g]
-                    out[r, tgt[g]] = val[g] + _near_field(diff[r], corr[r], tab) \
-                        - L[s_ev[g] + 1, col[g]] * tab.compensator
-            else:
-                out[rows, tgt] = val
-            if not np.any(ti_end < nt):
-                last = int(s_ev.max()) + 1
+        # target j is read in the first step whose end l0 exceeds t_j
+        ti_end, col, tgt, s_ev, val = _first_passages(L, DL, KF, DK, t_arr, ti[live], "left")
+        keep = ti_end < nt
+        rows = live[col]
+        if tab.near and col.size:
+            # replay grouped as a step-by-step walk batches them: by step,
+            # then by pass (targets already crossed in that step), rows
+            # ascending; the near field and its compensator are taken at
+            # the end of the crossing step
+            pss = tgt - np.searchsorted(t_arr, L[s_ev, col], side="left")
+            order = np.lexsort((rows, pss, s_ev))
+            s_o, p_o = s_ev[order], pss[order]
+            cuts = np.flatnonzero((np.diff(s_o) != 0) | (np.diff(p_o) != 0)) + 1
+            for g in np.split(order, cuts):
+                s = int(s_ev[g[0]])
+                d_sc.through(s)
+                c_sc.through(s)
+                r = rows[g]
+                out[r, tgt[g]] = val[g] + _near_field(diff[r], corr[r], tab) \
+                    - L[s_ev[g] + 1, col[g]] * tab.compensator
+        else:
+            out[rows, tgt] = val
         if tab.near:
             d_sc.through(k - 1)
             c_sc.through(k - 1)
-        iters += last
+        iters += k if keep.any() else int(s_ev.max()) + 1
         if iters > step_cap:
             raise HorizonExceeded(
                 f"a path exceeded {step_cap} steps before its local-time target; "
                 f"dt = {dt:g} is too small relative to the requested horizon")
-        keep = ti_end < nt
         ti[live] = ti_end
         w_cur, a_cur = W[k][keep], A[k][keep]
         l0, kfar = L[k][keep], KF[k][keep]

@@ -28,7 +28,6 @@ from stablediff.pathsim import (
     additive_functional,
     rescaled_functional,
     simulate_path,
-    simulate_timechange,
 )
 from stablediff.validate import estimate_alpha, ks_two_sample
 from stablediff._rng import TAG_DIRECT, TAG_TIMECHANGE, stream
@@ -241,8 +240,8 @@ def test_zero_observable_gives_zero_sample(kinetic3, law_levy):
         s = rescaled_functional(kinetic3, f_zero, law_levy, cfg)
         assert np.all(s.values == 0.0)
         assert s.scheme == scheme and s.n_exploded == 0
-    with pytest.raises(InvalidRequest):
-        rescaled_functional(kinetic3, f_zero, None, cfg)
+        raw = rescaled_functional(kinetic3, f_zero, None, cfg)
+        assert raw.law is None and np.all(raw.values == 0.0)
 
 
 def test_direct_emissions_match_left_rule_oracle(identity_model):
@@ -414,23 +413,22 @@ def test_dt_refinement_keeps_mean_within_mc_error(kinetic7, law_diffusive):
 # ---------------------------------------------------------------------------
 
 
-def test_levy_normalization_is_pure_scaling(kinetic3, law_levy):
+@pytest.mark.parametrize("scheme", pathsim.SCHEMES)
+def test_levy_normalization_is_pure_scaling(kinetic3, law_levy, scheme):
     cfg = SimConfig(dt=0.02, epsilon=0.05, horizon_times=(0.5,), n_paths=32,
-                    seed=4, scheme="TimeChange")
-    raw = simulate_timechange(kinetic3, f_id, cfg)
+                    seed=4, scheme=scheme)
+    raw = rescaled_functional(kinetic3, f_id, None, cfg)
     assert raw.law is None
-    nrm = simulate_timechange(kinetic3, f_id, cfg, law=law_levy)
-    via = rescaled_functional(kinetic3, f_id, law_levy, cfg)
+    nrm = rescaled_functional(kinetic3, f_id, law_levy, cfg)
     factor = cfg.epsilon ** (1.0 / law_levy.alpha)
     assert np.array_equal(factor * raw.values, nrm.values)
-    assert np.array_equal(nrm.values, via.values)
 
 
 def test_critical_centering_uses_exact_integral(kinetic_critical, law_critical_levy):
     assert law_critical_levy.regime == "CriticalLevy"
     cfg = SimConfig(dt=0.02, epsilon=0.05, horizon_times=(0.5, 1.0), n_paths=16,
                     seed=2, scheme="TimeChange")
-    raw = simulate_timechange(kinetic_critical, f_id, cfg)
+    raw = rescaled_functional(kinetic_critical, f_id, None, cfg)
     nrm = rescaled_functional(kinetic_critical, f_id, law_critical_levy, cfg)
     xi = law_critical_levy.xi_eps(cfg.epsilon)
     want = cfg.epsilon * raw.values - xi * np.asarray(cfg.horizon_times)[None, :]
@@ -466,20 +464,18 @@ def test_nontrivial_slowly_varying_factor_rejected(identity_model):
 # ---------------------------------------------------------------------------
 
 
-def test_constant_observable_recovers_elapsed_time(heavy1):
+@pytest.mark.parametrize("scheme", pathsim.SCHEMES)
+def test_constant_observable_recovers_elapsed_time(heavy1, scheme):
     # f == 1 makes the functional the elapsed (unrescaled) time itself, so
     # the un-normalized read-out at t must be t/epsilon, exactly up to the
-    # in-step interpolation
+    # in-step interpolation (TimeChange) or the remainder step (Direct)
     cfg = SimConfig(dt=0.01, epsilon=0.1, horizon_times=(0.5, 1.0, 2.0),
-                    n_paths=64, seed=3, scheme="TimeChange")
-    s = simulate_timechange(heavy1, f_one, cfg)
+                    n_paths=64, seed=3, scheme=scheme)
+    s = rescaled_functional(heavy1, f_one, None, cfg)
+    assert s.law is None
     assert np.allclose(cfg.epsilon * s.values,
                        np.asarray(cfg.horizon_times)[None, :], rtol=1e-12)
     assert s.clip_fraction == 0.0
-    bad = SimConfig(dt=0.01, epsilon=0.1, horizon_times=(1.0,), n_paths=4,
-                    seed=0, scheme="Direct")
-    with pytest.raises(ConfigError):
-        simulate_timechange(heavy1, f_one, bad)
 
 
 def test_transformed_coefficients_match_reference(kinetic3):
@@ -523,17 +519,19 @@ def test_schemes_agree_in_law_critical(kinetic_critical, law_critical_levy):
 def test_close_targets_read_out_consistently(kinetic3):
     cfg = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.4, 0.4000001, 1.0),
                     n_paths=16, seed=3, scheme="TimeChange")
-    s = simulate_timechange(kinetic3, f_id, cfg)
+    s = rescaled_functional(kinetic3, f_id, None, cfg)
     assert np.all(np.isfinite(s.values))
     assert np.allclose(s.values[:, 0], s.values[:, 1], rtol=1e-3, atol=1e-3)
 
 
-def test_clock_horizon_extends_then_fails(kinetic3):
+def test_clock_horizon_extends_then_fails(kinetic3, monkeypatch):
     cfg = SimConfig(dt=0.01, epsilon=0.05, horizon_times=(1.0,), n_paths=64,
                     seed=5, scheme="TimeChange")
-    with pytest.raises(HorizonExceeded):
-        simulate_timechange(kinetic3, f_id, cfg, max_extensions=0)
-    s = simulate_timechange(kinetic3, f_id, cfg)   # default budget succeeds
+    with monkeypatch.context() as m:
+        m.setattr(pathsim, "_MAX_EXTENSIONS", 0)
+        with pytest.raises(HorizonExceeded):
+            rescaled_functional(kinetic3, f_id, None, cfg)
+    s = rescaled_functional(kinetic3, f_id, None, cfg)   # default budget succeeds
     assert np.all(np.isfinite(s.values))
 
 
@@ -542,24 +540,27 @@ def test_clock_rate_clip_gate(kinetic3, monkeypatch):
     cfg = SimConfig(dt=0.02, epsilon=0.05, horizon_times=(0.5,), n_paths=8,
                     seed=1, scheme="TimeChange")
     with pytest.raises(InvalidRequest, match="rate hit the cap"):
-        simulate_timechange(kinetic3, f_id, cfg)
+        rescaled_functional(kinetic3, f_id, None, cfg)
 
 
-def test_clock_horizon_extension_boundary(kinetic3):
+def test_clock_horizon_extension_boundary(kinetic3, monkeypatch):
     # three doublings (16 -> 128) are the fewest this run needs
     cfg = SimConfig(dt=0.01, epsilon=0.05, horizon_times=(1.0,), n_paths=64,
                     seed=5, scheme="TimeChange")
+    monkeypatch.setattr(pathsim, "_MAX_EXTENSIONS", 2)
     with pytest.raises(HorizonExceeded,
                        match=r"horizon 64 after 2 extensions \(1 paths pending\)"):
-        simulate_timechange(kinetic3, f_id, cfg, max_extensions=2)
-    s = simulate_timechange(kinetic3, f_id, cfg, max_extensions=3)
+        rescaled_functional(kinetic3, f_id, None, cfg)
+    monkeypatch.setattr(pathsim, "_MAX_EXTENSIONS", 3)
+    s = rescaled_functional(kinetic3, f_id, None, cfg)
     assert hashlib.sha256(s.values.tobytes()).hexdigest() == \
         "9828b46e435bbc49d96962d1794b040905cece6ad3e43f31e2eafd11c51b6fd6"
     # here u reaches 12.97 before a path's finishing step and 16.70 after it;
     # only the paths still unfinished after a step meet the horizon (16)
     cfg = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.5,), n_paths=8,
                     seed=12, scheme="TimeChange")
-    s = simulate_timechange(kinetic3, f_id, cfg, max_extensions=0)
+    monkeypatch.setattr(pathsim, "_MAX_EXTENSIONS", 0)
+    s = rescaled_functional(kinetic3, f_id, None, cfg)
     assert hashlib.sha256(s.values.tobytes()).hexdigest() == \
         "8342524c1d965dca184469fa91edb6f98083db5ba3fd09761a0c64dce8cf5934"
 
@@ -571,7 +572,7 @@ def test_clock_rate_clip_fraction_pinned(kinetic_critical, monkeypatch):
     monkeypatch.setattr(pathsim, "_CLIP_RATE", 1.2139705)
     cfg = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.5,), n_paths=200,
                     seed=2, scheme="TimeChange")
-    s = simulate_timechange(kinetic_critical, f_id, cfg)
+    s = rescaled_functional(kinetic_critical, f_id, None, cfg)
     assert s.clip_fraction == 4 / 71887
     assert hashlib.sha256(s.values.tobytes()).hexdigest() == \
         "f2fdc33749be1a397adb72bdd1d3fc63bf7b1dbd6790f5fb83197b88e6a1c975"
@@ -653,7 +654,7 @@ def test_clock_table_edge_gate(kinetic3, monkeypatch):
     cfg = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.5,), n_paths=8,
                     seed=1, scheme="TimeChange")
     with pytest.raises(InvalidRequest, match="left the coefficient tables"):
-        simulate_timechange(kinetic3, f_id, cfg)
+        rescaled_functional(kinetic3, f_id, None, cfg)
 
 
 # sha256 of the raw (700, 3) TimeChange matrix at PIN_CFG, taken before the
@@ -669,7 +670,7 @@ TIMECHANGE_PINS = {
 
 @pytest.mark.parametrize("model", sorted(TIMECHANGE_PINS))
 def test_timechange_bit_pinned(model, request):
-    s = simulate_timechange(request.getfixturevalue(model), f_id, TIMECHANGE_PIN_CFG)
+    s = rescaled_functional(request.getfixturevalue(model), f_id, None, TIMECHANGE_PIN_CFG)
     assert hashlib.sha256(s.values.tobytes()).hexdigest() == TIMECHANGE_PINS[model]
 
 
@@ -679,7 +680,7 @@ def test_timechange_invariant_to_chunk_and_width(kinetic_critical, monkeypatch, 
     # 700 paths make blocks of 128 (the last of 60) or one block
     monkeypatch.setattr(_workspace, "_CHUNK", chunk)
     monkeypatch.setattr(pathsim, "_BLOCK", width)
-    s = simulate_timechange(kinetic_critical, f_id, TIMECHANGE_PIN_CFG)
+    s = rescaled_functional(kinetic_critical, f_id, None, TIMECHANGE_PIN_CFG)
     assert hashlib.sha256(s.values.tobytes()).hexdigest() == TIMECHANGE_PINS["kinetic_critical"]
 
 
@@ -720,7 +721,7 @@ def test_timechange_block_matches_stepwise_walk(kinetic_critical, monkeypatch, c
     cfg = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.3, 0.3000001, 0.6),
                     n_paths=8, seed=4, scheme="TimeChange")
     paths = np.array([0, 3, 700, 5, 1, 2, 9, 6])
-    out, *counts = pathsim._timechange_block(tab, kappa, cfg, paths, 48)
+    out, *counts = pathsim._timechange_block(tab, kappa, cfg, paths)
     ref = [stepwise_walk(tab, kappa, cfg, int(p)) for p in paths]
     assert np.array_equal(out, np.array([r[0] for r in ref]))
     assert counts == [sum(c) for c in zip(*(r[1] for r in ref))]
@@ -767,7 +768,7 @@ def test_binary_round_trip_is_bit_exact(small_sample, tmp_path):
     assert back.times == small_sample.times
 
 
-def test_serialization_rejects_foreign_files(tmp_path):
+def test_serialization_rejects_foreign_files(small_sample, tmp_path):
     junk = tmp_path / "junk.bin"
     junk.write_bytes(b"whatever this is, it is not a sample")
     with pytest.raises(InvalidRequest):
@@ -776,3 +777,23 @@ def test_serialization_rejects_foreign_files(tmp_path):
     text.write_text("path,t=1.0\n0,0.5\n")
     with pytest.raises(InvalidRequest):
         FunctionalSample.from_csv(text)
+    # files whose body disagrees with their own header
+    p = tmp_path / "s.csv"
+    small_sample.to_csv(p)
+    lines = p.read_text().splitlines()
+    widened = lines[-1] + ",0.5"
+    for body in (lines[2:-1], lines[2:-1] + [widened], lines[2:] + [lines[-1]],
+                 lines[2:-1] + [lines[-1].rsplit(",", 1)[0]],
+                 lines[2:-1] + [lines[-1].rsplit(",", 1)[0] + ",oops"]):
+        text.write_text("\n".join(lines[:2] + body) + "\n")
+        with pytest.raises(InvalidRequest):
+            FunctionalSample.from_csv(text)
+    p = tmp_path / "s.bin"
+    small_sample.to_binary(p)
+    blob = p.read_bytes()
+    hlen = int.from_bytes(blob[8:12], "little")
+    for bad in (blob[:10], blob[:12 + hlen - 1], blob[:8] + (hlen + 10 ** 6).to_bytes(4, "little")
+                + blob[12:], blob[:-8], blob[:-3], blob + bytes(8)):
+        junk.write_bytes(bad)
+        with pytest.raises(InvalidRequest):
+            FunctionalSample.from_binary(junk)
