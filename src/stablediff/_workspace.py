@@ -59,13 +59,13 @@ class _ChunkWorkspace:
     """Per-block scratch arrays for a chunked walk, allocated once.
 
     Each ``view`` is a C-contiguous window on the front of a flat buffer of
-    ``(_CHUNK + 1) * per_step`` elements -- a chunk's rows plus the carried
-    row, ``per_step`` values each -- so the arrays shrink with the live path
-    count without reallocating.
+    ``(_CHUNK + 1) * width`` elements -- a chunk's rows plus the carried
+    row, one value per path of the block each -- so the arrays shrink with
+    the live path count without reallocating.
     """
 
-    def __init__(self, per_step: int):
-        self._size = (_CHUNK + 1) * per_step
+    def __init__(self, width: int):
+        self._size = (_CHUNK + 1) * width
         self._bufs: dict[str, np.ndarray] = {}
 
     def view(self, name: str, *shape: int, dtype=np.float64) -> np.ndarray:

@@ -208,13 +208,21 @@ class FunctionalSample:
         }
 
     @staticmethod
-    def _shape(meta: dict) -> tuple[int, int]:
-        """The ``(n_paths, n_times)`` a file's header declares, once its format checks pass."""
-        if meta.get("format") != "stablediff-functional-sample":
+    def _header(raw: bytes) -> tuple[dict, int, int]:
+        """A file's UTF-8 JSON header and its ``(n_paths, n_times)``, once checked."""
+        try:
+            meta = json.loads(raw.decode("utf-8"))
+        except ValueError:      # a cut line or a non-UTF-8 byte
+            raise InvalidRequest("sample file header is not UTF-8 JSON") from None
+        if not isinstance(meta, dict) or meta.get("format") != "stablediff-functional-sample":
             raise InvalidRequest("not a functional-sample file")
         if meta.get("schema") != _SCHEMA:
             raise InvalidRequest(f"unsupported schema {meta.get('schema')!r}")
-        return int(meta["n_paths"]), int(meta["n_times"])
+        missing = [key for key in ("n_paths", "n_times", "law", "scheme", "seed", "dt",
+                                   "epsilon", "times") if key not in meta]
+        if missing:
+            raise InvalidRequest(f"sample file header lacks {', '.join(missing)}")
+        return meta, int(meta["n_paths"]), int(meta["n_times"])
 
     @classmethod
     def _from_meta(cls, meta: dict, values: np.ndarray) -> "FunctionalSample":
@@ -241,12 +249,11 @@ class FunctionalSample:
 
     @classmethod
     def from_csv(cls, path) -> "FunctionalSample":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        if not lines or not lines[0].startswith("# "):
+        lines = Path(path).read_bytes().splitlines()
+        if not lines or not lines[0].startswith(b"# "):
             raise InvalidRequest("not a functional-sample file (missing metadata line)")
-        meta = json.loads(lines[0][2:])
-        n_paths, n_times = cls._shape(meta)
-        rows = [ln.split(",")[1:] for ln in lines[2:] if ln]
+        meta, n_paths, n_times = cls._header(lines[0][2:])
+        rows = [ln.split(b",")[1:] for ln in lines[2:] if ln]
         if len(rows) != n_paths or any(len(r) != n_times for r in rows):
             raise InvalidRequest(f"sample body is not {n_paths} rows of {n_times} values")
         try:
@@ -273,8 +280,7 @@ class FunctionalSample:
         hlen = struct.unpack_from("<I", blob, len(_MAGIC))[0] if len(blob) >= start else 0
         if len(blob) < start or start + hlen > len(blob):
             raise InvalidRequest("sample file ends inside its header")
-        meta = json.loads(blob[start:start + hlen].decode("utf-8"))
-        n_paths, n_times = cls._shape(meta)
+        meta, n_paths, n_times = cls._header(blob[start:start + hlen])
         if len(blob) != start + hlen + 8 * n_paths * n_times:
             raise InvalidRequest(f"sample payload is not {n_paths} x {n_times} float64 values")
         values = np.frombuffer(blob[start + hlen:], dtype="<f8").astype(np.float64)

@@ -8,6 +8,11 @@ compensated at the origin) is read off at inverse-local-time instants, which
 turns it into a stable process.  Agreement of the two routes is what the
 validation layer checks; neither route knows about diffusions or regimes.
 
+The pathwise engine never stores the local-time field: by the occupation
+identity int w(x) L_t^x dx = int_0^t w(W_s) ds, each part of the functional,
+the binned field on [-1, 1] at alpha >= 1 included, is a running time
+integral along the walk.
+
 The module also carries the discrete local-time machinery the pathwise route
 needs: occupation-based estimates of ``L_t^x`` on a single simulated path
 (:class:`BrownianGrid`) and the inverse of the estimated local time at the
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import TAG_CMS, TAG_EXCURSION, TAG_GRID, stream
-from ._workspace import _ChunkWorkspace, _Normals, _first_passages, _mapped, _run_blocks
+from ._workspace import _ChunkWorkspace, _Normals, _first_passages, _run_blocks
 from .asymptotics import EULER_GAMMA, LimitLaw, _lambda_alpha
 from .errors import HorizonExceeded, InvalidAlpha, InvalidRequest
 
@@ -307,10 +312,12 @@ class _EngineTables:
 
     For alpha >= 1 the weight |x|^{1/alpha - 2} is not integrable through 0,
     so K splits into a near field on [-1, 1] (binned local-time estimates
-    against exact cell integrals of the weight, compensated by L^0) and a far
-    field |x| > 1 evaluated as a running time integral via the occupation
-    identity, with its L^0 compensator in closed form.  For alpha < 1 the
-    whole of K is the running time integral of an integrable weight.
+    against exact cell integrals ``weights`` of the weight, compensated by
+    L^0) and a far field |x| > 1.  Both are running time integrals: the far
+    field of the weight, with its L^0 compensator in closed form, the near
+    field of the piecewise-constant ``smooth``, whose antiderivative is
+    ``omega`` on ``edges``.  For alpha < 1 the whole of K is the running
+    time integral of an integrable weight.
     """
 
     def __init__(self, spec: StableSpec, dt: float):
@@ -343,6 +350,13 @@ class _EngineTables:
         self.weights = w
         cfar = (a + b) / abs(q) if spec.alpha > 1.0 else 0.0
         self.compensator = w.sum() + cfar
+        # time in a cell counts with its weight smoothed by the binned field's
+        # window (the cell plus half of each neighbour, width 2 delta); omega
+        # is the antiderivative at the edges and rise its increments
+        pad = np.pad(w, 1)
+        self.smooth = (w + 0.5 * (pad[:-2] + pad[2:])) / (2.0 * self.delta)
+        self.rise = self.smooth * self.delta
+        self.omega = np.concatenate(([0.0], np.cumsum(self.rise)))
 
     def anti(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Antiderivative of the time-integral weight, written into ``out``.
@@ -368,6 +382,25 @@ class _EngineTables:
         core *= np.where(x >= 0.0, a, -b)
         return core
 
+    def near_anti(self, x: np.ndarray, out: np.ndarray, cell: np.ndarray,
+                  tmp: np.ndarray) -> np.ndarray:
+        """omega at x, linear in each cell and constant beyond the end edges,
+        into ``out``; ``cell`` (int64) and ``tmp`` are scratch of x's shape."""
+        np.subtract(x, self.edges[0], out=out)
+        out /= self.delta
+        np.clip(out, 0.0, self.n_cells, out=out)          # position in cells
+        np.minimum(out, self.n_cells - 1, out=cell, casting="unsafe")
+        out -= cell
+        out *= np.take(self.rise, cell, out=tmp)
+        out += np.take(self.omega, cell, out=tmp)
+        return out
+
+    def near_weight(self, x: np.ndarray) -> np.ndarray:
+        """Near-field weight at x: its cell's ``smooth``, 0 off the grid."""
+        # clamping before the cast keeps far-away levels from overflowing it
+        cell = np.clip((x - self.edges[0]) / self.delta, 0, self.n_cells - 1)
+        return np.where(np.abs(x) < self.edges[-1], self.smooth[cell.astype(np.int64)], 0.0)
+
     def point_weight(self, x: np.ndarray) -> np.ndarray:
         """Integrand value for degenerate (zero-span) steps, singularity floored."""
         ax = np.maximum(np.abs(x), self.sqdt)
@@ -377,141 +410,35 @@ class _EngineTables:
         return self.spec.sgn_ab(x) * val
 
 
-def _near_field(diff_rows: np.ndarray, corr_rows: np.ndarray,
-                tab: _EngineTables) -> np.ndarray:
-    """Weighted near-field integral for each given row's current bins."""
-    occ = np.cumsum(diff_rows[:, :-1], axis=1) * tab.delta + corr_rows
-    padded = np.pad(occ, ((0, 0), (1, 1)))
-    # window of width 2 delta centred on each cell: the cell plus half of
-    # each neighbour, matching the origin estimator's bandwidth
-    fld = (padded[:, 1:-1] + 0.5 * (padded[:, :-2] + padded[:, 2:])) / (2.0 * tab.delta)
-    return fld @ tab.weights
-
-
-class _Scatter:
-    """One chunk's increments to a per-path table, two slots per path-step.
-
-    Slots are laid out (step, path, slot), the order in which a step-by-step
-    walk applies them; unused slots add 0.0, which leaves any table value
-    unchanged (no entry is ever -0.0).  ``np.add.at`` adds repeated indices
-    one after another in index order, so the table gets that walk's sums
-    bit for bit.
-    """
-
-    def __init__(self, table: np.ndarray, idx: np.ndarray, val: np.ndarray):
-        self.flat = table.reshape(-1)
-        self.idx, self.val = idx.reshape(-1), val.reshape(-1)
-        self.per_step = idx[0].size
-        self.done = 0
-
-    def through(self, s: int) -> None:
-        """Apply every pending increment of steps <= s."""
-        cut = (s + 1) * self.per_step
-        if cut > self.done:
-            np.add.at(self.flat, self.idx[self.done:cut], self.val[self.done:cut])
-            self.done = cut
-
-
-def _near_scatter(tab: _EngineTables, diff: np.ndarray, corr: np.ndarray,
-                  live: np.ndarray, lo, hi, tiny, any_tiny: bool, step, span, wa,
-                  ws: _ChunkWorkspace) -> tuple[_Scatter, _Scatter]:
-    """Near-field cell increments of one chunk, as a step-by-step walk makes them.
-
-    A step that moves spreads its duration uniformly over [lo, hi] clipped
-    to the grid: ``diff`` gets the density at the first and past the last
-    cell, and ``corr`` removes the parts of the end cells the step does not
-    cover, first cell first.  A zero-span step puts its whole duration into
-    its cell.
-    """
-    e0, top, delta, nc = tab.edges[0], tab.edges[-1], tab.delta, tab.n_cells
-    k, n = lo.shape
-    lo_c = np.maximum(lo, e0, out=ws.view("lo_c", k, n))
-    hi_c = np.minimum(hi, top, out=ws.view("hi_c", k, n))
-    idle = np.less_equal(hi_c, lo_c, out=ws.view("idle", k, n, dtype=np.bool_))
-    if any_tiny:
-        idle |= tiny
-    f = ws.view("fcell", k, n)
-    il = ws.view("il", k, n, dtype=np.int64)
-    ih = ws.view("ih", k, n, dtype=np.int64)
-    for x, cell in ((lo_c, il), (hi_c, ih)):
-        # clamping before the cast gives the same cells as casting first,
-        # and keeps far-away levels from overflowing the cast
-        np.subtract(x, e0, out=f)
-        f /= delta
-        np.clip(f, 0, nc - 1, out=f)
-        cell[...] = f
-    d_idx = ws.view("d_idx", k, n, 2, dtype=np.int64)
-    d_val = ws.view("d_val", k, n, 2)
-    c_idx = ws.view("c_idx", k, n, 2, dtype=np.int64)
-    c_val = ws.view("c_val", k, n, 2)
-    d_row, c_row = live * (nc + 1), live * nc
-    np.add(d_row, il, out=d_idx[:, :, 0])
-    np.add(d_row, ih, out=d_idx[:, :, 1])
-    d_idx[:, :, 1] += 1
-    np.add(c_row, il, out=c_idx[:, :, 0])
-    np.add(c_row, ih, out=c_idx[:, :, 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dens = np.divide(step, span, out=ws.view("dens", k, n))
-        d_val[:, :, 0] = dens
-        np.negative(dens, out=d_val[:, :, 1])
-        # -(dens * (lo_c - (e0 + il * delta))) at the first cell and
-        # -(dens * ((e0 + (ih + 1) * delta) - hi_c)) at the last, in this
-        # operation order
-        g = c_val[:, :, 0]
-        np.multiply(il, delta, out=g)
-        g += e0
-        np.subtract(lo_c, g, out=g)
-        g *= dens
-        np.negative(g, out=g)
-        g = c_val[:, :, 1]
-        ih += 1
-        np.multiply(ih, delta, out=g)
-        g += e0
-        g -= hi_c
-        g *= dens
-        np.negative(g, out=g)
-    d_val[idle] = 0.0
-    c_val[idle] = 0.0
-    if any_tiny:
-        pm = tiny & (np.abs(wa) < top)
-        if pm.any():
-            ic = np.clip(((wa[pm] - e0) / delta).astype(np.int64), 0, nc - 1)
-            c_idx[pm, 0] = np.broadcast_to(c_row, (k, n))[pm] + ic
-            c_val[pm, 0] = step[pm]
-    return _Scatter(diff, d_idx, d_val), _Scatter(corr, c_idx, c_val)
-
-
-def _excursion_block(spec: StableSpec, tab: _EngineTables, t_arr: np.ndarray,
-                     dt: float, seed: int, path_lo: int, m: int,
-                     step_cap: int) -> np.ndarray:
+def _excursion_block(tab: _EngineTables, t_arr: np.ndarray, dt: float, seed: int,
+                     path_lo: int, m: int, step_cap: int) -> np.ndarray:
     """Walk m paths until each has crossed every local-time target.
 
     The walk runs in chunks of up to ``_CHUNK`` lockstep steps.  Phase one
     loops over the steps and advances only the Brownian recursion
     ``w <- w + sqrt(max(dt, (0.1 |w|)^2)) z``, the one quantity a step hands
     to the next.  Phase two derives everything else for the whole chunk at
-    once: the origin local time l0 and the running time integral as
-    cumulative sums from the carried state, the near-field cell scatter, and
-    the target crossings, replayed in step order.  Each path takes one
-    normal per step from its own keyed stream, drawn ahead in slabs (see
-    :class:`_Normals`), and every per-path sum adds in step order, so the
-    output does not depend on the chunk length.  Paths that finish inside a
-    chunk walk on to its end; those steps are never read.
+    once: the origin local time l0, the far-field and (alpha >= 1) near-field
+    running time integrals as cumulative sums from the carried state, and
+    the target crossings.  A step spreads its duration uniformly over the
+    levels it spans, so it adds ``step * (F(hi) - F(lo)) / (hi - lo)`` to a
+    time integral with weight antiderivative F (``anti`` for the far field,
+    ``near_anti`` for the near field); a zero-span step adds ``step`` times
+    the weight at its level.  Each path takes one normal per step from its
+    own keyed stream, drawn ahead in slabs (see :class:`_Normals`), and
+    every per-path sum adds in step order, so the output depends neither on
+    the chunk length nor on the block width.
+    Paths that finish inside a chunk walk on to its end; those steps are
+    never read.
     """
     nt = t_arr.size
     out = np.empty((m, nt), dtype=np.float64)
     live = np.arange(m)                    # block rows of unfinished paths, ascending
     normals = _Normals(seed, TAG_EXCURSION, range(path_lo, path_lo + m))
-    w_cur = np.zeros(m)
-    a_cur = tab.anti(w_cur)
-    l0 = np.zeros(m)
-    kfar = np.zeros(m)
+    w_cur, l0, kfar, knear = np.zeros((4, m))
     ti = np.zeros(m, dtype=np.int64)       # targets crossed so far
     delta0 = tab.sqdt                      # origin bandwidth = sqrt(dt)
-    if tab.near:
-        diff = _mapped(m, tab.n_cells + 1)
-        corr = _mapped(m, tab.n_cells)
-    ws = _ChunkWorkspace(2 * m)            # two values per path-step
+    ws = _ChunkWorkspace(m)
     iters = 0
     while live.size:
         n = live.size
@@ -541,7 +468,8 @@ def _excursion_block(spec: StableSpec, tab: _EngineTables, t_arr: np.ndarray,
         tiny = np.less_equal(span, 1e-9, out=ws.view("tiny", k, n, dtype=np.bool_))
         any_tiny = tiny.any()
         # origin local time: linear-bridge overlap with (-delta0, delta0);
-        # row 0 of DL/DK carries the state, so a cumulative sum continues it
+        # row 0 of each increment array carries the state, so a cumulative
+        # sum continues it
         DL = ws.view("dl", k + 1, n)
         DL[0] = l0
         dl = DL[1:]
@@ -554,58 +482,45 @@ def _excursion_block(spec: StableSpec, tab: _EngineTables, t_arr: np.ndarray,
             dl[tiny] = np.abs(wa[tiny]) < delta0
         dl *= step
         dl /= 2.0 * delta0
-        # running time-integral part of K (all of K when alpha < 1), with the
-        # antiderivative evaluated once per point
-        A = ws.view("anti", k + 1, n)
-        A[0] = a_cur
-        tab.anti(w1, out=A[1:])
-        DK = ws.view("dk", k + 1, n)
-        DK[0] = kfar
-        dk = DK[1:]
-        np.subtract(A[1:], A[:-1], out=dk)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dk /= np.subtract(w1, wa, out=ws.view("tmp2", k, n))
-        if any_tiny:
-            dk[tiny] = tab.point_weight(wa[tiny])
-        dk *= step
         L = np.cumsum(DL, axis=0, out=ws.view("l0", k + 1, n))
-        KF = np.cumsum(DK, axis=0, out=ws.view("kfar", k + 1, n))
+
+        def running(F, carry, point, name):
+            # a time integral with weight antiderivative F (evaluated at
+            # every row of W) and point weight ``point``, from the carry
+            D = ws.view("d" + name, k + 1, n)
+            D[0] = carry
+            d = D[1:]
+            np.subtract(F[1:], F[:-1], out=d)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d /= np.subtract(w1, wa, out=ws.view("tmp2", k, n))
+            if any_tiny:
+                d[tiny] = point(wa[tiny])
+            d *= step
+            return D, np.cumsum(D, axis=0, out=ws.view(name, k + 1, n))
+        # the far field (all of K when alpha < 1) and the near field
+        DK, KF = running(tab.anti(W, out=ws.view("anti", k + 1, n)), kfar,
+                         tab.point_weight, "kfar")
         if tab.near:
-            d_sc, c_sc = _near_scatter(tab, diff, corr, live, lo, hi, tiny, any_tiny,
-                                       step, span, wa, ws)
-        # target j is read in the first step whose end l0 exceeds t_j
+            O = tab.near_anti(W, ws.view("omega", k + 1, n),
+                              ws.view("cell", k + 1, n, dtype=np.int64),
+                              ws.view("tmp2", k + 1, n))
+            _, KN = running(O, knear, tab.near_weight, "knear")
+        # target j is read in the first step whose end l0 exceeds t_j; the
+        # near field and its compensator are taken at the end of that step
         ti_end, col, tgt, s_ev, val = _first_passages(L, DL, KF, DK, t_arr, ti[live], "left")
-        keep = ti_end < nt
-        rows = live[col]
-        if tab.near and col.size:
-            # replay grouped as a step-by-step walk batches them: by step,
-            # then by pass (targets already crossed in that step), rows
-            # ascending; the near field and its compensator are taken at
-            # the end of the crossing step
-            pss = tgt - np.searchsorted(t_arr, L[s_ev, col], side="left")
-            order = np.lexsort((rows, pss, s_ev))
-            s_o, p_o = s_ev[order], pss[order]
-            cuts = np.flatnonzero((np.diff(s_o) != 0) | (np.diff(p_o) != 0)) + 1
-            for g in np.split(order, cuts):
-                s = int(s_ev[g[0]])
-                d_sc.through(s)
-                c_sc.through(s)
-                r = rows[g]
-                out[r, tgt[g]] = val[g] + _near_field(diff[r], corr[r], tab) \
-                    - L[s_ev[g] + 1, col[g]] * tab.compensator
-        else:
-            out[rows, tgt] = val
         if tab.near:
-            d_sc.through(k - 1)
-            c_sc.through(k - 1)
+            val = val + KN[s_ev + 1, col] - L[s_ev + 1, col] * tab.compensator
+        out[live[col], tgt] = val
+        keep = ti_end < nt
         iters += k if keep.any() else int(s_ev.max()) + 1
         if iters > step_cap:
             raise HorizonExceeded(
                 f"a path exceeded {step_cap} steps before its local-time target; "
                 f"dt = {dt:g} is too small relative to the requested horizon")
         ti[live] = ti_end
-        w_cur, a_cur = W[k][keep], A[k][keep]
-        l0, kfar = L[k][keep], KF[k][keep]
+        w_cur, l0, kfar = W[k][keep], L[k][keep], KF[k][keep]
+        if tab.near:
+            knear = KN[k][keep]
         live = live[keep]
         normals.keep(keep)
     return out
@@ -635,7 +550,6 @@ def stable_via_excursions(spec: StableSpec, t_points, dt: float, n_paths: int,
     tab = _EngineTables(spec, dt)
     step_cap = max(20_000_000, int(2000.0 * (t_arr[-1] + 1.0) / tab.sqdt))
     parts = _run_blocks(
-        lambda idx: _excursion_block(spec, tab, t_arr, dt, seed, int(idx[0]), idx.size,
-                                     step_cap),
+        lambda idx: _excursion_block(tab, t_arr, dt, seed, int(idx[0]), idx.size, step_cap),
         n_paths, _BLOCK, threads)
     return np.vstack(parts)

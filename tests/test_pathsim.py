@@ -797,3 +797,17 @@ def test_serialization_rejects_foreign_files(small_sample, tmp_path):
         junk.write_bytes(bad)
         with pytest.raises(InvalidRequest):
             FunctionalSample.from_binary(junk)
+    # corrupt headers: a cut JSON line, a required key missing, a JSON list
+    # and bytes that are not UTF-8
+    meta = blob[12:12 + hlen]
+    for key in ("n_paths", "law"):
+        assert b'"%s": ' % key.encode() in meta
+    for header in (meta[:hlen // 2], meta.replace(b'"n_paths": ', b'"paths": '),
+                   meta.replace(b'"law": ', b'"laws": '), b"[1, 2]", b"\xff" + meta[1:]):
+        text.write_bytes(b"# " + header + b"\n" + "\n".join(lines[1:]).encode() + b"\n")
+        with pytest.raises(InvalidRequest):
+            FunctionalSample.from_csv(text)
+        junk.write_bytes(blob[:8] + len(header).to_bytes(4, "little") + header
+                         + blob[12 + hlen:])
+        with pytest.raises(InvalidRequest):
+            FunctionalSample.from_binary(junk)

@@ -431,8 +431,8 @@ def test_excursions_validates_inputs():
 EXCURSION_PIN_TIMES = [0.3, 0.3 + 1e-6, 1.0]
 EXCURSION_PINS = {
     0.5: "74128e35038b198cbc51b96d988b2ba8368fff46c3a1a5d772990b9ed08b09df",
-    1.0: "eedc0e433a970a3ab7e66c5eb264a401870f3ce28c05e2e0d114a40c8d025ed2",
-    1.5: "cd34e1b68ad0d0a8d3fdc85ce79e1b1ff9d7db765dd99bdcbe9ffa95d95c5e44",
+    1.0: "7696ff83cc1353d299d7a42a282d9af3eb0bfa5daf488cc9686462c6050b5714",
+    1.5: "7ee31b4ac050cbe00b7349c8ad06b740e028e8acc00e90d44c91a663951418bd",
 }
 
 
@@ -444,14 +444,11 @@ def test_excursions_bit_pinned(alpha):
 
 
 @pytest.mark.parametrize("alpha, width", [(0.5, 24), (0.5, stable._BLOCK),
-                                          (1.5, stable._BLOCK)])
+                                          (1.0, 24), (1.0, stable._BLOCK),
+                                          (1.5, 24), (1.5, stable._BLOCK)])
 @pytest.mark.parametrize("chunk", [3, 64, 257])
 def test_excursions_invariant_to_chunk_and_width(monkeypatch, chunk, alpha, width):
-    # 64 paths make blocks of 24 (the last of 16) or one block.  At alpha >= 1
-    # one matrix-vector product reads the near field of every path crossing
-    # a target in the same step, and its per-row sums depend on the row
-    # count, so there the output depends on the block width and only the
-    # chunk length varies
+    # 64 paths make blocks of 24 (the last of 16) or one block
     monkeypatch.setattr(_workspace, "_CHUNK", chunk)
     monkeypatch.setattr(stable, "_BLOCK", width)
     out = stable_via_excursions(StableSpec(alpha, 1.0, 0.5), EXCURSION_PIN_TIMES,
@@ -459,25 +456,94 @@ def test_excursions_invariant_to_chunk_and_width(monkeypatch, chunk, alpha, widt
     assert hashlib.sha256(out.tobytes()).hexdigest() == EXCURSION_PINS[alpha]
 
 
-def origin_crossing_step(dt, seed, path, t):
-    """Steps one path of the excursion walk takes until its origin local time
-    exceeds t: a scalar replay of the walk's recursion and l0 estimator."""
-    z = stream(seed, TAG_EXCURSION, path).standard_normal(200_000)
-    d0 = math.sqrt(dt)
-    w = l0 = 0.0
+def excursion_replay(tab, dt, z, targets):
+    """A scalar step-by-step replay of one path of the excursion walk on the
+    normals z.  Returns the steps it takes until its origin local time
+    exceeds the last target, and K at each target: the far field from its
+    antiderivative, interpolated in the crossing step, plus (alpha >= 1) the
+    binned near field from per-cell occupation, read as ``fld @ weights``
+    with its L^0 compensator at the end of the crossing step."""
+    sp, d0, near = tab.spec, math.sqrt(dt), tab.near
+
+    def far(x):
+        # antiderivative of the time-integral weight sgn_ab(x) |x|^p, which
+        # at alpha >= 1 lives on |x| > 1 only
+        sign = sp.a if x >= 0.0 else -sp.b
+        if not near:
+            return sign * abs(x) ** tab.q / tab.q
+        ax = max(abs(x), 1.0)
+        return sign * (math.log(ax) if sp.alpha == 1.0 else (ax ** tab.q - 1.0) / tab.q)
+
+    def far_point(x):
+        # the weight itself at a zero-span step, singularity floored
+        if near and abs(x) <= 1.0:
+            return 0.0
+        return (sp.a if x > 0.0 else sp.b if x < 0.0 else 0.0) * max(abs(x), d0) ** tab.p
+
+    if near:
+        el, er, top = tab.edges[:-1], tab.edges[1:], tab.edges[-1]
+        occ = np.zeros(tab.n_cells)
+    w = l0 = kfar = 0.0
+    vals = []
     for k in range(z.size):
         step = max(dt, (0.1 * abs(w)) ** 2)
         w1 = w + math.sqrt(step) * z[k]
         lo, hi = min(w, w1), max(w, w1)
         if hi - lo <= 1e-9:
             frac0 = float(abs(w) < d0)
+            dk = far_point(w) * step
+            if near and abs(w) < top:
+                # the whole step sits in w's cell
+                occ[min(int((w - el[0]) / tab.delta), tab.n_cells - 1)] += step
         else:
             frac0 = max(min(hi, d0) - max(lo, -d0), 0.0) / (hi - lo)
-        l0 += step * frac0 / (2.0 * d0)
-        w = w1
-        if l0 > t:
-            return k + 1
-    raise AssertionError("the replay did not reach t")
+            dk = (far(w1) - far(w)) / (w1 - w) * step
+            if near:
+                # the step's duration spread uniformly over [lo, hi]
+                occ += step / (hi - lo) * np.clip(np.minimum(hi, er) - np.maximum(lo, el),
+                                                  0.0, None)
+        dl = step * frac0 / (2.0 * d0)
+        while len(vals) < len(targets) and l0 + dl > targets[len(vals)]:
+            val = kfar + (targets[len(vals)] - l0) / dl * dk
+            if near:
+                pad = np.pad(occ, 1)
+                fld = (occ + 0.5 * (pad[:-2] + pad[2:])) / (2.0 * tab.delta)
+                val += fld @ tab.weights - (l0 + dl) * tab.compensator
+            vals.append(val)
+        if len(vals) == len(targets):
+            return k + 1, vals
+        w, l0, kfar = w1, l0 + dl, kfar + dk
+    raise AssertionError("the replay did not reach the last target")
+
+
+@pytest.mark.parametrize("zero_spans", [False, True])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_excursions_match_scalar_replay(monkeypatch, alpha, zero_spans):
+    # the oracle for the pins: the engine sums each field as a running time
+    # integral of an antiderivative, the replay keeps per-cell occupation.
+    # With zero_spans, normals below 0.05 in size become exact zeros, so
+    # about 4% of the steps take the zero-span rules
+    def zeroed(z):
+        if zero_spans:
+            z[np.abs(z) < 0.05] = 0.0
+        return z
+
+    class Stream:
+        def __init__(self, *key):
+            self.gen = stream(*key)
+
+        def standard_normal(self, out):
+            zeroed(self.gen.standard_normal(out=out))
+
+    monkeypatch.setattr(_workspace, "stream", Stream)
+    sp, dt = StableSpec(alpha, 1.0, 0.5), 1e-3
+    # eight paths, so that some pass both ends of the near-field grid
+    out = stable_via_excursions(sp, EXCURSION_PIN_TIMES, dt, 8, seed=0)
+    tab = _EngineTables(sp, dt)
+    for path in range(8):
+        z = zeroed(stream(0, TAG_EXCURSION, path).standard_normal(200_000))
+        _, ref = excursion_replay(tab, dt, z, EXCURSION_PIN_TIMES)
+        np.testing.assert_allclose(out[path], ref, rtol=1e-9, atol=0.0)
 
 
 def test_excursion_block_step_cap():
@@ -486,13 +552,14 @@ def test_excursion_block_step_cap():
     sp, dt = StableSpec(1.5, 1.0, -1.0), 1e-3
     tab = _EngineTables(sp, dt)
     t_arr = np.array([0.3])
-    need = max(origin_crossing_step(dt, 5, p, 0.3) for p in range(3))
+    need = max(excursion_replay(tab, dt, stream(5, TAG_EXCURSION, p).standard_normal(200_000),
+                                [0.3])[0] for p in range(3))
     assert need > 100
-    out = _excursion_block(sp, tab, t_arr, dt, 5, 0, 3, need)
+    out = _excursion_block(tab, t_arr, dt, 5, 0, 3, need)
     assert np.all(np.isfinite(out))
     with pytest.raises(HorizonExceeded,
                        match=f"a path exceeded {need - 1} steps before its local-time target"):
-        _excursion_block(sp, tab, t_arr, dt, 5, 0, 3, need - 1)
+        _excursion_block(tab, t_arr, dt, 5, 0, 3, need - 1)
 
 
 def test_excursions_degenerate_zero_weights():
