@@ -2,10 +2,11 @@
 
 Every stochastic object in the package draws from a Philox generator keyed by
 ``(seed, purpose_tag, path_index)``.  The stream a path consumes is therefore
-a pure function of the seed and the path's identity — never of the worker that
-happens to run it, the block it is batched into, or how many other paths
-exist.  Combined with fixed path-block partitions and disjoint output writes,
-this makes whole runs bit-identical for any ``threads`` value.
+a pure function of the seed and the path's identity — never of the worker
+process that happens to run it, the block it is batched into, or how many
+other paths exist.  Since every per-path sum adds in step order, whole runs
+are bit-identical for any block width and so for any ``threads`` value
+(the worker-process count, which sets the width).
 
 Philox output is chunk-invariant: drawing 2×4096 doubles in two calls yields
 the same stream as one call of 8192, so a walk may draw its normals a chunk

@@ -2,9 +2,12 @@
 
 All three walk engines (the Euler-Maruyama engine and the time-change clock
 walk in :mod:`stablediff.pathsim`, the excursion engine in
-:mod:`stablediff.stable`) split their paths into fixed blocks and advance
-each block in chunks of up to ``_CHUNK`` lockstep steps.  Per block, a
-:class:`_Normals` hands out each chunk's keyed normals and a
+:mod:`stablediff.stable`) split their paths into blocks and advance each
+block in chunks of up to ``_CHUNK`` lockstep steps.  :func:`_run_blocks`,
+the one block scheduler, shares the blocks among forked worker processes,
+one per CPU by default: the walks spend their time in short numpy calls
+whose interpreter overhead holds the GIL, so threads did not pay.  Per
+block, a :class:`_Normals` hands out each chunk's keyed normals and a
 :class:`_ChunkWorkspace` holds every other per-chunk array;
 :func:`_first_passages` is the two clock walks' read-out.
 """
@@ -13,7 +16,10 @@ from __future__ import annotations
 
 import math
 import mmap
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+import pickle
+import signal
 from typing import Callable
 
 import numpy as np
@@ -24,20 +30,115 @@ from ._rng import stream
 # paths and dt = 1e-5, 64 and 128 ran alike and 32 took about 20% longer
 _CHUNK = 64
 _NOISE_SLAB = 512   # normals a path draws per generator call, by default
+# fewest paths a block is cut to when the paths are shared among workers.
+# A fork costs the caller 5-10 ms; at 1000 steps per path, 256 paths as two
+# blocks of 128 on two workers ran about as fast as one block here, and two
+# blocks of 64 or fewer ran slower, on each of the three walks
+_MIN_WIDTH = 128
+
+_in_worker = False  # True in a process forked by _run_blocks
 
 
 def _run_blocks(run: Callable, n_paths: int, width: int, threads: int | None) -> list:
-    """``run`` on consecutive blocks of ``width`` path positions, in order.
+    """``run`` on consecutive blocks of path positions; results in block order.
 
-    Each call gets an index array ``lo..hi-1``; the results come back in
-    block order.  The partition depends only on ``n_paths`` and ``width``,
-    so with keyed streams a run is the same for any ``threads``.
+    Each call gets an index array ``lo..hi-1``.  ``threads`` worker
+    processes share the blocks (``None``: one per CPU this process may run
+    on), and the blocks are cut to ``ceil(n_paths / threads)`` paths, but
+    never below ``_MIN_WIDTH`` nor above ``width``, so every worker has one.
+    With one worker, one block, or inside a worker or a daemonic
+    ``multiprocessing`` process, the blocks run here, one after the other.
+    A worker is forked, so ``run`` and everything it reads are inherited,
+    not pickled; only its results come back.
+
+    If blocks raise, the exception of the lowest-index one is raised here,
+    as the loop raises it; workers run every block to its end first.  Keyed
+    streams make the results independent of the partition, so a run is the
+    same for any ``threads``.
     """
+    workers = len(os.sched_getaffinity(0)) if threads is None else max(threads, 1)
+    if _in_worker or multiprocessing.current_process().daemon:
+        workers = 1
+    width = min(width, max(_MIN_WIDTH, -(-n_paths // workers)))
     blocks = [np.arange(lo, min(lo + width, n_paths)) for lo in range(0, n_paths, width)]
-    if threads is not None and threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, blocks))
-    return [run(b) for b in blocks]
+    if workers < 2 or len(blocks) < 2:
+        return [run(b) for b in blocks]
+    outcomes = _forked(run, blocks, min(workers, len(blocks)))
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
+def _outcome(run: Callable, block: np.ndarray) -> tuple:
+    """``(True, run(block))``, or ``(False, exception)`` if it raised."""
+    try:
+        return True, run(block)
+    except Exception as err:
+        return False, err
+
+
+def _forked(run: Callable, blocks: list, workers: int) -> list:
+    """The outcome of ``run`` on every block, from this process and
+    ``workers - 1`` forked ones; worker i takes blocks i, i + workers, ...
+
+    A worker sends its pickled outcomes down a pipe and leaves with
+    ``os._exit``; every worker is reaped before this returns, so no exit
+    overlaps the caller's next work.  A worker that dies first makes each
+    of its blocks fail with :class:`ChildProcessError`.  If this process is
+    interrupted, the workers still running are killed.  A fork copies only
+    the calling thread, so ``run`` must not take a lock another thread of
+    the caller may hold.
+    """
+    global _in_worker
+    children = {}       # pid -> (worker number, read end of its pipe)
+    try:
+        for i in range(1, workers):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:    # the worker: never returns
+                code = 1
+                try:
+                    _in_worker = True
+                    os.close(rfd)
+                    mine = [_outcome(run, b) for b in blocks[i::workers]]
+                    try:
+                        data = pickle.dumps(mine, protocol=pickle.HIGHEST_PROTOCOL)
+                    except Exception:   # say, an exception of a local class
+                        data = pickle.dumps([(ok, value if ok else ChildProcessError(
+                            f"a block raised {value!r}, which cannot be pickled"))
+                            for ok, value in mine])
+                    with open(wfd, "wb") as pipe:
+                        pipe.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(wfd)
+            children[pid] = (i, open(rfd, "rb"))
+        outcomes = [None] * len(blocks)
+        _in_worker = True       # this process is worker 0 for the while
+        try:
+            outcomes[::workers] = [_outcome(run, b) for b in blocks[::workers]]
+        finally:
+            _in_worker = False
+        for pid, (i, pipe) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if status == 0:
+                outcomes[i::workers] = pickle.loads(data)
+            else:
+                died = ChildProcessError(
+                    f"block worker {pid} ended with wait status {status:#x} "
+                    "before sending its outcomes")
+                outcomes[i::workers] = [(False, died)] * len(blocks[i::workers])
+        return outcomes
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _mapped(*shape: int, dtype=np.float64) -> np.ndarray:

@@ -562,8 +562,14 @@ class LimitLaw:
 
     @classmethod
     def from_json(cls, data: dict) -> "LimitLaw":
+        if not isinstance(data, dict):
+            raise InvalidRequest("a limit law is a JSON object")
         if data.get("schema") != 1:
             raise InvalidRequest(f"unsupported limit-law schema {data.get('schema')!r}")
+        missing = [key for key in ("regime", "alpha", "sigma_alpha", "kappa", "f_plus",
+                                   "f_minus") if key not in data]
+        if missing:
+            raise InvalidRequest(f"limit law lacks {', '.join(missing)}")
 
         def dec(v):
             if v == "inf":

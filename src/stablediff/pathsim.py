@@ -15,11 +15,12 @@ rates or off-table steps):
   direct route's integral.
 
 Both engines key their noise by (seed, path index, draw index), so a run is
-byte-identical for a fixed seed regardless of thread count or block
-scheduling.  The time-change walk takes level-dependent Brownian steps --
-fine near the origin where the clock accrues, coarse far away -- which keeps
-the heavy-tailed excursions of the clock affordable: the cost of visiting
-height h grows like log(h)^2, not like the time spent there.
+byte-identical for a fixed seed whatever the number of worker processes,
+the block width or the order in which blocks run.  The time-change walk
+takes level-dependent Brownian steps -- fine near the origin where the clock
+accrues, coarse far away -- which keeps the heavy-tailed excursions of the
+clock affordable: the cost of visiting height h grows like log(h)^2, not
+like the time spent there.
 
 Both engines advance a block of paths as a two-phase chunked walk.  Phase
 one steps, one lockstep step at a time, only the recursion a step hands to
@@ -64,8 +65,8 @@ __all__ = [
 
 SCHEMES = ("Direct", "TimeChange")
 
-_EULER_BLOCK = 2048       # lockstep block width of the Euler-Maruyama engine
-_BLOCK = 1024             # lockstep block width of the time-change walk
+_EULER_BLOCK = 2048       # widest lockstep block of the Euler-Maruyama engine
+_BLOCK = 1024             # widest lockstep block of the time-change walk
 _CLOCK_SLAB = 256         # normals a clock-walk path draws per generator call;
                           # half the default, to bound the wider block's memory
 _GUARD_FACTOR = 10.0      # explosion guard at |X| > guard_factor * domain_cutoff
@@ -78,6 +79,11 @@ _WALK_ITER_CAP = 10_000_000   # lockstep steps a time-change block may take
 _MAX_EXTENSIONS = 48      # doublings of the clock walk's Brownian horizon
 _MAGIC = b"SDFSAMP1"
 _SCHEMA = 1
+# the JSON type of each sample-file header key (a bool is none of them)
+_HEADER_TYPES = {"n_paths": int, "n_times": int, "seed": int, "dt": (int, float),
+                 "epsilon": (int, float), "times": list, "scheme": str,
+                 "law": (dict, type(None)), "extra": dict, "n_exploded": int,
+                 "clip_fraction": (int, float)}
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +228,16 @@ class FunctionalSample:
                                    "epsilon", "times") if key not in meta]
         if missing:
             raise InvalidRequest(f"sample file header lacks {', '.join(missing)}")
-        return meta, int(meta["n_paths"]), int(meta["n_times"])
+        wrong = [key for key, kind in _HEADER_TYPES.items() if key in meta and (
+            not isinstance(meta[key], kind) or isinstance(meta[key], bool))]
+        if "times" not in wrong and not all(
+                isinstance(t, (int, float)) and not isinstance(t, bool) for t in meta["times"]):
+            wrong.append("times")
+        if wrong:
+            raise InvalidRequest(f"sample file header has a wrong-typed {', '.join(wrong)}")
+        if meta["n_paths"] < 0 or meta["n_times"] < 0:
+            raise InvalidRequest("sample file header has a negative n_paths or n_times")
+        return meta, meta["n_paths"], meta["n_times"]
 
     @classmethod
     def _from_meta(cls, meta: dict, values: np.ndarray) -> "FunctionalSample":
@@ -357,16 +372,21 @@ def _em_final(model: DiffusionModel, T: float, dt: float, seed: int,
     guard = _GUARD_FACTOR * model.domain_cutoff
 
     def run(idx):
+        """The block's terminal states and -1, or None and its first explosion step."""
         exploded = np.full(len(idx), -1, dtype=np.int64)
         for _, rows in _euler_walk(model.drift, model.diffusion, dt, n, guard, int(seed),
                                    idx, exploded):
             if np.any(exploded >= 0):
-                k = int(exploded[exploded >= 0].min())
-                raise PathExploded(
-                    f"ensemble path left the guard interval at step {k}", step=k)
-        return rows[-1].copy()
+                return None, int(exploded[exploded >= 0].min())
+        return rows[-1].copy(), -1
 
-    return np.concatenate(_run_blocks(run, n_paths, _EULER_BLOCK, None))
+    parts = _run_blocks(run, n_paths, _EULER_BLOCK, None)
+    steps = [k for _, k in parts if k >= 0]
+    if steps:
+        # the ensemble's earliest explosion, whatever the partition
+        raise PathExploded(
+            f"ensemble path left the guard interval at step {min(steps)}", step=min(steps))
+    return np.concatenate([x for x, _ in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -867,8 +887,13 @@ def rescaled_functional(model: DiffusionModel, f: Callable, law: LimitLaw | None
     ``int_0^{t_i/eps} f(X_s) ds``, equal in law under either scheme.  A law
     rescales them by its regime: sqrt(eps) (diffusive), sqrt(eps/rho_eps)
     (critical diffusive), eps^(1/alpha) (heavy-tailed), or
-    eps * F - xi_eps * t_i (critical heavy-tailed, exact centering).  Runs
-    are byte-identical for fixed ``cfg.seed`` whatever ``threads`` is.
+    eps * F - xi_eps * t_i (critical heavy-tailed, exact centering).
+
+    ``threads`` is the number of worker processes the path blocks are
+    shared among (``None``: one per CPU this process may run on; 1 runs
+    every block in this process).  Workers are forked, so ``model`` and
+    ``f`` need not pickle.  Runs are byte-identical for fixed ``cfg.seed``
+    whatever ``threads`` is.
 
     Raises :class:`PathExploded` when over 1e-3 of Direct paths leave the
     guard interval, :class:`InvalidRequest` when over 1e-4 of the clock

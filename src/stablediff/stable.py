@@ -43,7 +43,7 @@ __all__ = [
     "stable_via_excursions",
 ]
 
-_BLOCK = 512          # paths per work unit; fixed so results never depend on threads
+_BLOCK = 512          # widest block of paths; results do not depend on the width
 _HALF_PI = math.pi / 2.0
 
 
@@ -535,6 +535,11 @@ def stable_via_excursions(spec: StableSpec, t_points, dt: float, n_paths: int,
     branch (running time integral, compensated field on [-1, 1] plus far-field
     time integral, or the log-weight truncated form) follows alpha.  Returns
     an (n_paths, len(t_points)) array; column j holds K at tau_{t_j}.
+
+    ``threads`` is the number of forked worker processes the path blocks
+    are shared among (``None``: one per CPU this process may run on; 1
+    runs every block in this process).  The output is bit-identical
+    whatever ``threads`` is.
     """
     if not (0.0 < spec.alpha < 2.0):
         raise InvalidAlpha(

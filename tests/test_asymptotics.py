@@ -501,6 +501,10 @@ def test_limit_law_serialization_round_trip(kinetic7):
 def test_from_json_rejects_unknown_schema():
     with pytest.raises(InvalidRequest):
         LimitLaw.from_json({"schema": 99})
+    with pytest.raises(InvalidRequest):
+        LimitLaw.from_json({"schema": 1, "alpha": 1.5})
+    with pytest.raises(InvalidRequest):
+        LimitLaw.from_json([1])
 
 
 def test_char_exponent_basics(kinetic3):

@@ -4,6 +4,7 @@ time-change route, normalization, error accounting, and serialization."""
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -314,17 +315,75 @@ def test_rare_explosion_replaced_by_substitute_draw(law_levy):
     assert np.all(np.isfinite(s.values))
 
 
+REPRODUCIBLE_CFGS = {
+    # at 700 paths the blocks are 700 wide at threads = 1 (one block), 350
+    # at 2 and 234 at 3
+    "Direct": SimConfig(dt=0.05, epsilon=0.05, horizon_times=(0.5, 1.0), n_paths=700,
+                        seed=77, scheme="Direct"),
+    "TimeChange": SimConfig(dt=0.02, epsilon=0.05, horizon_times=(0.5, 1.0), n_paths=700,
+                            seed=78, scheme="TimeChange"),
+    # about one path in four thousand explodes and is drawn again
+    "exploding": SimConfig(dt=0.005, epsilon=0.5, horizon_times=(1.0,), n_paths=4000,
+                           seed=1, scheme="Direct"),
+}
+
+
 def test_run_reproducible_across_threads(kinetic3, law_levy):
-    cfg = SimConfig(dt=0.05, epsilon=0.05, horizon_times=(0.5, 1.0),
-                    n_paths=700, seed=77, scheme="Direct")
-    a = rescaled_functional(kinetic3, f_id, law_levy, cfg, threads=1)
-    b = rescaled_functional(kinetic3, f_id, law_levy, cfg, threads=3)
-    assert np.array_equal(a.values, b.values)
-    cfg_t = SimConfig(dt=0.02, epsilon=0.05, horizon_times=(0.5, 1.0),
-                      n_paths=700, seed=78, scheme="TimeChange")
-    at = rescaled_functional(kinetic3, f_id, law_levy, cfg_t, threads=1)
-    bt = rescaled_functional(kinetic3, f_id, law_levy, cfg_t, threads=3)
-    assert np.array_equal(at.values, bt.values)
+    for case, cfg in REPRODUCIBLE_CFGS.items():
+        model, law = (outward_model(1.85), None) if case == "exploding" else (kinetic3, law_levy)
+        runs = [rescaled_functional(model, f_id, law, cfg, threads=n) for n in (1, 2, 3)]
+        for s in runs[1:]:
+            assert np.array_equal(s.values, runs[0].values), case
+            assert (s.n_exploded, s.clip_fraction) == (runs[0].n_exploded, runs[0].clip_fraction)
+        assert runs[0].n_exploded == (case == "exploding")
+
+
+def test_failing_run_reproducible_across_threads(law_levy):
+    # 400 paths on an outward drift: 28 explode, past the tolerance
+    cfg = SimConfig(dt=0.005, epsilon=0.5, horizon_times=(1.0,), n_paths=400,
+                    seed=0, scheme="Direct")
+    raised = []
+    for n in (1, 2, 3):
+        with pytest.raises(PathExploded) as exc:
+            rescaled_functional(outward_model(1.0), f_id, law_levy, cfg, threads=n)
+        e = exc.value
+        raised.append((e.payload(), e.step, e.n_exploded, e.n_paths))
+    assert raised[0][2] > pathsim._EXPLODED_TOL * cfg.n_paths
+    assert raised[1] == raised[0] and raised[2] == raised[0]
+
+
+def test_em_final_reports_the_ensemble_first_explosion(monkeypatch):
+    # blocks of 128 paths: the earliest explosion is not in the first block
+    # that has one, whatever the number of workers
+    monkeypatch.setattr(pathsim, "_EULER_BLOCK", 128)
+    model = outward_model(1.0)
+    model.core()
+    n = int(math.ceil(2.0 / 0.005 - 1e-9))
+    exploded = np.full(400, -1, dtype=np.int64)
+    for _ in pathsim._euler_walk(model.drift, model.diffusion, 0.005, n,
+                                 pathsim._GUARD_FACTOR * model.domain_cutoff, 0,
+                                 np.arange(400), exploded):
+        pass
+    first = int(exploded[exploded >= 0].min())
+    assert first < int(exploded[:128][exploded[:128] >= 0].min())
+    for cpus in ({0}, {0, 1}, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        with pytest.raises(PathExploded) as exc:
+            pathsim._em_final(model, T=2.0, dt=0.005, seed=0, n_paths=400)
+        assert exc.value.step == first
+
+
+def test_one_cpu_runs_serially(kinetic3, law_levy, monkeypatch):
+    cfg = REPRODUCIBLE_CFGS["Direct"]
+    forked = rescaled_functional(kinetic3, f_id, law_levy, cfg, threads=2)
+
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    serial = rescaled_functional(kinetic3, f_id, law_levy, cfg)
+    assert np.array_equal(serial.values, forked.values)
 
 
 # sha256 of the raw Direct matrices for f_id and f_power side by side at
@@ -797,13 +856,20 @@ def test_serialization_rejects_foreign_files(small_sample, tmp_path):
         junk.write_bytes(bad)
         with pytest.raises(InvalidRequest):
             FunctionalSample.from_binary(junk)
-    # corrupt headers: a cut JSON line, a required key missing, a JSON list
-    # and bytes that are not UTF-8
+    # corrupt headers: a cut JSON line, a required key missing, a JSON list,
+    # bytes that are not UTF-8, required keys of the wrong JSON type, and a
+    # law without its constants
     meta = blob[12:12 + hlen]
     for key in ("n_paths", "law"):
         assert b'"%s": ' % key.encode() in meta
-    for header in (meta[:hlen // 2], meta.replace(b'"n_paths": ', b'"paths": '),
-                   meta.replace(b'"law": ', b'"laws": '), b"[1, 2]", b"\xff" + meta[1:]):
+    retyped = [json.dumps({**json.loads(meta), key: value}).encode()
+               for key, value in (("n_paths", "x"), ("n_paths", None), ("n_times", True),
+                                  ("n_paths", -1), ("times", 5), ("times", ["0.5"]),
+                                  ("law", [1]), ("seed", "0"), ("dt", None),
+                                  ("extra", [1]), ("law", {"schema": 1}))]
+    for header in [meta[:hlen // 2], meta.replace(b'"n_paths": ', b'"paths": '),
+                   meta.replace(b'"law": ', b'"laws": '), b"[1, 2]",
+                   b"\xff" + meta[1:]] + retyped:
         text.write_bytes(b"# " + header + b"\n" + "\n".join(lines[1:]).encode() + b"\n")
         with pytest.raises(InvalidRequest):
             FunctionalSample.from_csv(text)

@@ -616,10 +616,13 @@ def test_excursions_stationary_independent_increments():
 
 
 def test_excursions_thread_count_invariance():
+    # 600 paths make blocks of 512 and 88 at threads = 1, two of 300 at 2
+    # and three of 200 at 3
     sp = StableSpec(1.5, 1.0, -1.0)
-    serial = stable_via_excursions(sp, [0.3, 1.0], 1e-3, 600, seed=3)
-    threaded = stable_via_excursions(sp, [0.3, 1.0], 1e-3, 600, seed=3, threads=3)
-    np.testing.assert_array_equal(serial, threaded)
+    serial = stable_via_excursions(sp, [0.3, 1.0], 1e-3, 600, seed=3, threads=1)
+    for threads in (2, 3):
+        forked = stable_via_excursions(sp, [0.3, 1.0], 1e-3, 600, seed=3, threads=threads)
+        np.testing.assert_array_equal(serial, forked)
     assert np.all(np.isfinite(serial))
 
     def iqr(col):

@@ -1,17 +1,23 @@
-"""Chunked-walk helpers: split invariance of ``_Normals`` and the
-``_first_passages`` read-out against a step-by-step reference."""
+"""Chunked-walk helpers: the block scheduler, split invariance of
+``_Normals`` and the ``_first_passages`` read-out against a step-by-step
+reference."""
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import signal
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablediff import _workspace
 from stablediff._rng import TAG_TIMECHANGE, stream
+from stablediff.errors import PathExploded
 
 PATHS = [0, 5, 2, 700, 3, 1]
 
@@ -108,3 +114,86 @@ def test_first_passages_on_a_step_end():
     targets = np.array([1.0, 2.0, 3.0])
     assert check_passages(clock, dclock, value, value, targets, "right").tolist() == [0, 2, 2]
     assert check_passages(clock, dclock, value, value, targets, "left").tolist() == [2, 2]
+
+
+def pid_of(block):
+    return block, os.getpid()
+
+
+@pytest.mark.parametrize("threads, width", [(1, 300), (2, 300), (3, 300), (4, 250)])
+def test_run_blocks_partition(threads, width):
+    # 1000 paths: blocks of min(300, ceil(1000 / threads)) in order, shared
+    # by min(threads, blocks) processes
+    parts = _workspace._run_blocks(pid_of, 1000, 300, threads)
+    assert [b.tolist() for b, _ in parts] == [
+        list(range(lo, min(lo + width, 1000))) for lo in range(0, 1000, width)]
+    pids = {pid for _, pid in parts}
+    assert os.getpid() in pids and len(pids) == min(threads, len(parts))
+
+
+def fail_in_blocks(block):
+    # at threads = 2 the caller runs block 2 and fails there first, and a
+    # worker fails in block 1
+    lo = int(block[0])
+    if lo in (128, 256):
+        raise PathExploded(f"block at {lo}", step=lo, n_paths=block.size)
+    return block
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_run_blocks_raise_the_first_failing_block(threads):
+    with pytest.raises(PathExploded) as exc:
+        _workspace._run_blocks(fail_in_blocks, 512, 128, threads)
+    assert (str(exc.value), exc.value.step, exc.value.n_paths) == ("block at 128", 128, 128)
+
+
+PARENT = os.getpid()
+
+
+def die_in_worker(block):
+    if os.getpid() != PARENT:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return block
+
+
+def test_run_blocks_dead_worker_raises():
+    with pytest.raises(ChildProcessError):
+        _workspace._run_blocks(die_in_worker, 512, 128, 2)
+
+
+def raise_local_class(block):
+    class LocalError(Exception):
+        pass
+
+    if os.getpid() != PARENT:
+        raise LocalError(f"in block at {int(block[0])}")
+    return block
+
+
+def test_run_blocks_unpicklable_exception_is_reported():
+    # a worker's blocks 1 and 3 raise an exception that cannot be pickled back
+    with pytest.raises(ChildProcessError, match="in block at 128"):
+        _workspace._run_blocks(raise_local_class, 512, 128, 2)
+
+
+def nested(block):
+    return os.getpid(), _workspace._run_blocks(pid_of, 512, 128, 2)
+
+
+def test_run_blocks_in_a_worker_run_in_process():
+    for pid, inner in _workspace._run_blocks(nested, 512, 128, 2):
+        assert {p for _, p in inner} == {pid}
+
+
+def report_pids(conn):
+    conn.send({pid for _, pid in _workspace._run_blocks(pid_of, 512, 128, 2)} == {os.getpid()})
+
+
+def test_run_blocks_in_a_daemon_run_in_process():
+    ctx = multiprocessing.get_context("fork")
+    here, there = ctx.Pipe()
+    proc = ctx.Process(target=report_pids, args=(there,), daemon=True)
+    proc.start()
+    assert here.poll(60) and here.recv() is True
+    proc.join(60)
+    assert proc.exitcode == 0
