@@ -37,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, quad, simpson
+from scipy.interpolate import CubicHermiteSpline
 
 from .errors import (
     ClassificationFailed,
@@ -780,26 +781,48 @@ def char_exponent(law: LimitLaw, xi, t: float):
 # ---------------------------------------------------------------------------
 # Poisson equation route to the diffusive variance
 
+#: Nodes per side of the Poisson grid (the quadrature uses all of them, the
+#: Hermite read-out the even ones).  gamma^2 on kinetic(7) moves by 3e-11
+#: relative between 2^15 and 2^21 nodes.  g' on kinetic(7) is within 4e-9
+#: relative of its closed form 0.4(1+x^2) on [-20, 20] (3.3e-7 with a linear
+#: read-out on 2^19 + 1 nodes; 6.6e-8 at 2^15 + 1).  heavy_tailed(1), whose g
+#: is x, sets the floor: g is 1.7e-10 off on [-10, 10] here, 2.7e-9 at 2^15 + 1.
+_POISSON_GRID = 2**16 + 1
+
+
 @dataclass(frozen=True)
 class PoissonSolution:
     """g with 2 b g' + sigma^2 g'' = -2f, its derivative, and gamma^2 =
-    int (g' sigma)^2 dmu (equal to the diffusive sigma_alpha^2)."""
+    int (g' sigma)^2 dmu (equal to the diffusive sigma_alpha^2).
+
+    ``g`` and ``g_prime`` are cubic Hermite read-outs through the even ones
+    of the ``_POISSON_GRID`` nodes per side: g with g' as its slopes, g' with
+    g'' = -(2 f + 2 b g') / sigma^2 taken from the equation at the nodes.
+    Beyond a side's cutoff both return that side's end value.
+    ``gamma_sq_err`` is the Richardson estimate |S_h - S_2h| / 15 of the
+    Simpson body of gamma^2 (reported, not a bound; the octave tail beyond
+    the cutoff is not in it).
+    """
 
     g: Callable
     g_prime: Callable
     gamma_sq: float
+    gamma_sq_err: float
 
 
-def poisson_solution(model: DiffusionModel, f: Callable,
-                     n_grid: int = 2**19 + 1) -> PoissonSolution:
+def poisson_solution(model: DiffusionModel, f: Callable) -> PoissonSolution:
     """Solve the Poisson equation by composite-Simpson quadrature on a
-    uniform grid per side (independent of the adaptive-panel variance route).
+    uniform grid of ``_POISSON_GRID`` nodes per side (independent of the
+    adaptive-panel variance route; the grid is a module constant, not a
+    keyword).
 
     g(x) = 2 int_0^x s'(v) T(v) dv with T(v) = int_v^inf f m; T is assembled
     from the outer cutoff inward on each side (with a geometric tail
     estimate), which keeps it accurate where f m decays fast; the two
     assemblies must agree at 0 (this is mu(f)/kappa) or NotCentered is
-    raised.  gamma^2 integrates (g' sigma)^2 m literally.
+    raised.  gamma^2 integrates (g' sigma)^2 m literally.  Between the even
+    nodes g and g' are cubic Hermite interpolants whose slopes are g' and
+    g'' = -(2 f + 2 b g') / sigma^2, the latter exact from the equation.
     """
     core = model.core()
     kappa = compute_kappa(model)
@@ -820,19 +843,20 @@ def poisson_solution(model: DiffusionModel, f: Callable,
     sides = {}
     for side in (core.pos, core.neg):
         sign = side.sign
-        xs = np.linspace(0.0, side.x[-1], n_grid)
+        xs = np.linspace(0.0, side.x[-1], _POISSON_GRID)
         dx = xs[1] - xs[0]
         E = side.E_spline(xs)
         sig = side.sigma(sign * xs)
         m = np.exp(-E) / sig**2
-        fm = f(sign * xs) * m
+        fv = f(sign * xs)
+        fm = fv * m
 
         # geometric tail estimate beyond the cutoff, from trapezoid octaves
         tail_abs, divergent = octave_tail(xs, fm)
         if divergent or not np.isfinite(tail_abs):
             raise PoissonUnavailable(
                 "int_x^inf f m diverges; the Poisson solution does not exist")
-        outer_sign = float(np.sign(fm[int(0.9 * n_grid):].sum())) or 1.0
+        outer_sign = float(np.sign(fm[int(0.9 * _POISSON_GRID):].sum())) or 1.0
         tail = outer_sign * tail_abs
 
         # accumulate int_x^{cutoff} from the outer end inward: summing the
@@ -840,10 +864,10 @@ def poisson_solution(model: DiffusionModel, f: Callable,
         # (a left-to-right cumulative sum subtracted from its total would
         # drown the far tail in rounding noise)
         T = cumulative_simpson(fm[::-1], dx=dx, initial=0.0)[::-1] + tail
-        sides[sign] = (xs, dx, E, sig, m, T)
+        sides[sign] = (xs, dx, E, sig, m, fv, T)
 
-    xp, dxp, Ep, sigp, mp, Tp = sides[+1.0]
-    xn, dxn, En, sig_n, mn, Tn = sides[-1.0]
+    xp, dxp, Ep, sigp, mp, fp, Tp = sides[+1.0]
+    xn, dxn, En, sig_n, mn, fn, Tn = sides[-1.0]
     # The per-side assembly gives int_{|x|}^inf (f m)(sign * u) du in the
     # distance coordinate u = |x|.  On the negative side the true tail
     # integral is T(x) = -int_{-inf}^x f m (when mu(f) = 0), and substituting
@@ -863,22 +887,46 @@ def poisson_solution(model: DiffusionModel, f: Callable,
     g_neg = -cumulative_simpson(gp_neg, dx=dxn, initial=0.0)  # int_0^{-u}
 
     def _var_piece(xs, dx, gp, sig, m):
+        """(body + tail, |S_h - S_2h| / 15) of int (g' sigma)^2 m on one side."""
         integrand = (gp * sig) ** 2 * m
         body = float(simpson(integrand, dx=dx))
+        coarse = float(simpson(integrand[::2], dx=2.0 * dx))
         tail, divergent = octave_tail(xs, integrand)
         if divergent or not np.isfinite(tail):
             raise PoissonUnavailable("int (g' sigma)^2 dmu diverges")
-        return body + tail
+        return body + tail, abs(body - coarse) / 15.0
 
-    gamma_sq = kappa * (_var_piece(xp, dxp, gp_pos, sigp, mp)
-                        + _var_piece(xn, dxn, gp_neg, sig_n, mn))
+    var_p, err_p = _var_piece(xp, dxp, gp_pos, sigp, mp)
+    var_n, err_n = _var_piece(xn, dxn, gp_neg, sig_n, mn)
+    gamma_sq = kappa * (var_p + var_n)
+    gamma_sq_err = kappa * (err_p + err_n)
+
+    def read_out(xs, values, slopes):
+        """Hermite spline in the distance u through the even nodes, held at
+        its end values beyond the grid (np.clip keeps a nan a nan).
+
+        The even nodes are composite-Simpson sums; cumulative_simpson's
+        odd nodes add its one-interval rule, whose error alternates in sign
+        from node to node (2.6e-8 relative in g' on kinetic(7) near 0, 6x
+        the error of the even-node spline)."""
+        spline, cut = CubicHermiteSpline(xs[::2], values[::2], slopes[::2]), xs[-1]
+        return lambda u: spline(np.clip(u, 0.0, cut))
+
+    def gpp(x, f_nodes, gp, sig):
+        """g'' = -(2 f + 2 b g') / sigma^2 at the nodes x."""
+        return -(2.0 * f_nodes + 2.0 * model.drift(x) * gp) / sig**2
+
+    # On the negative side the distance u = -x reverses every slope:
+    # d/du g(-u) = -g'(-u) and d/du g'(-u) = -g''(-u).
+    g_p, g_n = read_out(xp, g_pos, gp_pos), read_out(xn, g_neg, -gp_neg)
+    gp_p = read_out(xp, gp_pos, gpp(xp, fp, gp_pos, sigp))
+    gp_n = read_out(xn, gp_neg, -gpp(-xn, fn, gp_neg, sig_n))
 
     def g(x):
-        return _two_sided(x, lambda u: np.interp(u, xp, g_pos),
-                          lambda u: np.interp(u, xn, g_neg))
+        return _two_sided(x, g_p, g_n)
 
     def g_prime(x):
-        return _two_sided(x, lambda u: np.interp(u, xp, gp_pos),
-                          lambda u: np.interp(u, xn, gp_neg))
+        return _two_sided(x, gp_p, gp_n)
 
-    return PoissonSolution(g=g, g_prime=g_prime, gamma_sq=float(gamma_sq))
+    return PoissonSolution(g=g, g_prime=g_prime, gamma_sq=float(gamma_sq),
+                           gamma_sq_err=float(gamma_sq_err))

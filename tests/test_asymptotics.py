@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from stablediff import presets
+from stablediff import asymptotics, presets
 from stablediff.asymptotics import (
     EULER_GAMMA,
     SIN_INTEGRAL_A,
@@ -253,6 +253,56 @@ def test_poisson_heavy_identity(heavy1):
     for x in (-10.0, -1.3, 0.0, 0.7, 10.0):
         assert sol.g_prime(x) == pytest.approx(1.0, rel=1e-8)
         assert sol.g(x) == pytest.approx(x, rel=1e-7, abs=1e-9)
+
+
+def test_poisson_g_prime_dense_kinetic7(kinetic7):
+    # g' = 0.4(1+x^2) between the grid nodes too, not only at the five
+    # points above
+    sol = poisson_solution(kinetic7, f_id)
+    x = np.linspace(-20.0, 20.0, 4001)
+    np.testing.assert_allclose(sol.g_prime(x), 0.4 * (1.0 + x * x), rtol=1e-7)
+
+
+@pytest.mark.parametrize("fixture", ["kinetic7", "heavy1"])
+def test_poisson_read_out_beyond_cutoff(fixture, request):
+    # past each side's cutoff g and g' hold the end value; nan stays nan
+    model = request.getfixturevalue(fixture)
+    sol = poisson_solution(model, f_id)
+    core = model.core()
+    for cut in (core.pos.x[-1], -core.neg.x[-1]):
+        for fn in (sol.g, sol.g_prime):
+            end = fn(cut)
+            assert np.isfinite(end)
+            assert fn(2.0 * cut) == end
+    assert np.isnan(sol.g(np.nan)) and np.isnan(sol.g_prime(np.nan))
+    np.testing.assert_array_equal(np.isnan(sol.g_prime(np.array([np.nan, 1.0]))),
+                                  [True, False])
+
+
+@pytest.mark.parametrize("fixture,span,rtol,atol", [("kinetic7", 20.0, 1e-8, 0.0),
+                                                    ("heavy1", 10.0, 0.0, 1e-9)])
+def test_poisson_grid_convergence(fixture, span, rtol, atol, request, monkeypatch):
+    # the default grid against one 8x finer, a third of a cell past nodes
+    model = request.getfixturevalue(fixture)
+    core = model.core()
+    assert core.pos.x[-1] == core.neg.x[-1]
+    h = core.pos.x[-1] / (asymptotics._POISSON_GRID - 1)
+    u = np.linspace(-span, span, 200)
+    x = np.sign(u) * (np.floor(np.abs(u) / h) + 1.0 / 3.0) * h
+    coarse = poisson_solution(model, f_id)
+    monkeypatch.setattr(asymptotics, "_POISSON_GRID", 2**19 + 1)
+    fine = poisson_solution(model, f_id)
+    assert coarse.gamma_sq == pytest.approx(fine.gamma_sq, rel=1e-10)
+    np.testing.assert_allclose(coarse.g_prime(x), fine.g_prime(x), rtol=rtol, atol=atol)
+    # g(0) = 0, so near 0 only an absolute bound means anything
+    np.testing.assert_allclose(coarse.g(x), fine.g(x), rtol=rtol, atol=1e-9)
+
+
+@pytest.mark.parametrize("fixture", ["kinetic7", "heavy1"])
+def test_poisson_gamma_sq_err(fixture, request):
+    sol = poisson_solution(request.getfixturevalue(fixture), f_id)
+    assert np.isfinite(sol.gamma_sq_err)
+    assert 0.0 <= sol.gamma_sq_err <= 1e-9 * sol.gamma_sq
 
 
 def test_poisson_zero_f(heavy1):
