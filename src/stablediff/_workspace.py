@@ -3,7 +3,10 @@
 All three walk engines (the Euler-Maruyama engine and the time-change clock
 walk in :mod:`stablediff.pathsim`, the excursion engine in
 :mod:`stablediff.stable`) split their paths into blocks and advance each
-block in chunks of up to ``_CHUNK`` lockstep steps.  :func:`_run_blocks`,
+block in chunks of lockstep steps: ``_CHUNK`` while every path of the block
+is live, longer as paths finish (see :meth:`_Normals.take`), so a block's
+straggler tail pays the per-chunk work once per up to a slab of steps.
+:func:`_run_blocks`,
 the one block scheduler, shares the blocks among forked worker processes,
 one per CPU by default: the walks spend their time in short numpy calls
 whose interpreter overhead holds the GIL, so threads did not pay.  Per
@@ -26,10 +29,12 @@ import numpy as np
 
 from ._rng import stream
 
-# lockstep steps per chunk of every walk; in the excursion engine at 512
-# paths and dt = 1e-5, 64 and 128 ran alike and 32 took about 20% longer
+# lockstep steps per chunk of every walk while all of a block's paths are
+# live; in the excursion engine at 512 paths and dt = 1e-5, 64 and 128 ran
+# alike and 32 took about 20% longer
 _CHUNK = 64
 _NOISE_SLAB = 512   # normals a path draws per generator call, by default
+_TILE = 128         # paths per tile of the step-major noise copy
 # fewest paths a block is cut to when the paths are shared among workers.
 # A fork costs the caller 5-10 ms; at 1000 steps per path, 256 paths as two
 # blocks of 128 on two workers ran about as fast as one block here, and two
@@ -160,9 +165,11 @@ class _ChunkWorkspace:
     """Per-block scratch arrays for a chunked walk, allocated once.
 
     Each ``view`` is a C-contiguous window on the front of a flat buffer of
-    ``(_CHUNK + 1) * width`` elements -- a chunk's rows plus the carried
-    row, one value per path of the block each -- so the arrays shrink with
-    the live path count without reallocating.
+    ``(_CHUNK + 1) * width`` elements -- a full-width chunk's rows plus the
+    carried row.  As paths finish, the chunks grow into the same buffers:
+    a ``(k + 1, n_live)`` view fits whenever ``k <= _CHUNK * width //
+    n_live``, the length :meth:`_Normals.take` hands out, so nothing is
+    reallocated.
     """
 
     def __init__(self, width: int):
@@ -193,6 +200,7 @@ class _Normals:
     def __init__(self, seed: int, tag: int, indices, steps: float = math.inf,
                  slab: int = _NOISE_SLAB):
         self._gens = [stream(seed, tag, int(p)) for p in indices]
+        self._width = len(self._gens)
         self._slab = _CHUNK * -(-slab // _CHUNK)
         self._left = steps                 # normals each path has yet to draw
         self._buf = _mapped(len(self._gens), self._slab)
@@ -204,13 +212,18 @@ class _Normals:
         self._rows = None
 
     def take(self, at_most: int) -> np.ndarray:
-        """The next ``min(_CHUNK, at_most)`` normals of every live path.
+        """The next k normals of every live path, step-major.
 
-        Row i of the ``(k, n_live)`` result holds step i, columns in live
-        order.  It is scratch memory that the next call overwrites.
+        k is ``at_most``, the slab length, or ``_CHUNK * width // n_live``,
+        whichever is least, ``width`` being the paths the block started
+        with: a chunk grows as paths finish, up to the longest whose
+        ``(k + 1, n_live)`` arrays still fit the block's ``(_CHUNK + 1) *
+        width`` buffers.  Row i of the ``(k, n_live)`` result holds step i,
+        columns in live order.  It is scratch memory that the next call
+        overwrites.
         """
         n = len(self._gens)
-        k = min(_CHUNK, at_most)
+        k = min(at_most, self._slab, _CHUNK * self._width // n)
         rows = slice(0, n) if self._rows is None else self._rows
         if self._end - self._pos < k:
             # carry the unread tail of the live rows to the front, then
@@ -225,7 +238,12 @@ class _Normals:
             self._left -= m
             self._pos, self._end = 0, rem + m
         z = self._z[:k * n].reshape(k, n)
-        z[...] = self._buf[rows, self._pos:self._pos + k].T
+        cols = slice(self._pos, self._pos + k)
+        # transposed a tile of paths at a time, which stays in cache; the
+        # whole block at once ran 1.5-2.5x slower at 1024-2048 paths
+        for j in range(0, n, _TILE):
+            tile = slice(j, min(j + _TILE, n))
+            z[:, tile] = self._buf[tile if self._rows is None else rows[tile], cols].T
         self._pos += k
         return z
 

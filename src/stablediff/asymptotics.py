@@ -818,7 +818,8 @@ def poisson_solution(model: DiffusionModel, f: Callable) -> PoissonSolution:
 
     g(x) = 2 int_0^x s'(v) T(v) dv with T(v) = int_v^inf f m; T is assembled
     from the outer cutoff inward on each side (with a geometric tail
-    estimate), which keeps it accurate where f m decays fast; the two
+    estimate, capped by a power law fitted at the cutoff), which keeps it
+    accurate where f m decays fast; the two
     assemblies must agree at 0 (this is mu(f)/kappa) or NotCentered is
     raised.  gamma^2 integrates (g' sigma)^2 m literally.  Between the even
     nodes g and g' are cubic Hermite interpolants whose slopes are g' and
@@ -840,6 +841,18 @@ def poisson_solution(model: DiffusionModel, f: Callable) -> PoissonSolution:
             hi = lo
         return _tail_extrapolate(np.asarray(octs[::-1]))
 
+    def power_tail(xs, y):
+        """int_{xs[-1]}^inf of the power law |y| ~ u^-p through the last two
+        nodes; inf where that law is not integrable (p <= 1).  It is exact
+        for a power tail and, with p = 2 x^2, close for a Gaussian one, whose
+        octave extrapolation overstates it by up to ~10^120 (heavy_tailed(1):
+        9.4e-171 against about 1e-294 at the cutoff)."""
+        y1, y0 = abs(float(y[-1])), abs(float(y[-2]))
+        if not 0.0 < y1 < y0:
+            return math.inf
+        p = math.log(y0 / y1) / math.log(xs[-1] / xs[-2])
+        return y1 * xs[-1] / (p - 1.0) if p > 1.0 else math.inf
+
     sides = {}
     for side in (core.pos, core.neg):
         sign = side.sign
@@ -857,7 +870,9 @@ def poisson_solution(model: DiffusionModel, f: Callable) -> PoissonSolution:
             raise PoissonUnavailable(
                 "int_x^inf f m diverges; the Poisson solution does not exist")
         outer_sign = float(np.sign(fm[int(0.9 * _POISSON_GRID):].sum())) or 1.0
-        tail = outer_sign * tail_abs
+        # g' = 2 e^E T multiplies the tail by the inverse of the decaying
+        # factor, so it is bounded by the local power-law estimate
+        tail = outer_sign * min(tail_abs, power_tail(xs, fm))
 
         # accumulate int_x^{cutoff} from the outer end inward: summing the
         # small outer contributions first keeps T accurate where it is tiny

@@ -709,7 +709,8 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
     starts at 16*max(1, t_n)^2 and doubles while any unfinished path is
     beyond it, failing after ``_MAX_EXTENSIONS`` doublings.
 
-    The walk runs in chunks of up to ``_CHUNK`` lockstep steps.  Phase
+    The walk runs in chunks of lockstep steps, ``_CHUNK`` long at full
+    width and longer as paths finish (see :meth:`_Normals.take`).  Phase
     one loops over the steps and advances only the Brownian recursion, the
     one quantity a step hands to the next.  Phase two derives the rest over
     the step-major ``(k, n)`` chunk at once: one table search shared by

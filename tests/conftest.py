@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stablediff import presets
+from stablediff import _workspace, presets
 from stablediff.asymptotics import classify_regime, limit_law
 
 
@@ -66,3 +66,19 @@ def identity_model():
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+@pytest.fixture
+def chunk_log(monkeypatch):
+    """The (steps, live paths) shape of every chunk of normals that
+    ``_Normals.take`` hands out in this process, in order."""
+    log = []
+    take = _workspace._Normals.take
+
+    def logged(self, at_most):
+        z = take(self, at_most)
+        log.append(z.shape)
+        return z
+
+    monkeypatch.setattr(_workspace._Normals, "take", logged)
+    return log

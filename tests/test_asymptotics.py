@@ -263,6 +263,27 @@ def test_poisson_g_prime_dense_kinetic7(kinetic7):
     np.testing.assert_allclose(sol.g_prime(x), 0.4 * (1.0 + x * x), rtol=1e-7)
 
 
+def test_poisson_heavy_identity_up_to_the_cutoff(heavy1):
+    # T decays like e^{-x^2}, and g' = 2 e^{x^2} T undoes that decay, so an
+    # overstated tail beyond the cutoff 26 shows in g' far inside it: the
+    # octave extrapolation alone gave g' - 1 = 9.8e3 at 20 and 5e101 at 25
+    sol = poisson_solution(heavy1, f_id)
+    x = np.linspace(-25.0, 25.0, 5001)
+    assert np.abs(sol.g_prime(x) - 1.0).max() <= 1e-8
+    assert np.abs(sol.g(x) - x).max() <= 1e-7
+
+
+def test_poisson_kinetic7_power_tail_kept(kinetic7, law_diffusive):
+    # on a power tail the octave estimate is kept (the local power law
+    # through the last two nodes reads 2e-4 relative higher there): gamma^2
+    # and the benchmark's sigma^2 cross-check keep their values
+    sol = poisson_solution(kinetic7, f_id)
+    assert sol.gamma_sq == pytest.approx(0.29999999977192443, rel=1e-12)
+    sigma_sq = law_diffusive.sigma_alpha**2
+    assert abs(sol.gamma_sq - sigma_sq) / sigma_sq == pytest.approx(6.555693443506461e-09,
+                                                                    rel=1e-3)
+
+
 @pytest.mark.parametrize("fixture", ["kinetic7", "heavy1"])
 def test_poisson_read_out_beyond_cutoff(fixture, request):
     # past each side's cutoff g and g' hold the end value; nan stays nan

@@ -743,6 +743,21 @@ def test_timechange_invariant_to_chunk_and_width(kinetic_critical, monkeypatch, 
     assert hashlib.sha256(s.values.tobytes()).hexdigest() == TIMECHANGE_PINS["kinetic_critical"]
 
 
+def test_timechange_grows_chunks_as_paths_finish(kinetic_critical, monkeypatch, chunk_log):
+    # one 64-path block: once fewer than 8 paths are live, a chunk takes
+    # _CHUNK * 64 // live steps (at most the slab) in the same buffers; the
+    # output equals the 3-step-chunk run's bit for bit
+    cfg = SimConfig(**{**TIMECHANGE_PIN_CFG.__dict__, "n_paths": 64})
+    chunk = _workspace._CHUNK
+    got = rescaled_functional(kinetic_critical, f_id, None, cfg, threads=1).values
+    assert min(n for _, n in chunk_log) < 64 / 8
+    assert max(k for k, _ in chunk_log) > chunk
+    assert all(k <= chunk * 64 // n for k, n in chunk_log)
+    monkeypatch.setattr(_workspace, "_CHUNK", 3)
+    ref = rescaled_functional(kinetic_critical, f_id, None, cfg, threads=1).values
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 def stepwise_walk(tab, kappa, cfg, path):
     """One path of the clock walk replayed step by step with np.interp;
     returns its readings and its (clipped, off-table, total) step counts."""

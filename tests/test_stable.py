@@ -456,6 +456,46 @@ def test_excursions_invariant_to_chunk_and_width(monkeypatch, chunk, alpha, widt
     assert hashlib.sha256(out.tobytes()).hexdigest() == EXCURSION_PINS[alpha]
 
 
+def test_excursions_grow_chunks_as_paths_finish(monkeypatch, chunk_log):
+    # the alpha = 1 pin as one 64-path block: once fewer than 8 paths are
+    # live, a chunk takes _CHUNK * 64 // live steps (at most the slab) in
+    # the same buffers; the output equals the 3-step-chunk run's bit for bit
+    chunk = _workspace._CHUNK
+    spec = StableSpec(1.0, 1.0, 0.5)
+    got = stable_via_excursions(spec, EXCURSION_PIN_TIMES, 1e-3, 64, seed=0, threads=1)
+    assert min(n for _, n in chunk_log) < 64 / 8
+    assert max(k for k, _ in chunk_log) > chunk
+    assert all(k <= chunk * 64 // n for k, n in chunk_log)
+    monkeypatch.setattr(_workspace, "_CHUNK", 3)
+    ref = stable_via_excursions(spec, EXCURSION_PIN_TIMES, 1e-3, 64, seed=0, threads=1)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    assert hashlib.sha256(got.tobytes()).hexdigest() == EXCURSION_PINS[1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dt=st.floats(1e-9, 0.25),
+       mags=st.lists(st.floats(0.0, 1e150) | st.sampled_from(
+           [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e150]), max_size=20),
+       offsets=st.lists(st.integers(-40, 40), max_size=10))
+def test_excursion_step_identity(dt, mags, offsets):
+    # phase 1 steps by max(sqrt(dt), 0.1 |w|) in place of the old
+    # sqrt(max(dt, (0.1 |w|)^2)): equal in binary64, as sqrt(RN(s^2)) = s
+    # while nothing under- or overflows and rounded sqrt is monotone.  w
+    # around the crossover 0.1 |w| = sqrt(dt) steps a few ulps at a time
+    cross = math.sqrt(dt) / 0.1
+    near = [cross]
+    for off in offsets + list(range(-4, 5)):
+        w = cross
+        for _ in range(abs(off)):
+            w = math.nextafter(w, math.copysign(math.inf, off))
+        near.append(w)
+    w = np.array(mags + near)
+    w = np.concatenate([w, -w])
+    new = np.maximum(math.sqrt(dt), 0.1 * np.abs(w))
+    old = np.sqrt(np.maximum(dt, np.square(0.1 * np.abs(w))))
+    assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
 def excursion_replay(tab, dt, z, targets):
     """A scalar step-by-step replay of one path of the excursion walk on the
     normals z.  Returns the steps it takes until its origin local time

@@ -23,24 +23,35 @@ PATHS = [0, 5, 2, 700, 3, 1]
 
 
 @settings(max_examples=80, deadline=None)
-@given(chunk=st.integers(1, 9), slab=st.integers(1, 40), capped=st.booleans(),
+@given(chunk=st.integers(1, 9), slab=st.integers(1, 40), tile=st.integers(1, 7),
+       capped=st.booleans(),
        plan=st.lists(st.tuples(st.integers(1, 12),
                                st.lists(st.booleans(), min_size=len(PATHS),
                                         max_size=len(PATHS))),
                      min_size=1, max_size=15))
-def test_normals_split_invariant(chunk, slab, capped, plan):
+def test_normals_split_invariant(chunk, slab, tile, capped, plan):
     # each take asks for at most ``at_most`` steps, then the paths whose flag
-    # is False drop out; every path must see its own stream's first values
-    total = sum(min(chunk, at_most) for at_most, _ in plan)
+    # is False drop out; every path must see its own stream's first values.
+    # A take is at_most, the slab (whole chunks) or chunk * width // live
+    # steps long, whichever is least, so chunks grow as paths drop out
+    width, slab_len = len(PATHS), chunk * -(-slab // chunk)
+    lens, n_live = [], width
+    for at_most, flags in plan:
+        lens.append(min(at_most, slab_len, chunk * width // n_live))
+        n_live = sum(flags[:n_live])
+        if not n_live:
+            break
+    total = sum(lens)
     ref = {p: stream(9, TAG_TIMECHANGE, p).standard_normal(total + 1) for p in PATHS}
     got = {p: [] for p in PATHS}
     live = list(PATHS)
-    with mock.patch.object(_workspace, "_CHUNK", chunk):
+    with mock.patch.object(_workspace, "_CHUNK", chunk), \
+            mock.patch.object(_workspace, "_TILE", tile):
         normals = _workspace._Normals(9, TAG_TIMECHANGE, PATHS,
                                       steps=total if capped else math.inf, slab=slab)
-        for at_most, flags in plan:
+        for (at_most, flags), k in zip(plan, lens):
             z = normals.take(at_most)
-            assert z.shape == (min(chunk, at_most), len(live))
+            assert z.shape == (k, len(live))
             for j, p in enumerate(live):
                 got[p].extend(z[:, j])
             mask = np.array(flags[:len(live)])
