@@ -10,7 +10,13 @@ are bit-identical for any block width and so for any ``threads`` value
 
 Philox output is chunk-invariant: drawing 2×4096 doubles in two calls yields
 the same stream as one call of 8192, so a walk may draw its normals a chunk
-of steps at a time.
+of steps at a time.  A Philox stream is its key and a counter, so an
+existing generator set to counter 0, an empty buffer and the key of
+:func:`key` gives the stream of :func:`stream` bit for bit; the walks re-key
+pooled generators that way (see :func:`stablediff._workspace.stream`),
+since a fresh one spends most of its 12-20 us drawing OS entropy for a
+seed sequence that the key then overrides.  Single streams (CMS sampling,
+``BrownianGrid``, the bootstrap) are built fresh by :func:`stream`.
 """
 
 from __future__ import annotations
@@ -29,7 +35,12 @@ TAG_BOOTSTRAP = 6   # validation bootstrap
 _MASK64 = (1 << 64) - 1
 
 
+def key(seed: int, tag: int, index: int) -> np.ndarray:
+    """The two-word Philox key of one (seed, purpose, path) triple."""
+    return np.array([seed & _MASK64, ((tag & 0xFFFF) << 48) | (index & ((1 << 48) - 1))],
+                    dtype=np.uint64)
+
+
 def stream(seed: int, tag: int, index: int = 0) -> np.random.Generator:
     """Generator for one (seed, purpose, path) triple."""
-    key = [np.uint64(seed & _MASK64), np.uint64(((tag & 0xFFFF) << 48) | (index & ((1 << 48) - 1)))]
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=key(seed, tag, index)))

@@ -10,8 +10,12 @@ straggler tail pays the per-chunk work once per up to a slab of steps.
 the one block scheduler, shares the blocks among forked worker processes,
 one per CPU by default: the walks spend their time in short numpy calls
 whose interpreter overhead holds the GIL, so threads did not pay.  Per
-block, a :class:`_Normals` hands out each chunk's keyed normals and a
-:class:`_ChunkWorkspace` holds every other per-chunk array;
+block, a :class:`_Normals` hands out each chunk's keyed normals from
+generators re-keyed out of a per-thread pool (:func:`stream`), and a
+:class:`_ChunkWorkspace` holds every other per-chunk array.  The walks keep
+each running sum as its increments, with the carried state in row 0: they
+read the chunk's end by one reduction (:func:`_cumsum_end`) and build the
+running sums only on the few columns that pass a target, where
 :func:`_first_passages` is the two clock walks' read-out.
 """
 
@@ -23,11 +27,12 @@ import multiprocessing
 import os
 import pickle
 import signal
+import threading
 from typing import Callable
 
 import numpy as np
 
-from ._rng import stream
+from . import _rng
 
 # lockstep steps per chunk of every walk while all of a block's paths are
 # live; in the excursion engine at 512 paths and dt = 1e-5, 64 and 128 ran
@@ -183,6 +188,55 @@ class _ChunkWorkspace:
         return flat[:math.prod(shape)].reshape(shape)
 
 
+class _Pool(threading.local):
+    """Each thread's free list of Philox generators.
+
+    Per thread, so that taking and giving back need no lock: a fork copies
+    only the calling thread, and a lock another thread held would stay
+    held in the child.
+    """
+
+    def __init__(self):
+        self.free: list[np.random.Generator] = []
+
+
+_pool = _Pool()
+
+
+def stream(seed: int, tag: int, index: int) -> np.random.Generator:
+    """The generator of ``_rng.stream(seed, tag, index)``, bit for bit.
+
+    A generator from this thread's pool is re-keyed through its bit
+    generator's ``state``: counter 0, an empty buffer, no half-used 32-bit
+    word, and the key, which takes about 3 us against 12-20 us for a fresh
+    one.  Only when the pool is empty is a fresh one built.
+    """
+    if not _pool.free:
+        return _rng.stream(seed, tag, index)
+    gen = _pool.free.pop()
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _rng.key(seed, tag, index)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
+def _cumsum_end(D: np.ndarray) -> np.ndarray:
+    """``np.cumsum(D, axis=0)[-1]`` bit for bit, by one reduction.
+
+    ``np.add.reduce`` adds row after row only where the summed axis is not
+    the contiguous one: a single column, or an F-ordered view such as
+    ``D[:, cols]``, it sums pairwise.  So D is reduced in C order, a single
+    column goes through ``cumsum``, and the reduction starts from -0.0,
+    the exact additive identity, so that an all -0.0 column keeps its sign.
+    At 65 x 256 the reduction took 7 us against 81 us for ``cumsum``.
+    """
+    if D.shape[1] < 2:
+        return np.cumsum(D, axis=0)[-1]
+    return np.add.reduce(np.ascontiguousarray(D), axis=0, initial=-0.0)
+
+
 class _Normals:
     """The keyed standard normals of a block of paths, a chunk at a time.
 
@@ -195,11 +249,16 @@ class _Normals:
     lengths, the slab length or the order in which paths finish.
     ``steps``, if given, is the most normals any path will take; no path
     draws beyond it.
+
+    Used as a context manager, it gives its generators back to this
+    thread's pool when the block ends, so two live ``_Normals`` never share
+    one; the next block's :func:`stream` calls re-key them.
     """
 
     def __init__(self, seed: int, tag: int, indices, steps: float = math.inf,
                  slab: int = _NOISE_SLAB):
         self._gens = [stream(seed, tag, int(p)) for p in indices]
+        self._taken = list(self._gens)     # every generator, to give back
         self._width = len(self._gens)
         self._slab = _CHUNK * -(-slab // _CHUNK)
         self._left = steps                 # normals each path has yet to draw
@@ -252,10 +311,19 @@ class _Normals:
         self._rows = np.flatnonzero(mask) if self._rows is None else self._rows[mask]
         self._gens = [gen for gen, kept in zip(self._gens, mask.tolist()) if kept]
 
+    def __enter__(self) -> "_Normals":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        # a replaced ``stream`` may hand out other objects; they stay out
+        _pool.free.extend(g for g in self._taken if isinstance(g, np.random.Generator))
+        self._gens = self._taken = []
+
 
 def _first_passages(clock, dclock, value, dvalue, targets, crossed, side: str):
     """Where a chunk's non-decreasing clocks first pass sorted targets.
 
+    The walks call it on the columns that pass a target in the chunk only.
     ``clock`` and ``value`` are step-major ``(k+1, n)`` running sums with
     the carried state in row 0; row s+1 of ``dclock`` and ``dvalue`` holds
     step s's increments.  Column j passed ``crossed[j]`` targets before the

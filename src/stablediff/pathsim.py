@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from ._rng import TAG_DIRECT, TAG_TIMECHANGE
-from ._workspace import _ChunkWorkspace, _Normals, _first_passages, _run_blocks
+from ._workspace import _ChunkWorkspace, _cumsum_end, _first_passages, _Normals, _run_blocks
 from .asymptotics import LimitLaw
 from .errors import (
     ConfigError,
@@ -415,35 +415,35 @@ def _euler_walk(bv, sv, dt: float, n_steps: int, guard: float, seed: int,
     n = len(indices)
     sqdt = math.sqrt(dt)
     lim = float(np.nextafter(guard, math.inf))
-    normals = _Normals(seed, TAG_DIRECT, indices, steps=n_steps)
     ws = _ChunkWorkspace(n)
     drift_dt = ws.view("drift_dt", n)
     noise = ws.view("noise", n)
     X = ws.view("x", 1, n)
     X[0] = 0.0
     k0 = 0
-    while k0 < n_steps:
-        z = normals.take(n_steps - k0)
-        k = len(z)
-        X = ws.view("x", k + 1, n)          # row 0 is the carried state
-        for i in range(k):
-            x = X[i]
-            np.multiply(np.asarray(bv(x), dtype=np.float64), dt, out=drift_dt)
-            np.multiply(np.asarray(sv(x), dtype=np.float64), sqdt, out=noise)
-            noise *= z[i]
-            drift_dt += noise
-            nxt = np.add(x, drift_dt, out=X[i + 1])
-            np.fmax(nxt, -lim, out=nxt)      # nan goes to -lim
-            np.fmin(nxt, lim, out=nxt)
-        new = X[1:]
-        hit = (new.max(axis=0) > guard) | (new.min(axis=0) < -guard)
-        hit &= exploded < 0
-        if hit.any():
-            cols = np.flatnonzero(hit)
-            exploded[cols] = k0 + 1 + np.argmax(np.abs(new[:, cols]) > guard, axis=0)
-        yield k0, X
-        X[0] = X[k]
-        k0 += k
+    with _Normals(seed, TAG_DIRECT, indices, steps=n_steps) as normals:
+        while k0 < n_steps:
+            z = normals.take(n_steps - k0)
+            k = len(z)
+            X = ws.view("x", k + 1, n)          # row 0 is the carried state
+            for i in range(k):
+                x = X[i]
+                np.multiply(np.asarray(bv(x), dtype=np.float64), dt, out=drift_dt)
+                np.multiply(np.asarray(sv(x), dtype=np.float64), sqdt, out=noise)
+                noise *= z[i]
+                drift_dt += noise
+                nxt = np.add(x, drift_dt, out=X[i + 1])
+                np.fmax(nxt, -lim, out=nxt)      # nan goes to -lim
+                np.fmin(nxt, lim, out=nxt)
+            new = X[1:]
+            hit = (new.max(axis=0) > guard) | (new.min(axis=0) < -guard)
+            hit &= exploded < 0
+            if hit.any():
+                cols = np.flatnonzero(hit)
+                exploded[cols] = k0 + 1 + np.argmax(np.abs(new[:, cols]) > guard, axis=0)
+            yield k0, X
+            X[0] = X[k]
+            k0 += k
 
 
 def _emission_schedule(cfg: SimConfig) -> dict:
@@ -465,35 +465,35 @@ def _direct_block(bv, sv, fv, cfg: SimConfig, guard: float, sched: dict,
     (:func:`_euler_walk`), which steps the states X of a chunk one row at a
     time, since each row needs the last, and flags the paths that left the
     guard interval.  Phase two takes the whole chunk: f in one call on its
-    flattened rows, the running sums ``F_k = sum_{j<k} f(X_j)`` continued
-    from the carried row, one addition per step in step order, and the
-    scheduled read-outs ``F_k * dt + rem * f(X_k)``.  Every state and every
-    sum is the same expression for any chunk length or block width, so the
-    output does not depend on either.  The read-outs of an exploded path are
-    not meaningful; its explosion step is exact.
+    flattened rows, then the running sums ``F_k = sum_{j<k} f(X_j)`` in
+    step order from the carried F, read by reduction (see
+    :func:`_cumsum_end`) at the chunk's end and at the scheduled read-outs
+    ``F_k * dt + rem * f(X_k)``.  Every state and every sum is the same
+    expression for any chunk length or block width, so the output does not
+    depend on either.  The read-outs of an exploded path are not
+    meaningful; its explosion step is exact.
     """
     n = len(indices)
     dt, n_steps = cfg.dt, cfg.n_steps
     out = np.empty((n, len(cfg.horizon_times)))
     exploded = np.full(n, -1, dtype=np.int64)
     ws = _ChunkWorkspace(n)
-    # row 0 carries f(X) and the running sum at the chunk's first step
-    ws.view("fx", 1, n)[0] = np.asarray(fv(np.zeros(n)), dtype=np.float64)
-    ws.view("fsum", 1, n)[0] = 0.0
+    # F and f(X) at the chunk's first step
+    fsum, fx = np.zeros(n), np.asarray(fv(np.zeros(n)), dtype=np.float64)
     for k0, X in _euler_walk(bv, sv, dt, n_steps, guard, cfg.seed, indices, exploded):
         k = len(X) - 1
-        FX = ws.view("fx", k + 1, n)
-        FX[1:] = np.asarray(fv(X[1:].reshape(-1)), dtype=np.float64).reshape(k, n)
-        FS = ws.view("fsum", k + 1, n)
-        # row by row: np.cumsum over axis 0 of a (k, n) array ran ~3x slower
-        for i in range(k):
-            np.add(FS[i], FX[i], out=FS[i + 1])
+        # row 0 holds F one step on, F + f(X); row i >= 1 holds f(X) at
+        # step k0 + i, so F there sums rows 0..i-1
+        G = ws.view("fx", k + 1, n)
+        G[1:] = np.asarray(fv(X[1:].reshape(-1)), dtype=np.float64).reshape(k, n)
+        np.add(fsum, fx, out=G[0])
         for step, hits in sched.items():
             if k0 <= step < k0 + k or step == n_steps == k0 + k:
+                i = step - k0
+                F, FX = (fsum, fx) if i == 0 else (_cumsum_end(G[:i]), G[i])
                 for col, rem in hits:
-                    out[:, col] = FS[step - k0] * dt + rem * FX[step - k0]
-        FX[0] = FX[k]
-        FS[0] = FS[k]
+                    out[:, col] = F * dt + rem * FX
+        fsum, fx = _cumsum_end(G[:k]), G[k].copy()
     return out, exploded
 
 
@@ -714,13 +714,15 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
     one loops over the steps and advances only the Brownian recursion, the
     one quantity a step hands to the next.  Phase two derives the rest over
     the step-major ``(k, n)`` chunk at once: one table search shared by
-    both coefficient tables, dA and dH, the running A, H and u, summed from
-    the carried state in one row loop in step order, and the target
-    crossings on the monotone A (see :func:`_first_passages`).  Each path
-    takes one normal per step from its own keyed stream, drawn ahead in
-    slabs of ``_CLOCK_SLAB`` (see :class:`_Normals`), and every sum adds in
-    step order, so the output depends neither on the chunk length nor on
-    the block width.  Paths that finish inside a chunk walk on to its end;
+    both coefficient tables, the increments dA, dH and du below the carried
+    A, H and u, the chunk's end of each running sum by one reduction in
+    step order (see :func:`_cumsum_end`), and the target crossings on the
+    monotone A, for which only the columns that pass a target are summed
+    step by step (see :func:`_first_passages`).  Each path takes one normal
+    per step from its own keyed stream, drawn ahead in slabs of
+    ``_CLOCK_SLAB`` (see :class:`_Normals`), and every sum adds in step
+    order, so the output depends neither on the chunk length nor on the
+    block width.  Paths that finish inside a chunk walk on to its end;
     those steps are never read or counted.
     """
     eps = cfg.epsilon
@@ -731,101 +733,107 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
     width = len(indices)
     out = np.empty((width, n_t))
     live = np.arange(width)                # block rows of unfinished paths, ascending
-    normals = _Normals(cfg.seed, TAG_TIMECHANGE, indices, slab=_CLOCK_SLAB)
     w_cur, a_cur, h_cur, u_cur = np.zeros((4, width))   # the carried state
     ti = np.zeros(width, dtype=np.int64)   # targets crossed so far
     ws = _ChunkWorkspace(width)
     horizon = 16.0 * max(1.0, targets[-1]) ** 2
     extensions = 0
     clipped = off_table = total = iters = 0
-    while live.size:
-        if iters >= _WALK_ITER_CAP:
-            raise HorizonExceeded(
-                "time-change walk exceeded the iteration safety cap; "
-                "dt may be too small for the requested horizon")
-        n = live.size
-        # ---- phase 1: the Brownian recursion, step by step -----------------
-        z = normals.take(_WALK_ITER_CAP - iters)
-        k = len(z)
-        W = ws.view("w", k + 1, n)
-        # U[i + 1] holds du of step i until phase 2 sums it; row 0 carries u
-        U = ws.view("u", k + 1, n)
-        tmp = ws.view("tmp", n)
-        W[0] = w_cur
-        U[0] = u_cur
-        for i in range(k):
-            s = U[i + 1]
-            np.abs(W[i], out=s)
-            np.maximum(s, a, out=s)
-            np.square(s, out=s)
-            s *= cfg.dt
-            np.sqrt(s, out=tmp)
-            tmp *= z[i]
-            np.add(W[i], tmp, out=W[i + 1])
-        w_end = W[k].copy()
-        # ---- phase 2: everything else, over the (k, n) chunk ---------------
-        # buffers are reused once read: DA takes W's, f's values the rate's,
-        # and the running A and H those of y and f
-        y = np.multiply(W[:-1], y_scale, out=ws.view("y", k, n))
-        br = _Bracket(tab, y, ws)
-        fp_tmp = ws.view("fp", k, n)
-        rate = br.interp(tab.rate1, tab.slope_rate1, ws.view("rate", k, n), fp_tmp)
-        rate /= eps
-        over = np.greater(rate, _CLIP_RATE, out=ws.view("over", k, n, dtype=np.bool_))
-        any_over = bool(over.any())
-        if any_over:
-            rate[over] = _CLIP_RATE
-        DA = W                             # row i + 1 holds dA of step i
-        np.multiply(rate, U[1:], out=DA[1:])
-        fv = br.interp(tab.fval, tab.slope_fval, rate, fp_tmp)
-        DH = ws.view("dh", k + 1, n)
-        dH = np.multiply(DA[1:], fv, out=DH[1:])
-        dH /= eps
-        outside = br.outside() if br.any_off else None   # reads y
-        A = ws.view("y", k + 1, n)
-        H = ws.view("rate", k + 1, n)
-        A[0] = a_cur
-        H[0] = h_cur
-        for i in range(k):
-            np.add(A[i], DA[i + 1], out=A[i + 1])
-            np.add(H[i], DH[i + 1], out=H[i + 1])
-            np.add(U[i], U[i + 1], out=U[i + 1])
-        # target j is read in the first step whose end A reaches t_j
-        ti_end, col, tgt, s_ev, val = _first_passages(A, DA, H, DH, targets, ti[live],
-                                                      "right")
-        out[live[col], tgt] = val
-        steps = np.full(n, k)              # steps each path takes in the chunk
-        done = tgt == n_t - 1
-        steps[col[done]] = s_ev[done] + 1
-        fin = ti_end == n_t
-        total += int(steps.sum())
-        if any_over or outside is not None:
-            taken = np.arange(k)[:, None] < steps
-            if any_over:
-                clipped += int(np.count_nonzero(over & taken))
-            if outside is not None:
-                off_table += int(np.count_nonzero(outside & taken))
-        # horizon: u of every path still unfinished after each step; a
-        # finishing step is not checked, the one before it is
-        unfinished = steps - fin
-        reach = U[unfinished, np.arange(n)].max()
-        while reach >= horizon:
-            if extensions >= _MAX_EXTENSIONS:
-                pending = (U[1:] >= horizon) & (np.arange(k)[:, None] < unfinished)
-                per_step = np.count_nonzero(pending, axis=1)
+    with _Normals(cfg.seed, TAG_TIMECHANGE, indices, slab=_CLOCK_SLAB) as normals:
+        while live.size:
+            if iters >= _WALK_ITER_CAP:
                 raise HorizonExceeded(
-                    f"clock did not reach t = {targets[-1]:g} within the Brownian "
-                    f"horizon {horizon:g} after {_MAX_EXTENSIONS} extensions "
-                    f"({int(per_step[np.argmax(per_step > 0)])} paths pending)")
-            horizon *= 2.0
-            extensions += 1
-        iters += int(steps.max()) if fin.all() else k
-        keep = ~fin
-        ti[live] = ti_end
-        w_cur, a_cur = w_end[keep], A[k][keep]
-        h_cur, u_cur = H[k][keep], U[k][keep]
-        live = live[keep]
-        normals.keep(keep)
+                    "time-change walk exceeded the iteration safety cap; "
+                    "dt may be too small for the requested horizon")
+            n = live.size
+            # ---- phase 1: the Brownian recursion, step by step -------------
+            z = normals.take(_WALK_ITER_CAP - iters)
+            k = len(z)
+            W = ws.view("w", k + 1, n)
+            # row i + 1 of U holds du of step i; row 0 carries u
+            U = ws.view("u", k + 1, n)
+            tmp = ws.view("tmp", n)
+            W[0] = w_cur
+            U[0] = u_cur
+            for i in range(k):
+                s = U[i + 1]
+                np.abs(W[i], out=s)
+                np.maximum(s, a, out=s)
+                np.square(s, out=s)
+                s *= cfg.dt
+                np.sqrt(s, out=tmp)
+                tmp *= z[i]
+                np.add(W[i], tmp, out=W[i + 1])
+            w_end = W[k].copy()
+            # ---- phase 2: everything else, over the (k, n) chunk -----------
+            # buffers are reused once read: DA takes W's and f's values the
+            # rate's
+            y = np.multiply(W[:-1], y_scale, out=ws.view("y", k, n))
+            br = _Bracket(tab, y, ws)
+            fp_tmp = ws.view("fp", k, n)
+            rate = br.interp(tab.rate1, tab.slope_rate1, ws.view("rate", k, n), fp_tmp)
+            rate /= eps
+            over = np.greater(rate, _CLIP_RATE, out=ws.view("over", k, n, dtype=np.bool_))
+            any_over = bool(over.any())
+            if any_over:
+                rate[over] = _CLIP_RATE
+            DA = W                         # row i + 1 holds dA of step i, row 0 A
+            np.multiply(rate, U[1:], out=DA[1:])
+            DA[0] = a_cur
+            fv = br.interp(tab.fval, tab.slope_fval, rate, fp_tmp)
+            DH = ws.view("dh", k + 1, n)
+            DH[0] = h_cur
+            dH = np.multiply(DA[1:], fv, out=DH[1:])
+            dH /= eps
+            outside = br.outside() if br.any_off else None   # reads y
+            a_end = _cumsum_end(DA)
+            # target j is read in the first step whose end A reaches t_j;
+            # only the columns that pass a target in this chunk are summed
+            ti_end = np.searchsorted(targets, a_end, side="right")
+            pc = np.flatnonzero(ti_end > ti[live])
+            DAp, DHp = DA[:, pc], DH[:, pc]
+            _, col, tgt, s_ev, val = _first_passages(
+                np.cumsum(DAp, axis=0), DAp, np.cumsum(DHp, axis=0), DHp, targets,
+                ti[live[pc]], "right")
+            col = pc[col]
+            out[live[col], tgt] = val
+            steps = np.full(n, k)          # steps each path takes in the chunk
+            done = tgt == n_t - 1
+            fcol = col[done]               # the columns that finish, ascending
+            steps[fcol] = s_ev[done] + 1
+            fin = ti_end == n_t
+            total += int(steps.sum())
+            if any_over or outside is not None:
+                taken = np.arange(k)[:, None] < steps
+                if any_over:
+                    clipped += int(np.count_nonzero(over & taken))
+                if outside is not None:
+                    off_table += int(np.count_nonzero(outside & taken))
+            # horizon: u after every step a path takes unfinished, whose
+            # largest is at the chunk's end, or for a finishing path just
+            # before its finishing step, which is not checked
+            u_end = _cumsum_end(U)
+            u_end[fcol] = np.cumsum(U[:, fcol], axis=0)[s_ev[done], np.arange(fcol.size)]
+            reach = u_end.max()
+            unfinished = steps - fin
+            while reach >= horizon:
+                if extensions >= _MAX_EXTENSIONS:
+                    pending = (np.cumsum(U, axis=0)[1:] >= horizon) \
+                        & (np.arange(k)[:, None] < unfinished)
+                    per_step = np.count_nonzero(pending, axis=1)
+                    raise HorizonExceeded(
+                        f"clock did not reach t = {targets[-1]:g} within the Brownian "
+                        f"horizon {horizon:g} after {_MAX_EXTENSIONS} extensions "
+                        f"({int(per_step[np.argmax(per_step > 0)])} paths pending)")
+                horizon *= 2.0
+                extensions += 1
+            iters += int(steps.max()) if fin.all() else k
+            keep = ~fin
+            ti[live] = ti_end
+            w_cur, a_cur = w_end[keep], a_end[keep]
+            h_cur, u_cur = _cumsum_end(DH)[keep], u_end[keep]
+            live = live[keep]
+            normals.keep(keep)
     return out, clipped, off_table, total
 
 

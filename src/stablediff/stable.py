@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import TAG_CMS, TAG_EXCURSION, TAG_GRID, stream
-from ._workspace import _ChunkWorkspace, _Normals, _first_passages, _run_blocks
+from ._workspace import _ChunkWorkspace, _cumsum_end, _first_passages, _Normals, _run_blocks
 from .asymptotics import EULER_GAMMA, LimitLaw, _lambda_alpha
 from .errors import HorizonExceeded, InvalidAlpha, InvalidRequest
 
@@ -425,131 +425,136 @@ def _excursion_block(tab: _EngineTables, t_arr: np.ndarray, dt: float, seed: int
     0.1 |w|)`` equals ``sqrt(step)`` bit for bit, since sqrt(RN(s^2)) = |s|
     without under- or overflow and rounded sqrt is monotone.  Phase two
     derives everything else for the whole chunk at once: ``step`` from the
-    chunk's start rows, the origin local time l0, the far-field and
-    (alpha >= 1) near-field running time integrals as cumulative sums from
-    the carried state, and the target crossings.  A step spreads its
-    duration uniformly over the levels it spans, so it adds
-    ``step * (F(hi) - F(lo)) / (hi - lo)`` to a time integral with weight
-    antiderivative F (``anti`` for the far field, ``near_anti`` for the
-    near field); a zero-span step adds ``step`` times the weight at its
-    level.  At alpha >= 1 the far-field weight is 0 on [-1, 1], so only the
-    paths that step beyond it in a chunk are evaluated there.  Each path
-    takes one normal per step from its own keyed stream, drawn ahead in
-    slabs (see :class:`_Normals`), and every per-path sum adds in step
-    order, so the output depends neither on the chunk length nor on the
-    block width.  Paths that finish inside a chunk walk on to its end;
-    those steps are never read.
+    chunk's start rows, then the increments of the origin local time l0 and
+    of the far-field and (alpha >= 1) near-field running time integrals
+    below their carried state, whose ends are read by one reduction in step
+    order (see :func:`_cumsum_end`), and the target crossings, for which
+    only the columns whose l0 passes a target are summed step by step (see
+    :func:`_first_passages`).  A step spreads its duration uniformly over
+    the levels it spans, so it adds ``step * (F(hi) - F(lo)) / (hi - lo)``
+    to a time integral with weight antiderivative F (``anti`` for the far
+    field, ``near_anti`` for the near field); a zero-span step adds
+    ``step`` times the weight at its level.  At alpha >= 1 the far-field
+    weight is 0 on [-1, 1], so only the paths that step beyond it in a
+    chunk, or pass a target, are evaluated there.  Each path takes one
+    normal per step from its own keyed stream, drawn ahead in slabs (see
+    :class:`_Normals`), and every per-path sum adds in step order, so the
+    output depends neither on the chunk length nor on the block width.
+    Paths that finish inside a chunk walk on to its end; those steps are
+    never read.
     """
     nt = t_arr.size
     out = np.empty((m, nt), dtype=np.float64)
     live = np.arange(m)                    # block rows of unfinished paths, ascending
-    normals = _Normals(seed, TAG_EXCURSION, range(path_lo, path_lo + m))
     w_cur, l0, kfar, knear = np.zeros((4, m))
     ti = np.zeros(m, dtype=np.int64)       # targets crossed so far
     sqdt = delta0 = tab.sqdt               # sqrt(dt), also the origin bandwidth
     ws = _ChunkWorkspace(m)
     iters = 0
-    while live.size:
-        n = live.size
-        # ---- phase 1: the Brownian recursion, step by step -----------------
-        z = normals.take(step_cap + 1 - iters)
-        k = len(z)
-        W = ws.view("w", k + 1, n)
-        W[0] = w_cur
-        for i in range(k):
-            s = W[i + 1]
-            np.abs(W[i], out=s)
-            s *= 0.1
-            np.maximum(s, sqdt, out=s)
-            s *= z[i]
-            s += W[i]
-        # ---- phase 2: everything else, over the (k, n) chunk ---------------
-        wa, w1 = W[:-1], W[1:]
-        # the step durations, whose square roots phase 1 took; a step is
-        # never large relative to the distance to 0
-        step = np.abs(wa, out=ws.view("step", k, n))
-        step *= 0.1
-        np.square(step, out=step)
-        np.maximum(step, dt, out=step)
-        lo = np.minimum(wa, w1, out=ws.view("lo", k, n))
-        hi = np.maximum(wa, w1, out=ws.view("hi", k, n))
-        span = np.subtract(hi, lo, out=ws.view("span", k, n))
-        dw = np.subtract(w1, wa, out=ws.view("dw", k, n))
-        tiny = np.less_equal(span, 1e-9, out=ws.view("tiny", k, n, dtype=np.bool_))
-        any_tiny = tiny.any()
-        # origin local time: linear-bridge overlap with (-delta0, delta0);
-        # row 0 of each increment array carries the state, so a cumulative
-        # sum continues it
-        DL = ws.view("dl", k + 1, n)
-        DL[0] = l0
-        dl = DL[1:]
-        np.minimum(hi, delta0, out=dl)
-        dl -= np.maximum(lo, -delta0, out=ws.view("tmp2", k, n))
-        np.clip(dl, 0.0, None, out=dl)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dl /= span
-        if any_tiny:
-            dl[tiny] = np.abs(wa[tiny]) < delta0
-        dl *= step
-        dl /= 2.0 * delta0
-        L = np.cumsum(DL, axis=0, out=ws.view("l0", k + 1, n))
-
-        def running(F, carry, point, name, cols=slice(None)):
-            # a time integral with weight antiderivative F (evaluated at
-            # every row of W[:, cols]) and point weight ``point``, from the
-            # carry; a column not in ``cols`` adds 0 in every step
-            D, C = ws.view("d" + name, k + 1, n), ws.view(name, k + 1, n)
-            D[0] = carry
-            every = isinstance(cols, slice)
-            d = np.subtract(F[1:], F[:-1], out=D[1:] if every else None)
+    with _Normals(seed, TAG_EXCURSION, range(path_lo, path_lo + m)) as normals:
+        while live.size:
+            n = live.size
+            # ---- phase 1: the Brownian recursion, step by step -------------
+            z = normals.take(step_cap + 1 - iters)
+            k = len(z)
+            W = ws.view("w", k + 1, n)
+            W[0] = w_cur
+            for i in range(k):
+                s = W[i + 1]
+                np.abs(W[i], out=s)
+                s *= 0.1
+                np.maximum(s, sqdt, out=s)
+                s *= z[i]
+                s += W[i]
+            # ---- phase 2: everything else, over the (k, n) chunk -----------
+            wa, w1 = W[:-1], W[1:]
+            # the step durations, whose square roots phase 1 took; a step is
+            # never large relative to the distance to 0
+            step = np.abs(wa, out=ws.view("step", k, n))
+            step *= 0.1
+            np.square(step, out=step)
+            np.maximum(step, dt, out=step)
+            lo = np.minimum(wa, w1, out=ws.view("lo", k, n))
+            hi = np.maximum(wa, w1, out=ws.view("hi", k, n))
+            span = np.subtract(hi, lo, out=ws.view("span", k, n))
+            dw = np.subtract(w1, wa, out=ws.view("dw", k, n))
+            tiny = np.less_equal(span, 1e-9, out=ws.view("tiny", k, n, dtype=np.bool_))
+            any_tiny = tiny.any()
+            # origin local time: linear-bridge overlap with (-delta0, delta0);
+            # row 0 of each increment array carries the state
+            DL = ws.view("dl", k + 1, n)
+            DL[0] = l0
+            dl = DL[1:]
+            np.minimum(hi, delta0, out=dl)
+            dl -= np.maximum(lo, -delta0, out=ws.view("tmp2", k, n))
+            np.clip(dl, 0.0, None, out=dl)
             with np.errstate(divide="ignore", invalid="ignore"):
-                d /= dw[:, cols]
+                dl /= span
             if any_tiny:
-                t = tiny[:, cols]
-                d[t] = point(wa[:, cols][t])
-            d *= step[:, cols]
-            if every:
-                return D, np.cumsum(D, axis=0, out=C)
-            D[1:] = 0.0
-            D[1:, cols] = d
-            C[...] = carry
-            C[:, cols] = np.cumsum(D[:, cols], axis=0)
-            return D, C
-        # the far field (all of K when alpha < 1).  At alpha >= 1 its weight
-        # lives on |x| > 1, so a step within [-1, 1] adds exactly 0 (as
-        # +-0.0, which no sum or read-out tells apart): only the paths that
-        # step beyond it in this chunk are evaluated, about 2.5% of them at
-        # dt = 1e-5
-        cols = slice(None)
-        if tab.near:
-            cols = np.flatnonzero((hi.max(axis=0) > 1.0) | (lo.min(axis=0) < -1.0))
-        Wc = W[:, cols]
-        DK, KF = running(tab.anti(Wc, out=ws.view("anti", *Wc.shape)), kfar,
-                         tab.point_weight, "kfar", cols)
-        # and the near field
-        if tab.near:
-            O = tab.near_anti(W, ws.view("omega", k + 1, n),
-                              ws.view("cell", k + 1, n, dtype=np.int64),
-                              ws.view("tmp2", k + 1, n))
-            _, KN = running(O, knear, tab.near_weight, "knear")
-        # target j is read in the first step whose end l0 exceeds t_j; the
-        # near field and its compensator are taken at the end of that step
-        ti_end, col, tgt, s_ev, val = _first_passages(L, DL, KF, DK, t_arr, ti[live], "left")
-        if tab.near:
-            val = val + KN[s_ev + 1, col] - L[s_ev + 1, col] * tab.compensator
-        out[live[col], tgt] = val
-        keep = ti_end < nt
-        iters += k if keep.any() else int(s_ev.max()) + 1
-        if iters > step_cap:
-            raise HorizonExceeded(
-                f"a path exceeded {step_cap} steps before its local-time target; "
-                f"dt = {dt:g} is too small relative to the requested horizon")
-        ti[live] = ti_end
-        w_cur, l0, kfar = W[k][keep], L[k][keep], KF[k][keep]
-        if tab.near:
-            knear = KN[k][keep]
-        live = live[keep]
-        normals.keep(keep)
+                dl[tiny] = np.abs(wa[tiny]) < delta0
+            dl *= step
+            dl /= 2.0 * delta0
+            l_end = _cumsum_end(DL)
+            # target j is read in the first step whose end l0 exceeds t_j;
+            # only the columns that pass a target in this chunk are summed
+            ti_end = np.searchsorted(t_arr, l_end, side="left")
+            passing = ti_end > ti[live]
+
+            def running(F, carry, point, name, cols=slice(None)):
+                # the increments of a time integral with weight
+                # antiderivative F (evaluated at every row of W[:, cols])
+                # and point weight ``point``, below the carry
+                D = ws.view(name, *F.shape)
+                D[0] = carry
+                d = np.subtract(F[1:], F[:-1], out=D[1:])
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    d /= dw[:, cols]
+                if any_tiny:
+                    t = tiny[:, cols]
+                    d[t] = point(wa[:, cols][t])
+                d *= step[:, cols]
+                return D
+            # the far field (all of K when alpha < 1).  At alpha >= 1 its
+            # weight lives on |x| > 1, so a step within [-1, 1] adds exactly
+            # 0 (as +-0.0, which no sum or read-out tells apart): only the
+            # paths that step beyond it in this chunk, about 2.5% of them at
+            # dt = 1e-5, or pass a target are evaluated, and the others keep
+            # the carry
+            pc = np.flatnonzero(passing)
+            cols, at = slice(None), pc      # at: where pc lies among cols
+            if tab.near:
+                cols = np.flatnonzero(passing | (hi.max(axis=0) > 1.0) | (lo.min(axis=0) < -1.0))
+                at = np.searchsorted(cols, pc)
+            Wc = W[:, cols]
+            DK = running(tab.anti(Wc, out=ws.view("anti", *Wc.shape)), kfar[cols],
+                         tab.point_weight, "dkfar", cols)
+            kfar[cols] = _cumsum_end(DK)
+            DKp, DLp = DK[:, at], DL[:, pc]
+            Lp = np.cumsum(DLp, axis=0)
+            _, col, tgt, s_ev, val = _first_passages(Lp, DLp, np.cumsum(DKp, axis=0), DKp,
+                                                     t_arr, ti[live[pc]], "left")
+            # and the near field, with its compensator, at the end of that step
+            if tab.near:
+                O = tab.near_anti(W, ws.view("omega", k + 1, n),
+                                  ws.view("cell", k + 1, n, dtype=np.int64),
+                                  ws.view("tmp2", k + 1, n))
+                DN = running(O, knear, tab.near_weight, "dknear")
+                knear = _cumsum_end(DN)
+                KNp = np.cumsum(DN[:, pc], axis=0)
+                val = val + KNp[s_ev + 1, col] - Lp[s_ev + 1, col] * tab.compensator
+            out[live[pc[col]], tgt] = val
+            keep = ti_end < nt
+            iters += k if keep.any() else int(s_ev.max()) + 1
+            if iters > step_cap:
+                raise HorizonExceeded(
+                    f"a path exceeded {step_cap} steps before its local-time target; "
+                    f"dt = {dt:g} is too small relative to the requested horizon")
+            ti[live] = ti_end
+            w_cur, l0, kfar = W[k][keep], l_end[keep], kfar[keep]
+            if tab.near:
+                knear = knear[keep]
+            live = live[keep]
+            normals.keep(keep)
     return out
 
 

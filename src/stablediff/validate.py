@@ -46,16 +46,26 @@ class EmpiricalCF:
     n: int
 
 
+def _ecf_rows(x: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ECF values on the grid and the rows they average: row i of the
+    ``(2 m, n)`` result holds cos(xi_i x), row m + i sin(xi_i x), m the
+    grid size."""
+    m = xi.size
+    trig = np.empty((2 * m, x.size))
+    phase = np.outer(xi, x, out=trig[:m])
+    np.sin(phase, out=trig[m:])
+    np.cos(phase, out=phase)        # phase is not needed again
+    return trig[:m].mean(axis=1) + 1j * trig[m:].mean(axis=1), trig
+
+
 def empirical_cf(samples, xi_grid) -> EmpiricalCF:
     """(1/n) sum exp(i xi x_j) on the grid, with standard errors."""
     x = np.asarray(samples, dtype=np.float64).ravel()
     xi = np.asarray(xi_grid, dtype=np.float64)
     if x.size < 100:
         raise InvalidRequest(f"empirical CF needs at least 100 samples, got {x.size}")
-    phase = np.outer(xi, x)
-    im = np.sin(phase)
-    re = np.cos(phase, out=phase)   # phase is not needed again
-    values = re.mean(axis=1) + 1j * im.mean(axis=1)
+    values, trig = _ecf_rows(x, xi)
+    re, im = trig[:xi.size], trig[xi.size:]
     se_re = re.std(axis=1, ddof=1) / math.sqrt(x.size)
     se_im = im.std(axis=1, ddof=1) / math.sqrt(x.size)
     return EmpiricalCF(xi=xi, values=values, se=np.hypot(se_re, se_im),
@@ -82,9 +92,9 @@ def estimate_alpha(samples, seed: int = 0, n_boot: int = 200) -> AlphaEstimate:
 
     ``alpha_hat`` is the ``np.polyfit`` slope of the full sample.  A
     resample's ECF on the window is the multiplicity-weighted sum over the
-    sample, one mat-vec of the window's cos and sin rows (computed once,
-    stacked) with the resample's counts; the bootstrap slopes are then fitted
-    together in closed form, as the least-squares slope
+    sample, one mat-vec of the window's cos and sin rows (those the grid's
+    ECF averaged, stacked) with the resample's counts; the bootstrap slopes
+    are then fitted together in closed form, as the least-squares slope
     ``sum(c * y) / sum(c * c)`` with c the centered log xi.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
@@ -96,8 +106,8 @@ def estimate_alpha(samples, seed: int = 0, n_boot: int = 200) -> AlphaEstimate:
     # dense internal grid: the [0.2, 0.9] band must catch >= 8 points even for
     # the fast Gaussian decay, hence 61 points over three orders of magnitude
     xi = np.geomspace(0.02, 50.0, 61) / scale
-    ecf = empirical_cf(x, xi)
-    mod = np.abs(ecf.values)
+    values, trig = _ecf_rows(x, xi)
+    mod = np.abs(values)
     window = (mod >= _ECF_BAND[0]) & (mod <= _ECF_BAND[1])
     n_win = int(window.sum())
     if n_win < _MIN_WINDOW:
@@ -110,11 +120,13 @@ def estimate_alpha(samples, seed: int = 0, n_boot: int = 200) -> AlphaEstimate:
         return np.log(-np.log(np.clip(mags, 1e-12, 1.0 - 1e-12)))
 
     alpha_hat = float(np.polyfit(lxi, loglog(mod[window]), 1)[0])
-    # rows 0..n_win-1 of trig hold cos, the rest sin, of the window's phases
-    trig = np.empty((2 * n_win, x.size))
-    phase = np.outer(xi[window], x, out=trig[n_win:])
-    np.cos(phase, out=trig[:n_win])
-    np.sin(phase, out=phase)
+    # the window's cos rows, then its sin rows, move to the front of trig in
+    # place: the source rows r_i increase and r_i >= i, so no move
+    # overwrites a row a later move reads
+    rows = np.flatnonzero(window)
+    for i, r in enumerate(np.concatenate([rows, rows + xi.size]).tolist()):
+        trig[i] = trig[r]
+    trig = trig[:2 * n_win]
     gen = stream(seed, TAG_BOOTSTRAP, 0)
     sums = np.empty((n_boot, 2 * n_win))
     for k in range(n_boot):

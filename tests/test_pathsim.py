@@ -746,7 +746,9 @@ def test_timechange_invariant_to_chunk_and_width(kinetic_critical, monkeypatch, 
 def test_timechange_grows_chunks_as_paths_finish(kinetic_critical, monkeypatch, chunk_log):
     # one 64-path block: once fewer than 8 paths are live, a chunk takes
     # _CHUNK * 64 // live steps (at most the slab) in the same buffers; the
-    # output equals the 3-step-chunk run's bit for bit
+    # output equals the 3-step-chunk run's bit for bit.  That run ends in a
+    # chunk of one live path, whose running sums _cumsum_end reads by its
+    # single-column fallback
     cfg = SimConfig(**{**TIMECHANGE_PIN_CFG.__dict__, "n_paths": 64})
     chunk = _workspace._CHUNK
     got = rescaled_functional(kinetic_critical, f_id, None, cfg, threads=1).values
@@ -754,7 +756,9 @@ def test_timechange_grows_chunks_as_paths_finish(kinetic_critical, monkeypatch, 
     assert max(k for k, _ in chunk_log) > chunk
     assert all(k <= chunk * 64 // n for k, n in chunk_log)
     monkeypatch.setattr(_workspace, "_CHUNK", 3)
+    del chunk_log[:]
     ref = rescaled_functional(kinetic_critical, f_id, None, cfg, threads=1).values
+    assert any(n == 1 and k > 8 for k, n in chunk_log)
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 

@@ -459,7 +459,9 @@ def test_excursions_invariant_to_chunk_and_width(monkeypatch, chunk, alpha, widt
 def test_excursions_grow_chunks_as_paths_finish(monkeypatch, chunk_log):
     # the alpha = 1 pin as one 64-path block: once fewer than 8 paths are
     # live, a chunk takes _CHUNK * 64 // live steps (at most the slab) in
-    # the same buffers; the output equals the 3-step-chunk run's bit for bit
+    # the same buffers; the output equals the 3-step-chunk run's bit for
+    # bit.  That run ends in a chunk of one live path, whose running sums
+    # _cumsum_end reads by its single-column fallback
     chunk = _workspace._CHUNK
     spec = StableSpec(1.0, 1.0, 0.5)
     got = stable_via_excursions(spec, EXCURSION_PIN_TIMES, 1e-3, 64, seed=0, threads=1)
@@ -467,7 +469,9 @@ def test_excursions_grow_chunks_as_paths_finish(monkeypatch, chunk_log):
     assert max(k for k, _ in chunk_log) > chunk
     assert all(k <= chunk * 64 // n for k, n in chunk_log)
     monkeypatch.setattr(_workspace, "_CHUNK", 3)
+    del chunk_log[:]
     ref = stable_via_excursions(spec, EXCURSION_PIN_TIMES, 1e-3, 64, seed=0, threads=1)
+    assert any(n == 1 and k > 8 for k, n in chunk_log)
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
     assert hashlib.sha256(got.tobytes()).hexdigest() == EXCURSION_PINS[1.0]
 

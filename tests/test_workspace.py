@@ -1,6 +1,6 @@
 """Chunked-walk helpers: the block scheduler, split invariance of
-``_Normals`` and the ``_first_passages`` read-out against a step-by-step
-reference."""
+``_Normals``, the pooled generators, the ``_cumsum_end`` reduction and the
+``_first_passages`` read-out against a step-by-step reference."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablediff import _workspace
+from stablediff import _rng, _workspace
 from stablediff._rng import TAG_TIMECHANGE, stream
 from stablediff.errors import PathExploded
 
@@ -65,6 +65,92 @@ def test_normals_split_invariant(chunk, slab, tile, capped, plan):
         # the paths still live took all ``total`` steps and drew no more
         for p, gen in zip(live, normals._gens):
             assert gen.standard_normal() == ref[p][total]
+
+
+TAGS = [_rng.TAG_DIRECT, _rng.TAG_TIMECHANGE, _rng.TAG_EXCURSION, _rng.TAG_CMS,
+        _rng.TAG_GRID, _rng.TAG_BOOTSTRAP]
+
+
+def draws(gen):
+    """A mix of draws that leaves a generator mid-buffer, with a half-used
+    32-bit word: 5 + 3 + 7 64-bit words from Philox's 4-word blocks, then
+    three 32-bit draws."""
+    return [gen.standard_normal(5), gen.integers(0, 1 << 62, size=3), gen.random(7),
+            gen.integers(0, 1000, size=3, dtype=np.uint32), gen.standard_normal(1001)]
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_pooled_streams_equal_fresh(tag):
+    # one generator, given back by a block that left it mid-buffer, is
+    # re-keyed to every edge key in turn, each time after the draws above
+    with mock.patch.object(_workspace._pool, "free", []):
+        with _workspace._Normals(1, TAG_TIMECHANGE, [3]) as normals:
+            normals.take(1)                # draws one slab of normals
+            gen = normals._gens[0]
+            gen.integers(0, 10, dtype=np.uint32)
+        assert _workspace._pool.free == [gen]
+        for seed in (0, 1, (1 << 64) - 1):
+            for index in (0, 1, (1 << 48) - 1):
+                got = _workspace.stream(seed, tag, index)
+                assert got is gen and not _workspace._pool.free
+                for a, b in zip(draws(got), draws(stream(seed, tag, index))):
+                    assert np.array_equal(a, b)
+                _workspace._pool.free.append(got)
+
+
+def test_live_normals_share_no_generator():
+    # the pool holds three generators; two live blocks take five between
+    # them, each its own, and give all five back
+    with mock.patch.object(_workspace._pool, "free", []):
+        with _workspace._Normals(0, TAG_TIMECHANGE, range(3)):
+            pass
+        with _workspace._Normals(7, _rng.TAG_DIRECT, [0, 9, 4]) as a, \
+                _workspace._Normals(7, _rng.TAG_EXCURSION, [9, 2]) as b:
+            assert not _workspace._pool.free
+            assert len({id(g) for g in a._gens + b._gens}) == 5
+            za, zb = a.take(4).copy(), b.take(4)
+            for z, tag, paths in ((za, _rng.TAG_DIRECT, [0, 9, 4]),
+                                  (zb, _rng.TAG_EXCURSION, [9, 2])):
+                for j, p in enumerate(paths):
+                    assert np.array_equal(z[:, j], stream(7, tag, p).standard_normal(4))
+        assert len({id(g) for g in _workspace._pool.free}) == 5
+
+
+SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, np.inf, -np.inf])
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 600), n=st.integers(1, 300),
+       layout=st.sampled_from(["C", "F", "cols", "column"]),
+       seed=st.integers(0, 2**32 - 1), special=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+       zero_cols=st.booleans(), j=st.floats(0.0, 1.0))
+def test_cumsum_end_matches_cumsum(k, n, layout, seed, special, zero_cols, j):
+    # bitwise against cumsum's last row and its row j, on every layout the
+    # walks hand in: whole arrays in C or F order, a gather of columns and
+    # a single column (contiguous or strided), with signed zeros,
+    # subnormals and infinities among normals of widely spread sizes
+    rng = np.random.default_rng(seed)
+    m = n + 5 if layout in ("cols", "column") else n
+    base = rng.standard_normal((k, m)) * 10.0 ** rng.integers(-30, 30, (k, m))
+    pick = rng.random((k, m)) < special
+    base[pick] = rng.choice(SPECIALS, int(pick.sum()))
+    if zero_cols:
+        base[:, rng.random(m) < 0.3] = -0.0
+    if layout == "F":
+        D = np.asfortranarray(base)
+    elif layout == "cols":
+        D = base[:, np.sort(rng.choice(m, n, replace=False))]
+    elif layout == "column":            # n's parity picks a view or a gather
+        c = int(rng.integers(m))
+        D = base[:, c:c + 1] if n % 2 else base[:, [c]]
+    else:
+        D = base
+    row = int(j * (k - 1))
+    with np.errstate(invalid="ignore", over="ignore"):     # inf - inf, overflow
+        ref = np.cumsum(D, axis=0)
+        end, head = _workspace._cumsum_end(D), _workspace._cumsum_end(D[:row + 1])
+    assert np.array_equal(end.view(np.int64), ref[-1].view(np.int64))
+    assert np.array_equal(head.view(np.int64), ref[row].view(np.int64))
 
 
 def stepwise_passages(clock, dclock, value, dvalue, targets, crossed, side):
