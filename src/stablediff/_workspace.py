@@ -307,7 +307,12 @@ class _Normals:
         return z
 
     def keep(self, mask: np.ndarray) -> None:
-        """Drop the live paths where ``mask`` is False; the rest keep their order."""
+        """Drop the live paths where ``mask`` is False; the rest keep their order.
+
+        A mask that keeps every path changes nothing: the rows stay as they
+        are, so ``take`` keeps reading them through a slice."""
+        if mask.all():
+            return
         self._rows = np.flatnonzero(mask) if self._rows is None else self._rows[mask]
         self._gens = [gen for gen, kept in zip(self._gens, mask.tolist()) if kept]
 

@@ -31,6 +31,7 @@ divergence is detected from the octave trend.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -798,7 +799,9 @@ class PoissonSolution:
     ``g`` and ``g_prime`` are cubic Hermite read-outs through the even ones
     of the ``_POISSON_GRID`` nodes per side: g with g' as its slopes, g' with
     g'' = -(2 f + 2 b g') / sigma^2 taken from the equation at the nodes.
-    Beyond a side's cutoff both return that side's end value.
+    Beyond a side's cutoff both return that side's end value.  Each
+    read-out builds its two splines (and g, or g'') on its first call, so a
+    drift that fails on the grid raises there, not in ``poisson_solution``.
     ``gamma_sq_err`` is the Richardson estimate |S_h - S_2h| / 15 of the
     Simpson body of gamma^2 (reported, not a bound; the octave tail beyond
     the cutoff is not in it).
@@ -824,6 +827,11 @@ def poisson_solution(model: DiffusionModel, f: Callable) -> PoissonSolution:
     raised.  gamma^2 integrates (g' sigma)^2 m literally.  Between the even
     nodes g and g' are cubic Hermite interpolants whose slopes are g' and
     g'' = -(2 f + 2 b g') / sigma^2, the latter exact from the equation.
+
+    Only what gamma^2 needs is computed here: T, g' at the nodes and the
+    two variance sums, so every NotCentered and PoissonUnavailable is
+    raised by this call.  g by cumulative Simpson, g'' and the splines are
+    built when ``g`` or ``g_prime`` is first called.
     """
     core = model.core()
     kappa = compute_kappa(model)
@@ -898,8 +906,6 @@ def poisson_solution(model: DiffusionModel, f: Callable) -> PoissonSolution:
 
     gp_pos = 2.0 * np.exp(Ep) * Tp
     gp_neg = 2.0 * np.exp(En) * Tn
-    g_pos = cumulative_simpson(gp_pos, dx=dxp, initial=0.0)
-    g_neg = -cumulative_simpson(gp_neg, dx=dxn, initial=0.0)  # int_0^{-u}
 
     def _var_piece(xs, dx, gp, sig, m):
         """(body + tail, |S_h - S_2h| / 15) of int (g' sigma)^2 m on one side."""
@@ -916,16 +922,23 @@ def poisson_solution(model: DiffusionModel, f: Callable) -> PoissonSolution:
     gamma_sq = kappa * (var_p + var_n)
     gamma_sq_err = kappa * (err_p + err_n)
 
-    def read_out(xs, values, slopes):
+    def read_out(xs, nodes):
         """Hermite spline in the distance u through the even nodes, held at
         its end values beyond the grid (np.clip keeps a nan a nan).
+        ``nodes()`` gives the (values, slopes) at all nodes; it and the
+        spline run on the read-out's first call only.
 
         The even nodes are composite-Simpson sums; cumulative_simpson's
         odd nodes add its one-interval rule, whose error alternates in sign
         from node to node (2.6e-8 relative in g' on kinetic(7) near 0, 6x
         the error of the even-node spline)."""
-        spline, cut = CubicHermiteSpline(xs[::2], values[::2], slopes[::2]), xs[-1]
-        return lambda u: spline(np.clip(u, 0.0, cut))
+        @functools.cache
+        def spline():
+            values, slopes = nodes()
+            return CubicHermiteSpline(xs[::2], values[::2], slopes[::2])
+
+        cut = xs[-1]
+        return lambda u: spline()(np.clip(u, 0.0, cut))
 
     def gpp(x, f_nodes, gp, sig):
         """g'' = -(2 f + 2 b g') / sigma^2 at the nodes x."""
@@ -933,9 +946,11 @@ def poisson_solution(model: DiffusionModel, f: Callable) -> PoissonSolution:
 
     # On the negative side the distance u = -x reverses every slope:
     # d/du g(-u) = -g'(-u) and d/du g'(-u) = -g''(-u).
-    g_p, g_n = read_out(xp, g_pos, gp_pos), read_out(xn, g_neg, -gp_neg)
-    gp_p = read_out(xp, gp_pos, gpp(xp, fp, gp_pos, sigp))
-    gp_n = read_out(xn, gp_neg, -gpp(-xn, fn, gp_neg, sig_n))
+    g_p = read_out(xp, lambda: (cumulative_simpson(gp_pos, dx=dxp, initial=0.0), gp_pos))
+    g_n = read_out(xn, lambda: (-cumulative_simpson(gp_neg, dx=dxn, initial=0.0),  # int_0^{-u}
+                                -gp_neg))
+    gp_p = read_out(xp, lambda: (gp_pos, gpp(xp, fp, gp_pos, sigp)))
+    gp_n = read_out(xn, lambda: (gp_neg, -gpp(-xn, fn, gp_neg, sig_n)))
 
     def g(x):
         return _two_sided(x, g_p, g_n)

@@ -28,6 +28,8 @@ from .errors import InvalidRequest, WindowNotFound
 KS_COEFF_01 = 1.6277
 _ECF_BAND = (0.2, 0.9)  # |ECF| window used for index regression
 _MIN_WINDOW = 8
+_ECF_BLOCK = 8          # grid points per _ecf_rows call in estimate_alpha
+_BOOT_DRAWS = 2**17     # resample indices drawn per bootstrap batch (1 MB)
 
 
 @dataclass(frozen=True)
@@ -90,12 +92,15 @@ def estimate_alpha(samples, seed: int = 0, n_boot: int = 200) -> AlphaEstimate:
     selected once on the full sample and held fixed across the bootstrap
     resamples, so the CI reflects slope noise at the chosen window.
 
-    ``alpha_hat`` is the ``np.polyfit`` slope of the full sample.  A
-    resample's ECF on the window is the multiplicity-weighted sum over the
-    sample, one mat-vec of the window's cos and sin rows (those the grid's
-    ECF averaged, stacked) with the resample's counts; the bootstrap slopes
-    are then fitted together in closed form, as the least-squares slope
-    ``sum(c * y) / sum(c * c)`` with c the centered log xi.
+    ``alpha_hat`` is the ``np.polyfit`` slope of the full sample.  The grid's
+    ECF is computed a few points at a time, and only the window points' cos
+    and sin rows are kept.  A resample's ECF on the window is the
+    multiplicity-weighted sum of those rows over the sample.  The resamples
+    are drawn and counted in batches of up to ``_BOOT_DRAWS // n``, and a
+    batch's counts meet the kept rows in one matrix product per ECF block;
+    the bootstrap slopes are then fitted together in closed form, as the
+    least-squares slope ``sum(c * y) / sum(c * c)`` with c the centered
+    log xi.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < 500:
@@ -106,9 +111,22 @@ def estimate_alpha(samples, seed: int = 0, n_boot: int = 200) -> AlphaEstimate:
     # dense internal grid: the [0.2, 0.9] band must catch >= 8 points even for
     # the fast Gaussian decay, hence 61 points over three orders of magnitude
     xi = np.geomspace(0.02, 50.0, 61) / scale
-    values, trig = _ecf_rows(x, xi)
-    mod = np.abs(values)
-    window = (mod >= _ECF_BAND[0]) & (mod <= _ECF_BAND[1])
+    # the ECF a few grid points at a time; a point is in the window by its
+    # own |ECF| alone, so each block keeps the rows of its window points only.
+    # The kept blocks stay apart: stacking them would copy every kept row
+    # once more, and at small alpha the window covers most of the grid
+    mod = np.empty(xi.size)
+    window = np.empty(xi.size, dtype=bool)
+    kept = []
+    for j in range(0, xi.size, _ECF_BLOCK):
+        block = slice(j, j + _ECF_BLOCK)
+        values, trig = _ecf_rows(x, xi[block])
+        mod[block] = np.abs(values)
+        window[block] = (mod[block] >= _ECF_BAND[0]) & (mod[block] <= _ECF_BAND[1])
+        pts = np.flatnonzero(window[block])
+        if pts.size:
+            # each window point's cos row, then its sin row
+            kept.append(trig[np.column_stack([pts, pts + values.size]).ravel()])
     n_win = int(window.sum())
     if n_win < _MIN_WINDOW:
         raise WindowNotFound(
@@ -120,20 +138,21 @@ def estimate_alpha(samples, seed: int = 0, n_boot: int = 200) -> AlphaEstimate:
         return np.log(-np.log(np.clip(mags, 1e-12, 1.0 - 1e-12)))
 
     alpha_hat = float(np.polyfit(lxi, loglog(mod[window]), 1)[0])
-    # the window's cos rows, then its sin rows, move to the front of trig in
-    # place: the source rows r_i increase and r_i >= i, so no move
-    # overwrites a row a later move reads
-    rows = np.flatnonzero(window)
-    for i, r in enumerate(np.concatenate([rows, rows + xi.size]).tolist()):
-        trig[i] = trig[r]
-    trig = trig[:2 * n_win]
+    n = x.size
     gen = stream(seed, TAG_BOOTSTRAP, 0)
     sums = np.empty((n_boot, 2 * n_win))
-    for k in range(n_boot):
-        counts = np.bincount(gen.integers(0, x.size, size=x.size), minlength=x.size)
-        np.matmul(trig, counts, out=sums[k])
+    batch = max(1, min(n_boot, _BOOT_DRAWS // n))
+    offsets = np.arange(batch)[:, None] * n
+    for k in range(0, n_boot, batch):
+        b = min(batch, n_boot - k)
+        # one draw of b resamples equals b draws of one; offsetting row r's
+        # indices by r n lets one bincount count every resample
+        idx = gen.integers(0, n, size=(b, n))
+        idx += offsets[:b]
+        counts = np.bincount(idx.ravel(), minlength=b * n).reshape(b, n).astype(np.float64)
+        np.concatenate([counts @ rows.T for rows in kept], axis=1, out=sums[k:k + b])
     centered = lxi - lxi.mean()
-    boot = loglog(np.hypot(sums[:, :n_win], sums[:, n_win:]) / x.size) @ centered
+    boot = loglog(np.hypot(sums[:, 0::2], sums[:, 1::2]) / n) @ centered
     boot /= centered @ centered
     lo, hi = np.quantile(boot, [0.025, 0.975])
     return AlphaEstimate(alpha_hat=alpha_hat, ci=(float(lo), float(hi)),

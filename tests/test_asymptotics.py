@@ -1,5 +1,6 @@
 """Regime classification, limit-law constants, and the Poisson cross-check."""
 
+import hashlib
 import json
 import math
 
@@ -298,6 +299,55 @@ def test_poisson_read_out_beyond_cutoff(fixture, request):
     assert np.isnan(sol.g(np.nan)) and np.isnan(sol.g_prime(np.nan))
     np.testing.assert_array_equal(np.isnan(sol.g_prime(np.array([np.nan, 1.0]))),
                                   [True, False])
+
+
+def test_poisson_read_outs_built_on_first_call(kinetic7, monkeypatch):
+    # poisson_solution builds no spline; each read-out builds one per side
+    # on its first call and reuses them after
+    built = []
+    spline = asymptotics.CubicHermiteSpline
+
+    def counted(*args):
+        built.append(args[0].size)
+        return spline(*args)
+
+    monkeypatch.setattr(asymptotics, "CubicHermiteSpline", counted)
+    sol = poisson_solution(kinetic7, f_id)
+    assert built == []
+    sol.g(1.0)
+    assert len(built) == 2
+    sol.g(np.array([-2.0, 0.5]))
+    assert len(built) == 2
+    sol.g_prime(np.array([3.0]))
+    assert len(built) == 4
+    sol.g_prime(-1.0)
+    sol.g(0.0)
+    assert built == [asymptotics._POISSON_GRID // 2 + 1] * 4
+
+
+# sha256 of g and g' on POISSON_PIN_X, and gamma^2 and its error as hex,
+# taken while every read-out was still built inside poisson_solution
+POISSON_PIN_X = np.concatenate([np.linspace(-40.0, 40.0, 2001),
+                                np.linspace(-700.0, 700.0, 201),
+                                [0.0, -0.0, np.nan, 1e9, -1e9, np.inf, -np.inf]])
+POISSON_PINS = {
+    "kinetic7": ("0x1.3333332f481cfp-2", "0x1.905400000865ep-42",
+                 "98f632bb464e2933a95fd0fb1bdab32d72f0e2481f27df05f1714a94ac93ac43",
+                 "b6ac86224407ff4c3d70e12bd27b0b170f33e276cef0437532e104f149a30d1d"),
+    "heavy1": ("0x1.ffffffffffffap-1", "0x1.341f6bc02c7ebp-56",
+               "2939f17c9bd0a384b30f15778357cb70f1e903ac77e20433361d6f29b42cf9b4",
+               "b6c516782711e5c232b0029a8c8162e9b0f968ee4799b1bef0f81f03840e2ea8"),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(POISSON_PINS))
+def test_poisson_pins(fixture, request):
+    # both cutoffs (600 and 26) lie inside the grid's span
+    sol = poisson_solution(request.getfixturevalue(fixture), f_id)
+    got = (sol.gamma_sq.hex(), sol.gamma_sq_err.hex(),
+           hashlib.sha256(sol.g(POISSON_PIN_X).tobytes()).hexdigest(),
+           hashlib.sha256(sol.g_prime(POISSON_PIN_X).tobytes()).hexdigest())
+    assert got == POISSON_PINS[fixture]
 
 
 @pytest.mark.parametrize("fixture,span,rtol,atol", [("kinetic7", 20.0, 1e-8, 0.0),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from stablediff._rng import TAG_BOOTSTRAP, TAG_CMS, stream
 from stablediff.errors import InvalidRequest, WindowNotFound
 from stablediff.stable import StableSpec, sample_limit_law, sample_stable_cf
 from stablediff.validate import (
+    _ecf_rows,
     cf_distance,
     default_xi_grid,
     empirical_cf,
@@ -102,16 +104,54 @@ def loop_estimate_alpha(x, seed, n_boot=200):
     return slope_of(mod[window]), (lo, hi), np.std(boot, ddof=1)
 
 
-@pytest.mark.parametrize("n", [512, 20_000])
-def test_alpha_hat_bootstrap_matches_loop(n):
-    # the stacked mat-vecs and the closed-form slopes move the CI and se by
-    # rounding only; alpha_hat keeps its bits
+@pytest.mark.parametrize("n,n_boot", [
+    pytest.param(512, 200, id="512"),
+    pytest.param(20_000, 200, id="20000"),
+    # batches of 128 resamples, the last one short
+    pytest.param(1023, 200, id="1023"),
+    # more than 2^17 samples: batches of one resample
+    pytest.param(140_001, 7, id="140001-b1"),
+])
+def test_alpha_hat_bootstrap_matches_loop(n, n_boot):
+    # the batched matrix products and the closed-form slopes move the CI and
+    # se by rounding only; alpha_hat keeps its bits
     x = sample_stable_cf(StableSpec(1.5, 1.0, 0.5), 1.0, n, seed=3)
-    est = estimate_alpha(x, seed=5)
-    alpha_hat, ci, se = loop_estimate_alpha(x, 5)
+    est = estimate_alpha(x, seed=5, n_boot=n_boot)
+    alpha_hat, ci, se = loop_estimate_alpha(x, 5, n_boot)
     assert est.alpha_hat == alpha_hat
     np.testing.assert_allclose(est.ci, ci, rtol=0, atol=1e-12)
     assert est.se == pytest.approx(se, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("n", [500, 1023, 20_001])
+def test_alpha_hat_matches_full_grid(n, alpha):
+    # the ECF taken a block of grid points at a time finds the window and
+    # alpha_hat of the whole 61-point grid, bit for bit (at alpha = 0.5 the
+    # window spans most blocks)
+    x = sample_stable_cf(StableSpec(alpha, 1.0, 0.5), 1.0, n, seed=4)
+    xi = np.geomspace(0.02, 50.0, 61) / float(np.median(np.abs(x)))
+    mod = np.abs(_ecf_rows(x, xi)[0])
+    window = (mod >= 0.2) & (mod <= 0.9)
+    y = np.log(-np.log(np.clip(mod[window], 1e-12, 1.0 - 1e-12)))
+    est = estimate_alpha(x, seed=1)
+    assert est.alpha_hat == float(np.polyfit(np.log(xi[window]), y, 1)[0])
+    assert est.n_window == window.sum()
+    assert est.xi_window == (xi[window][0], xi[window][-1])
+
+
+def test_alpha_hat_keeps_only_window_rows():
+    # the bootstrap's peak memory stays below one (122, n) array of all
+    # the grid's cos and sin rows
+    n = 20_000
+    x = sample_stable_cf(StableSpec(4.0 / 3.0, 1.0, -1.0), 1.0, n, seed=2)
+    tracemalloc.start()
+    try:
+        estimate_alpha(x, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 122 * n * 8
 
 
 def test_alpha_hat_no_window():

@@ -67,6 +67,14 @@ def test_normals_split_invariant(chunk, slab, tile, capped, plan):
             assert gen.standard_normal() == ref[p][total]
 
 
+def test_normals_keep_every_path_is_a_no_op():
+    # the rows stay on the slice path and the generator list is not rebuilt
+    normals = _workspace._Normals(9, TAG_TIMECHANGE, PATHS)
+    gens = normals._gens
+    normals.keep(np.ones(len(PATHS), dtype=bool))
+    assert normals._rows is None and normals._gens is gens
+
+
 TAGS = [_rng.TAG_DIRECT, _rng.TAG_TIMECHANGE, _rng.TAG_EXCURSION, _rng.TAG_CMS,
         _rng.TAG_GRID, _rng.TAG_BOOTSTRAP]
 
