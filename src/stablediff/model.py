@@ -32,11 +32,16 @@ observable f, a slowly varying ell -- maps a float64 array to a float64
 array of the same shape.  Each is probed once where it enters the package,
 and one that raises on an array or returns another shape raises
 :class:`ConfigError` naming the argument.  A constant is written
-``np.full_like(x, c)``, not ``lambda x: c``.
+``np.full_like(x, c)``, not ``lambda x: c``.  The diffusion alone may also
+be given as the number c itself: the model then holds the equivalent
+callable, and the Euler engine, knowing the noise is additive, scales each
+chunk of normals once instead of evaluating sigma on every step.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -92,9 +97,11 @@ def _array_fn(fn: Callable, name: str, probe=(0.0, 0.5, -0.5)) -> Callable:
             f"{name} must accept a float64 array; on one of shape {x.shape} it raised "
             f"{type(exc).__name__}: {exc}") from exc
     if shape != x.shape:
+        hint = "pass the number c itself as the diffusion, or write it" \
+            if name == "diffusion" else "write a constant c"
         raise ConfigError(
             f"{name} must return an array of its argument's shape {x.shape}, got "
-            f"shape {shape}; write a constant c as np.full_like(x, c)")
+            f"shape {shape}; {hint} as np.full_like(x, c)")
     return fn
 
 
@@ -470,23 +477,43 @@ class DiffusionModel:
     Both follow the array contract of the module docstring: called on a
     float64 array they return an array of its shape (``np.full_like(x, c)``
     for a constant), else :meth:`core` raises :class:`ConfigError`.
+
+    ``diffusion`` may instead be a positive finite number c (additive
+    noise); anything else that is not callable, a bool, or c <= 0, nan or
+    inf raises :class:`ConfigError` at once.  The model keeps c and
+    replaces ``diffusion`` by the callable that returns c in its argument's
+    shape, in float64, so every evaluator sees the usual callable, while
+    the Euler engine reads c and skips the per-step sigma calls.
     Instances are immutable in use: all evaluators are pure once the internal
     cache is built (single-threaded build, safe concurrent reads thereafter).
     """
 
     drift: Callable
-    diffusion: Callable
+    diffusion: Callable | float
     domain_cutoff: float = 50.0
     quadrature_tol: float = 1e-10
     name: str = "custom"
     _core: _QuadCore | None = field(default=None, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+    # the constant diffusion, if it was given as a number
+    _diffusion_const: float | None = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         if self.domain_cutoff <= 0:
             raise OutOfDomain("domain_cutoff must be positive")
         if self.quadrature_tol <= 0:
             raise OutOfDomain("quadrature_tol must be positive")
+        if not callable(self.diffusion):
+            c = self.diffusion
+            if not isinstance(c, numbers.Real) or isinstance(c, bool) \
+                    or not (math.isfinite(c) and c > 0):
+                raise ConfigError(
+                    "diffusion must be a callable or a positive finite number, "
+                    f"got {c!r}")
+            c = float(c)
+            self._diffusion_const = c
+            self.diffusion = lambda x: np.full(np.shape(x), c)
 
     def core(self) -> _QuadCore:
         if self._core is None:

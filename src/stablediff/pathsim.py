@@ -327,7 +327,7 @@ def simulate_path(model: DiffusionModel, T: float, dt: float, seed: int = 0):
     X = np.empty(n + 1)
     X[0] = 0.0
     exploded = np.full(1, -1, dtype=np.int64)
-    for k0, rows in _euler_walk(model.drift, model.diffusion, dt, n, guard, int(seed),
+    for k0, rows in _euler_walk(model.drift, _diffusion(model), dt, n, guard, int(seed),
                                 np.zeros(1, dtype=np.int64), exploded):
         if exploded[0] >= 0:
             k = int(exploded[0])
@@ -374,7 +374,7 @@ def _em_final(model: DiffusionModel, T: float, dt: float, seed: int,
     def run(idx):
         """The block's terminal states and -1, or None and its first explosion step."""
         exploded = np.full(len(idx), -1, dtype=np.int64)
-        for _, rows in _euler_walk(model.drift, model.diffusion, dt, n, guard, int(seed),
+        for _, rows in _euler_walk(model.drift, _diffusion(model), dt, n, guard, int(seed),
                                    idx, exploded):
             if np.any(exploded >= 0):
                 return None, int(exploded[exploded >= 0].min())
@@ -394,6 +394,12 @@ def _em_final(model: DiffusionModel, T: float, dt: float, seed: int,
 # ---------------------------------------------------------------------------
 
 
+def _diffusion(model: DiffusionModel):
+    """The diffusion as :func:`_euler_walk` takes it: the constant, if the
+    model was given one, else the callable."""
+    return model.diffusion if model._diffusion_const is None else model._diffusion_const
+
+
 def _euler_walk(bv, sv, dt: float, n_steps: int, guard: float, seed: int,
                 indices: np.ndarray, exploded: np.ndarray):
     """The Euler-Maruyama kernel: a block of paths from X_0 = 0, chunk by chunk.
@@ -404,6 +410,11 @@ def _euler_walk(bv, sv, dt: float, n_steps: int, guard: float, seed: int,
     overwrites.  Each step is ``X[i+1] = X[i] + (b*dt + (s*sqrt(dt))*z)``
     with b and s the drift and diffusion at ``X[i]`` and z the path's next
     normal, keyed by (seed, path index, step) (see :class:`_Normals`).
+    ``sv`` is the diffusion callable or, for additive noise, its constant
+    value c (see :func:`_diffusion`).  With c, each chunk's normals are
+    scaled once, in place, by the float ``c*sqrt(dt)``, and a step calls
+    only the drift: the same two rounded products as ``(s*sqrt(dt))*z``,
+    so both forms give the same bits.
     Before a chunk is yielded, ``exploded[j]`` is set to the first step at
     which path j lay beyond ``guard`` (or was nan), if it is still -1.
     Every state is clamped to [-lim, lim], lim the next float above
@@ -414,10 +425,11 @@ def _euler_walk(bv, sv, dt: float, n_steps: int, guard: float, seed: int,
     """
     n = len(indices)
     sqdt = math.sqrt(dt)
+    additive = not callable(sv)
     lim = float(np.nextafter(guard, math.inf))
     ws = _ChunkWorkspace(n)
     drift_dt = ws.view("drift_dt", n)
-    noise = ws.view("noise", n)
+    noise = None if additive else ws.view("noise", n)
     X = ws.view("x", 1, n)
     X[0] = 0.0
     k0 = 0
@@ -425,13 +437,16 @@ def _euler_walk(bv, sv, dt: float, n_steps: int, guard: float, seed: int,
         while k0 < n_steps:
             z = normals.take(n_steps - k0)
             k = len(z)
+            if additive:
+                z *= sv * sqdt                  # row i is the noise of step i
             X = ws.view("x", k + 1, n)          # row 0 is the carried state
             for i in range(k):
                 x = X[i]
                 np.multiply(np.asarray(bv(x), dtype=np.float64), dt, out=drift_dt)
-                np.multiply(np.asarray(sv(x), dtype=np.float64), sqdt, out=noise)
-                noise *= z[i]
-                drift_dt += noise
+                if not additive:
+                    np.multiply(np.asarray(sv(x), dtype=np.float64), sqdt, out=noise)
+                    z[i] *= noise
+                drift_dt += z[i]
                 nxt = np.add(x, drift_dt, out=X[i + 1])
                 np.fmax(nxt, -lim, out=nxt)      # nan goes to -lim
                 np.fmin(nxt, lim, out=nxt)
@@ -508,7 +523,7 @@ def _direct_raw(model: DiffusionModel, f: Callable, cfg: SimConfig,
     model.core()  # runs the coefficient checks (array contract, finiteness, sigma > 0)
     sched = _emission_schedule(cfg)
     guard = _GUARD_FACTOR * model.domain_cutoff
-    bv, sv, fv = model.drift, model.diffusion, _array_fn(f, "f")
+    bv, sv, fv = model.drift, _diffusion(model), _array_fn(f, "f")
 
     def run(keys):
         parts = _run_blocks(
@@ -704,7 +719,10 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
     Per step, with a = eps/kappa and y = W * kappa/eps: the clock gains
     dA = (kappa^2/eps) * psi(y)^{-2} du and the functional
     dH = dA * f(s^{-1}(y))/eps, both left-rule; W then moves by
-    sqrt(du) * Z with du = dt * max(a, |W|)^2.  When A reaches t_i, H is
+    sqrt(du) * Z with du = dt * max(a, |W|)^2, computed as
+    dt * max(a^2, W^2): rounding is monotone, so the square of the larger
+    rounds to the larger of the rounded squares, bit for bit, and the
+    ``abs`` call goes.  When A reaches t_i, H is
     read by linear interpolation within the step.  The Brownian horizon
     starts at 16*max(1, t_n)^2 and doubles while any unfinished path is
     beyond it, failing after ``_MAX_EXTENSIONS`` doublings.
@@ -712,10 +730,11 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
     The walk runs in chunks of lockstep steps, ``_CHUNK`` long at full
     width and longer as paths finish (see :meth:`_Normals.take`).  Phase
     one loops over the steps and advances only the Brownian recursion, the
-    one quantity a step hands to the next.  Phase two derives the rest over
-    the step-major ``(k, n)`` chunk at once: one table search shared by
-    both coefficient tables, the increments dA, dH and du below the carried
-    A, H and u, the chunk's end of each running sum by one reduction in
+    one quantity a step hands to the next, in six ufunc calls a step.
+    Phase two derives the rest over the step-major ``(k, n)`` chunk at
+    once: one table search shared by both coefficient tables, the
+    increments dA, dH and du below the carried A, H and u, the chunk's end
+    of each running sum by one reduction in
     step order (see :func:`_cumsum_end`), and the target crossings on the
     monotone A, for which only the columns that pass a target are summed
     step by step (see :func:`_first_passages`).  Each path takes one normal
@@ -727,6 +746,7 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
     """
     eps = cfg.epsilon
     a = eps / kappa
+    a_sq = a * a
     y_scale = kappa / eps
     targets = np.asarray(cfg.horizon_times)
     n_t = targets.size
@@ -757,9 +777,8 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
             U[0] = u_cur
             for i in range(k):
                 s = U[i + 1]
-                np.abs(W[i], out=s)
-                np.maximum(s, a, out=s)
-                np.square(s, out=s)
+                np.square(W[i], out=s)
+                np.maximum(s, a_sq, out=s)
                 s *= cfg.dt
                 np.sqrt(s, out=tmp)
                 tmp *= z[i]

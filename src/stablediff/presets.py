@@ -50,31 +50,50 @@ def heavy_tailed(theta: float) -> DiffusionModel:
     cutoff = min(50.0, 676.0 ** (1.0 / (theta + 1.0)))
     return DiffusionModel(
         drift=drift,
-        diffusion=lambda x: np.ones_like(np.asarray(x, dtype=np.float64)),
+        diffusion=1.0,
         domain_cutoff=cutoff,
         name=f"heavy_tailed({theta:g})",
     )
 
 
-def _kinetic_dlog_theta(c_plus: float, c_minus: float):
-    """(log theta)' for theta(v) = h(v)/sqrt(1+v^2), h(v) = avg + dif v/sqrt(1+v^2)."""
+def _kinetic_drift(beta: float, c_plus: float, c_minus: float):
+    """The drift (beta/2)(log theta)' for theta(v) = h(v)/sqrt(1+v^2),
+    h(v) = avg + dif v/sqrt(1+v^2), so h' = dif (1+v^2)^-1.5.
+
+    It forms q = 1 + v^2 once and works in place, each term with the
+    operations of ``(beta/2) (h'/h - v/q)`` in that order, so it matches
+    the plain expression bit for bit.  Every ufunc writes to an ``out``
+    array, which keeps a 0-d argument (or a Python float) a 0-d array.
+    """
+    half_beta = 0.5 * beta
     avg = 0.5 * (c_plus + c_minus)
     dif = 0.5 * (c_plus - c_minus)
 
-    def h(v):
-        return avg + dif * v / np.sqrt(1.0 + v * v)
+    def drift(v):
+        v = np.asarray(v, dtype=np.float64)
+        q = np.multiply(v, v, out=np.empty_like(v))
+        q += 1.0
+        h = np.sqrt(q, out=np.empty_like(v))
+        np.divide(np.multiply(dif, v, out=np.empty_like(v)), h, out=h)
+        h += avg
+        out = np.power(q, -1.5, out=np.empty_like(v))
+        out *= dif
+        out /= h
+        out -= np.divide(v, q, out=q)
+        out *= half_beta
+        return out
 
-    def h_prime(v):
-        return dif * (1.0 + v * v) ** -1.5
+    def drift_symmetric(v):
+        # h' = 0 and h = avg, so h'/h is +0.0 wherever it is finite
+        v = np.asarray(v, dtype=np.float64)
+        out = np.multiply(v, v, out=np.empty_like(v))
+        out += 1.0
+        np.divide(v, out, out=out)
+        np.subtract(0.0, out, out=out)
+        out *= half_beta
+        return out
 
-    def dlog_theta(v):
-        return h_prime(v) / h(v) - v / (1.0 + v * v)
-
-    def dlog_theta_symmetric(v):
-        # h' = 0 and h = avg, so the first term is +0.0 wherever it is finite
-        return 0.0 - v / (1.0 + v * v)
-
-    return dlog_theta if dif else dlog_theta_symmetric
+    return drift if dif else drift_symmetric
 
 
 def kinetic(beta: float, c_plus: float = 1.0, c_minus: float = 1.0) -> DiffusionModel:
@@ -83,15 +102,9 @@ def kinetic(beta: float, c_plus: float = 1.0, c_minus: float = 1.0) -> Diffusion
         raise ConfigError("kinetic requires beta > 1 for positive recurrence")
     if c_plus <= 0 or c_minus <= 0:
         raise ConfigError("kinetic tail weights c_plus, c_minus must be positive")
-    dlog_theta = _kinetic_dlog_theta(c_plus, c_minus)
-
-    def drift(v):
-        v = np.asarray(v, dtype=np.float64)
-        return 0.5 * beta * dlog_theta(v)
-
     return DiffusionModel(
-        drift=drift,
-        diffusion=lambda x: np.ones_like(np.asarray(x, dtype=np.float64)),
+        drift=_kinetic_drift(beta, c_plus, c_minus),
+        diffusion=1.0,
         domain_cutoff=600.0,
         name=f"kinetic({beta:g},{c_plus:g},{c_minus:g})"
         if (c_plus, c_minus) != (1.0, 1.0) else f"kinetic({beta:g})",

@@ -91,6 +91,9 @@ def estimate_alpha(samples, seed: int = 0, n_boot: int = 200) -> AlphaEstimate:
     saturated nor noise (|ECF| in [0.2, 0.9]) estimates alpha.  The window is
     selected once on the full sample and held fixed across the bootstrap
     resamples, so the CI reflects slope noise at the chosen window.
+    ``n_boot``, the number of resamples, must be an integer of at least 2,
+    the fewest that give a spread; anything else raises
+    :class:`InvalidRequest`.
 
     ``alpha_hat`` is the ``np.polyfit`` slope of the full sample.  The grid's
     ECF is computed a few points at a time, and only the window points' cos
@@ -102,6 +105,8 @@ def estimate_alpha(samples, seed: int = 0, n_boot: int = 200) -> AlphaEstimate:
     least-squares slope ``sum(c * y) / sum(c * c)`` with c the centered
     log xi.
     """
+    if not isinstance(n_boot, (int, np.integer)) or isinstance(n_boot, bool) or n_boot < 2:
+        raise InvalidRequest(f"n_boot must be an integer of at least 2, got {n_boot!r}")
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < 500:
         raise InvalidRequest(f"index estimation needs at least 500 samples, got {x.size}")

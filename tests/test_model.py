@@ -145,6 +145,63 @@ def test_symmetric_kinetic_drift_matches_general_form(beta):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def kinetic_drift_reference(beta, c_plus, c_minus, v):
+    """The kinetic drift as written before it was evaluated in place."""
+    avg = 0.5 * (c_plus + c_minus)
+    dif = 0.5 * (c_plus - c_minus)
+    v = np.asarray(v, dtype=np.float64)
+    if not dif:
+        return 0.5 * beta * (0.0 - v / (1.0 + v * v))
+    h = avg + dif * v / np.sqrt(1.0 + v * v)
+    h_prime = dif * (1.0 + v * v) ** -1.5
+    return 0.5 * beta * (h_prime / h - v / (1.0 + v * v))
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+kinetic_args = st.sampled_from([(3.0, 1.0, 1.0), (7.0, 1.0, 1.0), (2.0, 1.0, 0.25),
+                                (7.0, 1.0, 0.5), (3.0, 0.25, 1.0), (5.0, 3.0, 0.1)])
+drift_points = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e200, -1e200, 1.3e154, 1.4e154,
+     np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=kinetic_args, v=st.lists(drift_points, min_size=1, max_size=40))
+def test_kinetic_drift_matches_reference_expression(args, v):
+    # the in-place drift equals the plain expression bit for bit, symmetric
+    # and asymmetric, on arrays, 0-d arrays and Python floats alike
+    drift = presets.kinetic(*args).drift
+    with np.errstate(all="ignore"):
+        arr = np.array(v)
+        assert bits(drift(arr)) == bits(kinetic_drift_reference(*args, arr))
+        for x in v[:4]:
+            want = bits(kinetic_drift_reference(*args, x))
+            for form in (x, np.array(x)):
+                got = drift(form)
+                assert np.shape(got) == () and bits(got) == want
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf, True, False,
+                               np.True_, "1.0", None])
+def test_constant_diffusion_rejects_bad_values(c):
+    with pytest.raises(ConfigError, match="diffusion"):
+        stablediff.DiffusionModel(drift=lambda x: -np.asarray(x), diffusion=c)
+
+
+@pytest.mark.parametrize("c", [1.0, 0.7, 2, np.float64(1.5), np.int64(3)])
+def test_constant_diffusion_is_a_float64_callable(c):
+    model = stablediff.DiffusionModel(drift=lambda x: -np.asarray(x), diffusion=c)
+    assert model._diffusion_const == float(c)
+    assert type(model._diffusion_const) is float
+    for x in (np.zeros((2, 3), dtype=np.int64), np.array(0.5), 0.5):
+        got = model.diffusion(x)
+        assert got.dtype == np.float64 and got.shape == np.shape(x)
+        assert np.all(got == float(c))
+
+
 def test_kinetic_tail_ratio_reaches_limit(kinetic3):
     # |w|^{2-1/alpha} phi(w) -> f_± with alpha = 4/3 (spec of the tail limits)
     alpha, f_plus, f_minus = presets.kinetic_tail_limits(3.0)

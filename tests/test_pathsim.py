@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import stablediff.pathsim as pathsim
 from stablediff import _workspace
-from stablediff import DiffusionModel
+from stablediff import DiffusionModel, presets
 from stablediff.asymptotics import LimitLaw
 from stablediff.errors import (
     ConfigError,
@@ -51,12 +51,14 @@ def f_power(x):
     return np.sign(x) * np.abs(x) ** 1.5
 
 
-def outward_model(cutoff, drift=f_id):
-    # drift +x pushes paths out exponentially fast: explosion on demand
-    return DiffusionModel(
-        drift=drift,
-        diffusion=lambda x: np.ones_like(np.asarray(x, dtype=np.float64)),
-        domain_cutoff=cutoff)
+def unit_noise(x):
+    return np.ones_like(np.asarray(x, dtype=np.float64))
+
+
+def outward_model(cutoff, drift=f_id, diffusion=unit_noise):
+    # drift +x pushes paths out exponentially fast: explosion on demand;
+    # ``diffusion=1.0`` gives the additive-noise form of the same model
+    return DiffusionModel(drift=drift, diffusion=diffusion, domain_cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +436,14 @@ EXPLODED_PINS = {
 }
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("chunk", [3, 64, 257])
-@pytest.mark.parametrize("drift", sorted(BLOWUP_DRIFTS))
-def test_direct_explosion_steps_pinned(monkeypatch, drift, chunk):
+def check_explosion_steps(monkeypatch, drift, chunk, diffusion):
     monkeypatch.setattr(_workspace, "_CHUNK", chunk)
-    model = outward_model(1.0, BLOWUP_DRIFTS[drift])
+    model = outward_model(1.0, BLOWUP_DRIFTS[drift], diffusion)
     model.core()
     cfg = SimConfig(dt=0.01, epsilon=0.5, horizon_times=(0.5, 1.0), n_paths=300,
                     seed=0, scheme="Direct")
     out, exploded = pathsim._direct_block(
-        model.drift, model.diffusion, f_id, cfg,
+        model.drift, pathsim._diffusion(model), f_id, cfg,
         pathsim._GUARD_FACTOR * model.domain_cutoff, pathsim._emission_schedule(cfg),
         np.arange(cfg.n_paths))
     digest = hashlib.sha256(exploded.tobytes() + out[exploded < 0].tobytes()).hexdigest()
@@ -454,6 +453,103 @@ def test_direct_explosion_steps_pinned(monkeypatch, drift, chunk):
     steps = exploded[exploded >= 0]
     assert np.any(steps % 64 != 0) and np.any(steps % 64 == 0)
     assert np.bincount((steps - 1) // 64).max() >= 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("chunk", [3, 64, 257])
+@pytest.mark.parametrize("drift", sorted(BLOWUP_DRIFTS))
+def test_direct_explosion_steps_pinned(monkeypatch, drift, chunk):
+    check_explosion_steps(monkeypatch, drift, chunk, unit_noise)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("chunk", [3, 64, 257])
+@pytest.mark.parametrize("drift", sorted(BLOWUP_DRIFTS))
+def test_direct_explosion_steps_pinned_additive(monkeypatch, drift, chunk):
+    # the constant-diffusion branch clamps every step too: same pins
+    check_explosion_steps(monkeypatch, drift, chunk, 1.0)
+
+
+# driftless(2.5, 1) on Direct: sigma = (1 + |x|)^1.25 is the one preset
+# diffusion that is not a constant, so it runs the kernel's callable branch
+DRIFTLESS_CFG = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.4, 0.4000001, 1.0),
+                          n_paths=160, seed=3, scheme="Direct")
+
+
+@pytest.fixture(scope="module")
+def driftless_stepwise():
+    """The raw Direct matrix of driftless(2.5, 1), f = id, at DRIFTLESS_CFG,
+    by a plain scalar Euler loop per path in the engine's expression order.
+
+    sigma is read on a one-element array: numpy's vectorized ``power`` and
+    its scalar one differ in the last bit for about 5% of arguments."""
+    model = presets.driftless(2.5, 1.0)
+    cfg = DRIFTLESS_CFG
+    sqdt = math.sqrt(cfg.dt)
+    reads = []
+    for i, t in enumerate(cfg.horizon_times):
+        pos = t / cfg.epsilon
+        k = min(int(pos / cfg.dt + 1e-12), cfg.n_steps)
+        reads.append((k, i, max(pos - k * cfg.dt, 0.0)))
+    want = np.empty((cfg.n_paths, len(reads)))
+    for p in range(cfg.n_paths):
+        z = stream(cfg.seed, TAG_DIRECT, p).standard_normal(cfg.n_steps)
+        x = fsum = 0.0
+        for k in range(cfg.n_steps + 1):
+            for kk, col, rem in reads:
+                if kk == k:
+                    want[p, col] = fsum * cfg.dt + rem * x
+            if k < cfg.n_steps:
+                fsum += x
+                b, sig = (float(fn(np.array([x]))[0]) for fn in (model.drift, model.diffusion))
+                x = x + (b * cfg.dt + sig * sqdt * z[k])
+    return want
+
+
+@pytest.mark.parametrize("width", [128, pathsim._EULER_BLOCK])
+@pytest.mark.parametrize("chunk", [3, 64, 257])
+def test_direct_driftless_matches_stepwise_euler(driftless_stepwise, monkeypatch,
+                                                 chunk, width):
+    monkeypatch.setattr(_workspace, "_CHUNK", chunk)
+    monkeypatch.setattr(pathsim, "_EULER_BLOCK", width)
+    model = presets.driftless(2.5, 1.0)
+    assert model._diffusion_const is None
+    raw, n_exploded = pathsim._direct_raw(model, f_id, DRIFTLESS_CFG, 1)
+    assert n_exploded == 0
+    assert np.array_equal(raw, driftless_stepwise)
+
+
+def with_diffusion(model, diffusion):
+    return DiffusionModel(drift=model.drift, diffusion=diffusion,
+                          domain_cutoff=model.domain_cutoff)
+
+
+def test_callable_unit_diffusion_keeps_direct_pins(kinetic3, kinetic_critical):
+    # the presets pass diffusion=1.0; their old callable form, through the
+    # kernel's per-step branch, must give the same pinned bits
+    assert kinetic3._diffusion_const == 1.0
+    for name, model in (("kinetic3", kinetic3), ("kinetic_critical", kinetic_critical)):
+        assert direct_pin_digest(with_diffusion(model, unit_noise)) == DIRECT_PINS[name]
+
+
+@pytest.mark.parametrize("c", [1.0, 0.7])
+def test_constant_diffusion_matches_callable(kinetic3, c):
+    const = with_diffusion(kinetic3, c)
+    call = with_diffusion(kinetic3, lambda x: np.full_like(x, c))
+    assert const._diffusion_const == c and call._diffusion_const is None
+    assert pathsim._diffusion(const) == c and callable(pathsim._diffusion(call))
+    cfg = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.4, 1.0), n_paths=300,
+                    seed=5, scheme="Direct")
+    got = [pathsim._direct_raw(m, f_power, cfg, None)[0] for m in (const, call)]
+    assert np.array_equal(got[0], got[1])
+    got = [simulate_path(m, T=3.0, dt=0.01, seed=4)[1] for m in (const, call)]
+    assert np.array_equal(got[0], got[1])
+    got = [pathsim._em_final(m, T=3.0, dt=0.01, seed=4, n_paths=200) for m in (const, call)]
+    assert np.array_equal(got[0], got[1])
+    cfg = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.4, 1.0), n_paths=64,
+                    seed=5, scheme="TimeChange")
+    got = [rescaled_functional(m, f_id, None, cfg).values for m in (const, call)]
+    assert np.array_equal(got[0], got[1])
 
 
 def test_dt_refinement_keeps_mean_within_mc_error(kinetic7, law_diffusive):

@@ -166,6 +166,17 @@ def test_alpha_hat_rejects_small_sample():
         estimate_alpha(normals(499))
 
 
+@pytest.mark.parametrize("n_boot", [0, -3, 1, 2.5, True])
+def test_alpha_hat_rejects_bad_n_boot(n_boot):
+    with pytest.raises(InvalidRequest, match="n_boot"):
+        estimate_alpha(normals(1000), n_boot=n_boot)
+
+
+def test_alpha_hat_takes_two_resamples():
+    est = estimate_alpha(normals(1000), n_boot=np.int64(2))
+    assert math.isfinite(est.se) and est.ci[0] <= est.ci[1]
+
+
 # ---------------------------------------------------------------------------
 # CF distance and the KS test
 
