@@ -6,17 +6,20 @@ walk in :mod:`stablediff.pathsim`, the excursion engine in
 block in chunks of lockstep steps: ``_CHUNK`` while every path of the block
 is live, longer as paths finish (see :meth:`_Normals.take`), so a block's
 straggler tail pays the per-chunk work once per up to a slab of steps.
-:func:`_run_blocks`,
-the one block scheduler, shares the blocks among forked worker processes,
-one per CPU by default: the walks spend their time in short numpy calls
-whose interpreter overhead holds the GIL, so threads did not pay.  Per
-block, a :class:`_Normals` hands out each chunk's keyed normals from
-generators re-keyed out of a per-thread pool (:func:`stream`), and a
-:class:`_ChunkWorkspace` holds every other per-chunk array.  The walks keep
-each running sum as its increments, with the carried state in row 0: they
-read the chunk's end by one reduction (:func:`_cumsum_end`) and build the
-running sums only on the few columns that pass a target, where
-:func:`_first_passages` is the two clock walks' read-out.
+Once at most ``stable._NARROW`` of its paths are live, the excursion walk
+also takes each step's Brownian recursion path by path in Python floats,
+which costs less than the per-step ufunc calls at that width.
+:func:`_run_blocks`, the one block scheduler, shares the blocks among
+forked worker processes, one per CPU by default: the walks spend their time
+in short numpy calls whose interpreter overhead holds the GIL, so threads
+did not pay.  Per block, a :class:`_Normals` hands out each chunk's keyed
+normals from generators re-keyed out of a per-thread pool (:func:`stream`),
+and a :class:`_ChunkWorkspace` holds every other per-chunk array.  The
+walks keep each running sum as its increments, with the carried state in
+row 0: they read the chunk's end by one reduction (:func:`_cumsum_end`) and
+build the running sums only on the few columns that pass a target, where
+:func:`_first_passages` is the two clock walks' read-out.  A chunk of the
+excursion walk in which no path passes a target builds none of them.
 """
 
 from __future__ import annotations

@@ -623,8 +623,12 @@ class _ClockTables:
 
 def _clock_tables(model: DiffusionModel, f: Callable, n_nodes: int = 6001) -> _ClockTables:
     ss = model.scale_speed()
-    g_top = math.asinh(model.domain_cutoff)
+    c = model.domain_cutoff
+    g_top = math.asinh(c)
     x = np.sinh(np.linspace(-g_top, g_top, n_nodes))
+    # sinh(asinh(c)) rounds past c, by 7.3e-11 at c = 1e5: beyond the model's
+    # domain, which the quadrature core refuses
+    np.clip(x, -c, c, out=x)
     x[n_nodes // 2] = 0.0
     y = np.asarray(ss.scale(x), dtype=np.float64)
     psi = np.asarray(ss.scale_deriv(x), dtype=np.float64) \

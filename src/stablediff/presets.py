@@ -9,8 +9,9 @@ Three model families cover the qualitatively different tail behaviors:
   so s' = Theta^-beta and the invariant density is proportional to Theta^beta
   with tail weights c_+^beta, c_-^beta.  With f = id the additive functional
   is the particle position and the limit index is alpha = (beta+1)/3.
-* ``driftless(beta, gamma)`` — b = 0, sigma = (1+|x|)^{beta/2}; the scale is
-  the identity and all tail behavior sits in the speed measure.
+* ``driftless(beta)`` — b = 0, sigma = (1+|x|)^{beta/2}; the scale is the
+  identity and all tail behavior sits in the speed measure.  Its observable
+  x/(1+|x|)^{1-gamma} is ``driftless_observable(gamma)``.
 
 Models can also be loaded from a coefficient table (CSV columns x, b, sigma)
 with linear interpolation between rows.
@@ -127,7 +128,7 @@ def kinetic_tail_limits(beta: float, c_plus: float = 1.0, c_minus: float = 1.0):
     return alpha, f_plus, f_minus
 
 
-def driftless(beta: float, gamma: float) -> DiffusionModel:
+def driftless(beta: float) -> DiffusionModel:
     """Zero drift, sigma = (1+|x|)^{beta/2}; scale is the identity."""
     if beta <= 1:
         raise ConfigError("driftless requires beta > 1 for an integrable speed measure")
@@ -140,7 +141,7 @@ def driftless(beta: float, gamma: float) -> DiffusionModel:
         drift=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
         diffusion=diffusion,
         domain_cutoff=2000.0,
-        name=f"driftless({beta:g},{gamma:g})",
+        name=f"driftless({beta:g})",
     )
     return m
 

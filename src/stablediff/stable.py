@@ -13,10 +13,11 @@ identity int w(x) L_t^x dx = int_0^t w(W_s) ds, each part of the functional,
 the binned field on [-1, 1] at alpha >= 1 included, is a running time
 integral along the walk.
 
-The module also carries the discrete local-time machinery the pathwise route
-needs: occupation-based estimates of ``L_t^x`` on a single simulated path
-(:class:`BrownianGrid`) and the inverse of the estimated local time at the
-origin.
+The module also carries discrete local-time helpers for a single simulated
+path, which the pathwise engine does not use: occupation-based estimates of
+``L_t^x`` (:class:`BrownianGrid`, :func:`estimate_local_time`,
+:func:`local_time_field`) and the inverse of the estimated local time at the
+origin (:func:`inverse_local_time`).
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ __all__ = [
 ]
 
 _BLOCK = 512          # widest block of paths; results do not depend on the width
+# most live paths whose phase-1 steps the excursion walk takes path by path
+# in Python floats: about 0.12 us per path-step, against 2.8 us per step
+# for the five ufunc calls at any width up to 64.  Serial 256-path blocks
+# at dt = 1e-5 ran alike at 24 and 32 and slower at 16 and 48
+_NARROW = 32
 _HALF_PI = math.pi / 2.0
 
 
@@ -421,9 +427,11 @@ def _excursion_block(tab: _EngineTables, t_arr: np.ndarray, dt: float, seed: int
     lasts ``step = max(dt, (0.1 |w|)^2)``: fine near the origin, coarse far
     away.  Phase one loops over the steps and advances only the Brownian
     recursion ``w <- w + max(sqrt(dt), 0.1 |w|) z``, the one quantity a step
-    hands to the next, in five ufunc calls; in binary64 ``max(sqrt(dt),
-    0.1 |w|)`` equals ``sqrt(step)`` bit for bit, since sqrt(RN(s^2)) = |s|
-    without under- or overflow and rounded sqrt is monotone.  Phase two
+    hands to the next: in five ufunc calls per step, or, once at most
+    ``_NARROW`` paths are live, path by path in Python floats, which round
+    alike; in binary64 ``max(sqrt(dt), 0.1 |w|)`` equals ``sqrt(step)`` bit
+    for bit, since sqrt(RN(s^2)) = |s| without under- or overflow and
+    rounded sqrt is monotone.  Phase two
     derives everything else for the whole chunk at once: ``step`` from the
     chunk's start rows, then the increments of the origin local time l0 and
     of the far-field and (alpha >= 1) near-field running time integrals
@@ -436,7 +444,9 @@ def _excursion_block(tab: _EngineTables, t_arr: np.ndarray, dt: float, seed: int
     field, ``near_anti`` for the near field); a zero-span step adds
     ``step`` times the weight at its level.  At alpha >= 1 the far-field
     weight is 0 on [-1, 1], so only the paths that step beyond it in a
-    chunk, or pass a target, are evaluated there.  Each path takes one
+    chunk, or pass a target, are evaluated there, and a chunk without such
+    a path skips the far field.  A chunk in which no path passes a target
+    reads nothing out.  Each path takes one
     normal per step from its own keyed stream, drawn ahead in slabs (see
     :class:`_Normals`), and every per-path sum adds in step order, so the
     output depends neither on the chunk length nor on the block width.
@@ -459,13 +469,23 @@ def _excursion_block(tab: _EngineTables, t_arr: np.ndarray, dt: float, seed: int
             k = len(z)
             W = ws.view("w", k + 1, n)
             W[0] = w_cur
-            for i in range(k):
-                s = W[i + 1]
-                np.abs(W[i], out=s)
-                s *= 0.1
-                np.maximum(s, sqdt, out=s)
-                s *= z[i]
-                s += W[i]
+            if n > _NARROW:
+                for i in range(k):
+                    s = W[i + 1]
+                    np.abs(W[i], out=s)
+                    s *= 0.1
+                    np.maximum(s, sqdt, out=s)
+                    s *= z[i]
+                    s += W[i]
+            else:
+                # path by path in Python floats, which round like the
+                # ufuncs; ``sqdt if a < sqdt else a`` is np.maximum(a,
+                # sqdt) here, nan included
+                for j, (w, zj) in enumerate(zip(w_cur.tolist(), z.T.tolist())):
+                    for i, zi in enumerate(zj):
+                        a = abs(w) * 0.1
+                        zj[i] = w = w + (sqdt if a < sqdt else a) * zi
+                    W[1:, j] = zj
             # ---- phase 2: everything else, over the (k, n) chunk -----------
             wa, w1 = W[:-1], W[1:]
             # the step durations, whose square roots phase 1 took; a step is
@@ -525,24 +545,29 @@ def _excursion_block(tab: _EngineTables, t_arr: np.ndarray, dt: float, seed: int
             if tab.near:
                 cols = np.flatnonzero(passing | (hi.max(axis=0) > 1.0) | (lo.min(axis=0) < -1.0))
                 at = np.searchsorted(cols, pc)
-            Wc = W[:, cols]
-            DK = running(tab.anti(Wc, out=ws.view("anti", *Wc.shape)), kfar[cols],
-                         tab.point_weight, "dkfar", cols)
-            kfar[cols] = _cumsum_end(DK)
-            DKp, DLp = DK[:, at], DL[:, pc]
-            Lp = np.cumsum(DLp, axis=0)
-            _, col, tgt, s_ev, val = _first_passages(Lp, DLp, np.cumsum(DKp, axis=0), DKp,
-                                                     t_arr, ti[live[pc]], "left")
-            # and the near field, with its compensator, at the end of that step
+            if not tab.near or cols.size:
+                Wc = W[:, cols]
+                DK = running(tab.anti(Wc, out=ws.view("anti", *Wc.shape)), kfar[cols],
+                             tab.point_weight, "dkfar", cols)
+                kfar[cols] = _cumsum_end(DK)
+            # and the near field, which every chunk carries
             if tab.near:
                 O = tab.near_anti(W, ws.view("omega", k + 1, n),
                                   ws.view("cell", k + 1, n, dtype=np.int64),
                                   ws.view("tmp2", k + 1, n))
                 DN = running(O, knear, tab.near_weight, "dknear")
                 knear = _cumsum_end(DN)
-                KNp = np.cumsum(DN[:, pc], axis=0)
-                val = val + KNp[s_ev + 1, col] - Lp[s_ev + 1, col] * tab.compensator
-            out[live[pc[col]], tgt] = val
+            # the read-out, on the columns that pass a target only; the near
+            # field joins it with its compensator at the end of that step
+            if pc.size:
+                DKp, DLp = DK[:, at], DL[:, pc]
+                Lp = np.cumsum(DLp, axis=0)
+                _, col, tgt, s_ev, val = _first_passages(Lp, DLp, np.cumsum(DKp, axis=0), DKp,
+                                                         t_arr, ti[live[pc]], "left")
+                if tab.near:
+                    KNp = np.cumsum(DN[:, pc], axis=0)
+                    val = val + KNp[s_ev + 1, col] - Lp[s_ev + 1, col] * tab.compensator
+                out[live[pc[col]], tgt] = val
             keep = ti_end < nt
             iters += k if keep.any() else int(s_ev.max()) + 1
             if iters > step_cap:

@@ -137,7 +137,7 @@ def test_classify_claimed_kinetic3(kinetic3):
 
 
 def test_classify_claimed_driftless_critical():
-    model = presets.driftless(2.5, 1.0)
+    model = presets.driftless(2.5)
     f = presets.driftless_observable(1.0)
     rep = classify_regime(model, f, claimed=(2.0, None, 1.0, -1.0))
     assert rep.regime == "CriticalDiffusive"
@@ -172,7 +172,7 @@ def test_classify_estimated_kinetic3(kinetic3):
 def test_classify_estimated_near_boundary_fails():
     # alpha = 2 exactly: an estimate cannot settle which side of the
     # diffusive boundary we are on, so it must refuse
-    model = presets.driftless(2.5, 1.0)
+    model = presets.driftless(2.5)
     f = presets.driftless_observable(1.0)
     with pytest.raises(ClassificationFailed, match="boundary"):
         classify_regime(model, f)
@@ -454,7 +454,7 @@ def test_critical_diffusive_unit_case():
 
 
 def test_critical_diffusive_presets():
-    model = presets.driftless(2.5, 1.0)
+    model = presets.driftless(2.5)
     f = presets.driftless_observable(1.0)
     law = limit_law(classify_regime(model, f, claimed=(2.0, None, 1.0, -1.0)), model, f)
     # 4 * (3/4) * (1 + 1) = 6

@@ -217,7 +217,7 @@ def test_kinetic_tail_ratio_reaches_limit(kinetic3):
 # -- driftless preset ---------------------------------------------------------
 
 def test_driftless_scale_is_identity():
-    m = presets.driftless(2.5, 1.0)
+    m = presets.driftless(2.5)
     xs = np.array([-100.0, -1.0, 0.0, 3.0, 500.0])
     assert eval_scale(m, xs) == pytest.approx(xs, abs=1e-9)
     assert compute_kappa(m) == pytest.approx(0.75, rel=1e-6)  # (beta-1)/2
@@ -276,7 +276,7 @@ def test_scalar_only_coefficient_is_a_config_error(name, fn, hint):
 
 @pytest.mark.parametrize("preset", ["heavy", "kinetic", "driftless"])
 def test_identity_sigma2_sprime_m(preset, heavy1, kinetic3):
-    m = {"heavy": heavy1, "kinetic": kinetic3, "driftless": presets.driftless(2.5, 1.0)}[preset]
+    m = {"heavy": heavy1, "kinetic": kinetic3, "driftless": presets.driftless(2.5)}[preset]
     core = m.core()
     gen = np.random.default_rng(42)
     xs = gen.uniform(core.x_lo, core.x_hi, size=200)

@@ -470,7 +470,7 @@ def test_direct_explosion_steps_pinned_additive(monkeypatch, drift, chunk):
     check_explosion_steps(monkeypatch, drift, chunk, 1.0)
 
 
-# driftless(2.5, 1) on Direct: sigma = (1 + |x|)^1.25 is the one preset
+# driftless(2.5) on Direct: sigma = (1 + |x|)^1.25 is the one preset
 # diffusion that is not a constant, so it runs the kernel's callable branch
 DRIFTLESS_CFG = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.4, 0.4000001, 1.0),
                           n_paths=160, seed=3, scheme="Direct")
@@ -478,12 +478,12 @@ DRIFTLESS_CFG = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.4, 0.4000001, 1
 
 @pytest.fixture(scope="module")
 def driftless_stepwise():
-    """The raw Direct matrix of driftless(2.5, 1), f = id, at DRIFTLESS_CFG,
+    """The raw Direct matrix of driftless(2.5), f = id, at DRIFTLESS_CFG,
     by a plain scalar Euler loop per path in the engine's expression order.
 
     sigma is read on a one-element array: numpy's vectorized ``power`` and
     its scalar one differ in the last bit for about 5% of arguments."""
-    model = presets.driftless(2.5, 1.0)
+    model = presets.driftless(2.5)
     cfg = DRIFTLESS_CFG
     sqdt = math.sqrt(cfg.dt)
     reads = []
@@ -512,7 +512,7 @@ def test_direct_driftless_matches_stepwise_euler(driftless_stepwise, monkeypatch
                                                  chunk, width):
     monkeypatch.setattr(_workspace, "_CHUNK", chunk)
     monkeypatch.setattr(pathsim, "_EULER_BLOCK", width)
-    model = presets.driftless(2.5, 1.0)
+    model = presets.driftless(2.5)
     assert model._diffusion_const is None
     raw, n_exploded = pathsim._direct_raw(model, f_id, DRIFTLESS_CFG, 1)
     assert n_exploded == 0
@@ -810,6 +810,20 @@ def test_clock_table_edge_gate(kinetic3, monkeypatch):
                     seed=1, scheme="TimeChange")
     with pytest.raises(InvalidRequest, match="left the coefficient tables"):
         rescaled_functional(kinetic3, f_id, None, cfg)
+
+
+@pytest.mark.parametrize("cutoff", [600.0, 2000.0, 1e4, 5e4, 1e5])
+def test_clock_tables_build_at_large_cutoffs(cutoff):
+    # sinh(asinh(c)) rounds past c by up to 7.3e-11 at these cutoffs (above
+    # it at all but 1e4); the end nodes are clamped into the domain.  Zero
+    # drift makes the scale the identity, so the table nodes are the x nodes
+    model = DiffusionModel(drift=lambda x: np.zeros_like(f_id(x)),
+                           diffusion=lambda x: 1.0 + np.abs(f_id(x)),
+                           domain_cutoff=cutoff, name="near-power")
+    tab = pathsim._clock_tables(model, f_id)
+    assert tab.y.size == 6001
+    assert -cutoff <= tab.y[0] and tab.y[-1] <= cutoff
+    assert tab.y[-1] > cutoff * (1.0 - 1e-15)
 
 
 # sha256 of the raw (700, 3) TimeChange matrix at PIN_CFG, taken before the

@@ -476,6 +476,35 @@ def test_excursions_grow_chunks_as_paths_finish(monkeypatch, chunk_log):
     assert hashlib.sha256(got.tobytes()).hexdigest() == EXCURSION_PINS[1.0]
 
 
+@pytest.mark.parametrize("times", [[1.0], EXCURSION_PIN_TIMES])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0 / 3.0, 1.5])
+def test_excursions_narrow_walk_is_bit_identical(monkeypatch, chunk_log, alpha, times):
+    # phase 1 steps a chunk of at most _NARROW live paths path by path in
+    # Python floats: never at 0, in the straggler tail by default, and in
+    # every chunk, where each target is crossed, at the 64-path block width
+    spec, default = StableSpec(alpha, 1.0, 0.5), stable._NARROW
+    assert default < 64
+    outs = []
+    for narrow in (0, default, 64):
+        monkeypatch.setattr(stable, "_NARROW", narrow)
+        outs.append(stable_via_excursions(spec, times, 1e-3, 64, seed=0, threads=1))
+    assert min(n for _, n in chunk_log) <= default
+    for out in outs[1:]:
+        assert np.array_equal(out.view(np.int64), outs[0].view(np.int64))
+    if times is EXCURSION_PIN_TIMES and alpha in EXCURSION_PINS:
+        assert hashlib.sha256(outs[0].tobytes()).hexdigest() == EXCURSION_PINS[alpha]
+
+
+def test_excursions_narrow_walk_thread_count_invariance(chunk_log):
+    # 512 paths walk as one block at threads = 1, whose tail narrows to
+    # _NARROW paths and below, and as two forked blocks of 256 at threads = 2
+    sp = StableSpec(4.0 / 3.0, 1.0, 0.5)
+    serial = stable_via_excursions(sp, [0.3, 1.0], 1e-3, 512, seed=4, threads=1)
+    assert chunk_log[0][1] == 512 and min(n for _, n in chunk_log) <= stable._NARROW
+    forked = stable_via_excursions(sp, [0.3, 1.0], 1e-3, 512, seed=4, threads=2)
+    assert np.array_equal(serial.view(np.int64), forked.view(np.int64))
+
+
 @settings(max_examples=300, deadline=None)
 @given(dt=st.floats(1e-9, 0.25),
        mags=st.lists(st.floats(0.0, 1e150) | st.sampled_from(
@@ -590,20 +619,25 @@ def test_excursions_match_scalar_replay(monkeypatch, alpha, zero_spans):
         np.testing.assert_allclose(out[path], ref, rtol=1e-9, atol=0.0)
 
 
-def test_excursion_block_step_cap():
+def test_excursion_block_step_cap(monkeypatch):
     # the cap counts lockstep steps of the block: it passes when the slowest
-    # path finishes on the cap and raises one step below it
+    # path finishes on the cap and raises one step below it, whether the
+    # three paths step path by path (by default) or by ufuncs (_NARROW = 0)
     sp, dt = StableSpec(1.5, 1.0, -1.0), 1e-3
     tab = _EngineTables(sp, dt)
     t_arr = np.array([0.3])
     need = max(excursion_replay(tab, dt, stream(5, TAG_EXCURSION, p).standard_normal(200_000),
                                 [0.3])[0] for p in range(3))
-    assert need > 100
-    out = _excursion_block(tab, t_arr, dt, 5, 0, 3, need)
-    assert np.all(np.isfinite(out))
-    with pytest.raises(HorizonExceeded,
-                       match=f"a path exceeded {need - 1} steps before its local-time target"):
-        _excursion_block(tab, t_arr, dt, 5, 0, 3, need - 1)
+    assert need > 100 and stable._NARROW >= 3
+    outs = []
+    for narrow in (stable._NARROW, 0):
+        monkeypatch.setattr(stable, "_NARROW", narrow)
+        outs.append(_excursion_block(tab, t_arr, dt, 5, 0, 3, need))
+        assert np.all(np.isfinite(outs[-1]))
+        with pytest.raises(HorizonExceeded,
+                           match=f"a path exceeded {need - 1} steps before its local-time target"):
+            _excursion_block(tab, t_arr, dt, 5, 0, 3, need - 1)
+    assert np.array_equal(outs[0].view(np.int64), outs[1].view(np.int64))
 
 
 def test_excursions_degenerate_zero_weights():
