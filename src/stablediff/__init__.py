@@ -43,11 +43,7 @@ from .pathsim import (
 )
 from .presets import driftless, from_table, heavy_tailed, kinetic
 from .stable import (
-    BrownianGrid,
     StableSpec,
-    estimate_local_time,
-    inverse_local_time,
-    local_time_field,
     sample_limit_law,
     sample_stable_cf,
     stable_cf,
@@ -99,11 +95,7 @@ __all__ = [
     "kinetic",
     "driftless",
     "from_table",
-    "BrownianGrid",
     "StableSpec",
-    "estimate_local_time",
-    "inverse_local_time",
-    "local_time_field",
     "sample_limit_law",
     "sample_stable_cf",
     "stable_cf",

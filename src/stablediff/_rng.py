@@ -16,7 +16,7 @@ existing generator set to counter 0, an empty buffer and the key of
 pooled generators that way (see :func:`stablediff._workspace.stream`),
 since a fresh one spends most of its 12-20 us drawing OS entropy for a
 seed sequence that the key then overrides.  Single streams (CMS sampling,
-``BrownianGrid``, the bootstrap) are built fresh by :func:`stream`.
+the bootstrap) are built fresh by :func:`stream`.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 # Purpose tags; shifted into the high bits of the second key word so that the
-# path index (low bits) can never collide across purposes.
+# path index (low bits) can never collide across purposes.  A tag's value is
+# part of every stream it keys, so no tag is ever renumbered.  Tag 5 is
+# retired (it keyed a single-path Brownian grid) and must not be reused.
 TAG_DIRECT = 1      # Euler-Maruyama paths
 TAG_TIMECHANGE = 2  # Brownian clock of the time-change scheme
 TAG_EXCURSION = 3   # Brownian excursion engine
 TAG_CMS = 4         # direct stable sampling
-TAG_GRID = 5        # single-path BrownianGrid
 TAG_BOOTSTRAP = 6   # validation bootstrap
 
 _MASK64 = (1 << 64) - 1

@@ -122,7 +122,8 @@ class SimConfig:
             raise ConfigError(f"seed must fit in an unsigned 64-bit word, got {self.seed}")
         for name in ("dt", "epsilon"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) and v > 0.0):
                 raise ConfigError(f"{name} must be a finite positive number, got {v!r}")
         times = tuple(float(t) for t in np.atleast_1d(np.asarray(self.horizon_times)).ravel())
         if len(times) == 0:
@@ -316,9 +317,11 @@ def simulate_path(model: DiffusionModel, T: float, dt: float, seed: int = 0):
     Raises :class:`PathExploded` (reporting the step) if the path leaves
     ``[-10*domain_cutoff, 10*domain_cutoff]``.
     """
-    if not (isinstance(T, (int, float)) and math.isfinite(T) and T > 0.0):
+    if not (isinstance(T, (int, float)) and not isinstance(T, bool)
+            and math.isfinite(T) and T > 0.0):
         raise InvalidRequest(f"T must be a finite positive number, got {T!r}")
-    if not (isinstance(dt, (int, float)) and math.isfinite(dt) and 0.0 < dt <= T):
+    if not (isinstance(dt, (int, float)) and not isinstance(dt, bool)
+            and math.isfinite(dt) and 0.0 < dt <= T):
         raise InvalidRequest(f"dt must lie in (0, T], got {dt!r}")
     model.core()  # runs the coefficient checks (array contract, finiteness, sigma > 0)
     n = int(math.ceil(T / dt - 1e-9))

@@ -12,12 +12,6 @@ The pathwise engine never stores the local-time field: by the occupation
 identity int w(x) L_t^x dx = int_0^t w(W_s) ds, each part of the functional,
 the binned field on [-1, 1] at alpha >= 1 included, is a running time
 integral along the walk.
-
-The module also carries discrete local-time helpers for a single simulated
-path, which the pathwise engine does not use: occupation-based estimates of
-``L_t^x`` (:class:`BrownianGrid`, :func:`estimate_local_time`,
-:func:`local_time_field`) and the inverse of the estimated local time at the
-origin (:func:`inverse_local_time`).
 """
 
 from __future__ import annotations
@@ -27,17 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import TAG_CMS, TAG_EXCURSION, TAG_GRID, stream
+from ._rng import TAG_CMS, TAG_EXCURSION, stream
 from ._workspace import _ChunkWorkspace, _cumsum_end, _first_passages, _Normals, _run_blocks
 from .asymptotics import EULER_GAMMA, LimitLaw, _lambda_alpha
 from .errors import HorizonExceeded, InvalidAlpha, InvalidRequest
 
 __all__ = [
-    "BrownianGrid",
     "StableSpec",
-    "estimate_local_time",
-    "inverse_local_time",
-    "local_time_field",
     "sample_limit_law",
     "sample_stable_cf",
     "stable_cf",
@@ -183,129 +173,6 @@ def sample_limit_law(law: LimitLaw, t: float, n: int, seed: int = 0) -> np.ndarr
         return law.sigma_alpha * math.sqrt(t) * z
     spec = StableSpec(law.alpha, law.f_plus, law.f_minus)
     return law.kappa ** (1.0 / law.alpha) * sample_stable_cf(spec, t, n, seed)
-
-
-# ---------------------------------------------------------------------------
-# Single-path Brownian grid with occupation-based local time
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class BrownianGrid:
-    """A Brownian path on a uniform time grid with local-time estimators.
-
-    Occupation time is accumulated with the left-endpoint rule: the interval
-    [k dt, (k+1) dt) counts toward the window that contains W_k.  Local time
-    at level x uses the window (x - delta, x + delta) divided by 2 delta.
-    """
-
-    dt: float
-    steps: int
-    seed: int
-    delta: float
-    W: np.ndarray
-    _l0cum: np.ndarray | None = field(default=None, repr=False)
-
-    @classmethod
-    def simulate(cls, dt: float, steps: int, seed: int = 0,
-                 delta: float | None = None) -> "BrownianGrid":
-        if not (math.isfinite(dt) and dt > 0.0):
-            raise InvalidRequest(f"dt must be positive, got {dt!r}")
-        _check_count("steps", steps)
-        if delta is None:
-            delta = math.sqrt(dt)
-        elif not (math.isfinite(delta) and delta > 0.0):
-            raise InvalidRequest(f"delta must be positive, got {delta!r}")
-        z = stream(seed, TAG_GRID, 0).standard_normal(steps)
-        w = np.empty(steps + 1, dtype=np.float64)
-        w[0] = 0.0
-        np.cumsum(z * math.sqrt(dt), out=w[1:])
-        return cls(dt=dt, steps=steps, seed=seed, delta=float(delta), W=w)
-
-    @property
-    def horizon(self) -> float:
-        return self.steps * self.dt
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.steps + 1) * self.dt
-
-    def _split_time(self, t: float) -> tuple[int, float]:
-        """Whole steps before t and the remainder, guarding float roundoff."""
-        if not (0.0 <= t <= self.horizon * (1.0 + 1e-12)):
-            raise InvalidRequest(
-                f"t = {t!r} outside the simulated horizon [0, {self.horizon:.6g}]")
-        k = min(int(t / self.dt + 1e-12), self.steps)
-        return k, max(t - k * self.dt, 0.0)
-
-    def _l0_running(self) -> np.ndarray:
-        if self._l0cum is None:
-            w = self.W[:-1]
-            inside = (w >= -self.delta) & (w < self.delta)
-            cum = np.empty(self.steps + 1, dtype=np.float64)
-            cum[0] = 0.0
-            np.cumsum(inside * (self.dt / (2.0 * self.delta)), out=cum[1:])
-            self._l0cum = cum
-        return self._l0cum
-
-
-def estimate_local_time(grid: BrownianGrid, level: float, t: float) -> float:
-    """(1/2 delta) * occupation time of [level - delta, level + delta) up to t.
-
-    The window is half-open so that it coincides with the floor-binning of
-    ``local_time_field`` even when a sample sits exactly on a cell edge (the
-    deterministic W_0 = 0 does, at levels +-delta).
-    """
-    k, rem = grid._split_time(t)
-    lo, hi = level - grid.delta, level + grid.delta
-    w = grid.W
-    occ = np.count_nonzero((w[:k] >= lo) & (w[:k] < hi)) * grid.dt
-    if rem > 0.0 and lo <= w[k] < hi:
-        occ += rem
-    return occ / (2.0 * grid.delta)
-
-
-def local_time_field(grid: BrownianGrid,
-                     t: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Estimated L_t^x on the delta-spaced level grid covering the path range.
-
-    Levels sit at integer multiples of delta; the value at level x agrees with
-    ``estimate_local_time(grid, x, t)`` (the two share the same half-open
-    binning) up to float summation order, computed for all levels in one pass.
-    """
-    if t is None:
-        t = grid.horizon
-    k, rem = grid._split_time(t)
-    delta = grid.delta
-    w = grid.W[:k + 1] if rem > 0.0 else grid.W[:max(k, 1)]
-    wts = np.full(w.size, grid.dt)
-    if rem > 0.0:
-        wts[-1] = rem
-    elif k == 0:
-        wts[0] = 0.0
-    bins = np.floor(w / delta).astype(np.int64)
-    jmin, jmax = int(bins.min()), int(bins.max())
-    cnt = np.bincount(bins - jmin, weights=wts, minlength=jmax - jmin + 1)
-    padded = np.concatenate(([0.0], cnt, [0.0]))
-    levels = np.arange(jmin, jmax + 2) * delta
-    values = (padded[:-1] + padded[1:]) / (2.0 * delta)
-    return levels, values
-
-
-def inverse_local_time(grid: BrownianGrid, t: float) -> float:
-    """First time the running origin local-time estimate exceeds t."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise InvalidRequest(f"t must be finite and >= 0, got {t!r}")
-    if t == 0.0:
-        return 0.0
-    l0 = grid._l0_running()
-    if t >= l0[-1]:
-        raise HorizonExceeded(
-            f"origin local time reaches only {l0[-1]:.6g} over the horizon "
-            f"{grid.horizon:.6g}; cannot invert at t = {t:.6g}")
-    k = int(np.searchsorted(l0, t, side="right"))
-    # l0[k] > t >= l0[k-1]; the bracketing step has a strictly positive
-    # increment, so the interpolation below is well defined.
-    return (k - 1) * grid.dt + (t - l0[k - 1]) / (l0[k] - l0[k - 1]) * grid.dt
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,17 @@ class EmpiricalCF:
     n: int
 
 
+def _finite_samples(samples, name: str = "samples") -> np.ndarray:
+    """``samples`` as a flat float64 array; any NaN or infinity raises
+    :class:`InvalidRequest`, since no ECF, index or KS verdict is defined
+    on it (a NaN gap is never outside a band, and sorts past every bound)."""
+    x = np.asarray(samples, dtype=np.float64).ravel()
+    bad = int(np.count_nonzero(~np.isfinite(x)))
+    if bad:
+        raise InvalidRequest(f"{name} hold {bad} non-finite values out of {x.size}")
+    return x
+
+
 def _ecf_rows(x: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ECF values on the grid and the rows they average: row i of the
     ``(2 m, n)`` result holds cos(xi_i x), row m + i sin(xi_i x), m the
@@ -62,7 +73,7 @@ def _ecf_rows(x: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def empirical_cf(samples, xi_grid) -> EmpiricalCF:
     """(1/n) sum exp(i xi x_j) on the grid, with standard errors."""
-    x = np.asarray(samples, dtype=np.float64).ravel()
+    x = _finite_samples(samples)
     xi = np.asarray(xi_grid, dtype=np.float64)
     if x.size < 100:
         raise InvalidRequest(f"empirical CF needs at least 100 samples, got {x.size}")
@@ -107,7 +118,7 @@ def estimate_alpha(samples, seed: int = 0, n_boot: int = 200) -> AlphaEstimate:
     """
     if not isinstance(n_boot, (int, np.integer)) or isinstance(n_boot, bool) or n_boot < 2:
         raise InvalidRequest(f"n_boot must be an integer of at least 2, got {n_boot!r}")
-    x = np.asarray(samples, dtype=np.float64).ravel()
+    x = _finite_samples(samples)
     if x.size < 500:
         raise InvalidRequest(f"index estimation needs at least 500 samples, got {x.size}")
     scale = float(np.median(np.abs(x)))
@@ -179,8 +190,8 @@ def cf_distance(ecf: EmpiricalCF, target, *, n_se: float = 3.0,
 
 def ks_two_sample(samples_a, samples_b) -> tuple[float, float]:
     """Two-sample KS statistic and the asymptotic 1%-level critical value."""
-    a = np.sort(np.asarray(samples_a, dtype=np.float64).ravel())
-    b = np.sort(np.asarray(samples_b, dtype=np.float64).ravel())
+    a = np.sort(_finite_samples(samples_a, "samples_a"))
+    b = np.sort(_finite_samples(samples_b, "samples_b"))
     if a.size < 100 or b.size < 100:
         raise InvalidRequest("KS test needs at least 100 samples on each side")
     everything = np.concatenate([a, b])
@@ -266,9 +277,12 @@ def validate_against_law(samples, law: LimitLaw, t: float, *, seed: int = 0,
     regimes, alpha otherwise), and, when ``reference_samples`` is given, a
     two-sample KS.  Samples must already carry the regime normalization (for
     alpha = 1 the exact centering is part of the normalization, not
-    re-applied here).
+    re-applied here).  A NaN or infinity in ``samples`` or
+    ``reference_samples`` raises :class:`InvalidRequest`.
     """
-    x = np.asarray(samples, dtype=np.float64).ravel()
+    x = _finite_samples(samples)
+    if reference_samples is not None:
+        reference_samples = _finite_samples(reference_samples, "reference_samples")
     xi = default_xi_grid(law) if xi_grid is None else np.asarray(xi_grid, float)
     ecf = empirical_cf(x, xi)
     target = char_exponent(law, xi, t)

@@ -30,7 +30,7 @@ from stablediff.pathsim import (
     rescaled_functional,
     simulate_path,
 )
-from stablediff.validate import estimate_alpha, ks_two_sample
+from stablediff.validate import estimate_alpha, ks_two_sample, validate_against_law
 from stablediff._rng import TAG_DIRECT, TAG_TIMECHANGE, stream
 
 
@@ -82,6 +82,8 @@ def outward_model(cutoff, drift=f_id, diffusion=unit_noise):
     {"seed": 2 ** 64},
     {"scheme": "euler"},
     {"dt": 0.5},          # coarser than t_1/(100*epsilon) = 0.1
+    {"dt": True, "epsilon": 1e-3},  # as dt = 1 it is fine, but no header can hold it
+    {"epsilon": True},
 ])
 def test_config_rejects_invalid_fields(overrides):
     base = dict(dt=0.01, epsilon=0.1, horizon_times=(1.0, 2.0), n_paths=4,
@@ -148,10 +150,9 @@ def test_path_grid_and_reproducibility(heavy1):
     ts2, X2 = simulate_path(heavy1, T=1.0, dt=0.003, seed=7)
     assert np.array_equal(X, X2)
     assert not np.array_equal(X, simulate_path(heavy1, T=1.0, dt=0.003, seed=8)[1])
-    with pytest.raises(InvalidRequest):
-        simulate_path(heavy1, T=-1.0, dt=0.01)
-    with pytest.raises(InvalidRequest):
-        simulate_path(heavy1, T=1.0, dt=2.0)
+    for T, dt in ((-1.0, 0.01), (1.0, 2.0), (True, 0.01), (2.0, True)):
+        with pytest.raises(InvalidRequest):
+            simulate_path(heavy1, T=T, dt=dt)
 
 
 def test_degenerate_noise_model_rejected():
@@ -293,6 +294,32 @@ def test_heavy_tail_index_recovered(kinetic3, law_levy):
     s = rescaled_functional(kinetic3, f_id, law_levy, cfg, threads=4)
     est = estimate_alpha(s.values[:, 0], seed=0)
     assert abs(est.alpha_hat - 4.0 / 3.0) < 0.15
+
+
+@pytest.mark.parametrize("scheme", ["Direct", "TimeChange"])
+def test_levy_limit_as_a_process(kinetic3, law_levy, scheme):
+    # the limit is a Levy process: S_0.5 and S_1 - S_0.5 each follow the
+    # law at t = 0.5, and they are independent, so their joint ECF is the
+    # product of the two marginal ECFs
+    cfg = SimConfig(dt=0.05, epsilon=0.01, horizon_times=(0.5, 1.0), n_paths=2048,
+                    seed=1, scheme=scheme)
+    s = rescaled_functional(kinetic3, f_id, law_levy, cfg).values
+    first, increment = s[:, 0], s[:, 1] - s[:, 0]
+    for part in (first, increment):
+        report = validate_against_law(part, law_levy, 0.5, seed=1)
+        assert report.verdict == {"cf_band": True, "alpha_hat": True}
+    # the joint ECF minus the product of the marginal ones is the sample
+    # covariance of exp(i u S_0.5) and exp(i v (S_1 - S_0.5)); under
+    # independence it is a mean of n centered terms, whose spread gives
+    # each point's standard error
+    u = np.array([0.5, 1.0, 2.0]) / law_levy.sigma_alpha
+    uu, vv = (g.ravel() for g in np.meshgrid(u, np.concatenate([u, -u]), indexing="ij"))
+    a = np.exp(1j * np.outer(uu, first))
+    b = np.exp(1j * np.outer(vv, increment))
+    terms = (a - a.mean(axis=1, keepdims=True)) * (b - b.mean(axis=1, keepdims=True))
+    gap = np.abs(terms.mean(axis=1))
+    se = terms.std(axis=1) / math.sqrt(first.size)   # a complex std is of the modulus
+    assert np.all(gap <= 4.0 * se)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,5 +1,5 @@
-"""Reference stable laws: closed-form constants, the direct sampler, grid
-local time, and the excursion-route sampler, cross-checked against each other."""
+"""Reference stable laws: closed-form constants, the direct sampler and the
+excursion-route sampler, cross-checked against each other."""
 
 import cmath
 import hashlib
@@ -15,13 +15,9 @@ from stablediff._rng import TAG_EXCURSION, stream
 from stablediff.asymptotics import EULER_GAMMA, LimitLaw, char_exponent
 from stablediff.errors import HorizonExceeded, InvalidAlpha, InvalidRequest
 from stablediff.stable import (
-    BrownianGrid,
     StableSpec,
     _EngineTables,
     _excursion_block,
-    estimate_local_time,
-    inverse_local_time,
-    local_time_field,
     sample_limit_law,
     sample_stable_cf,
     stable_cf,
@@ -265,145 +261,6 @@ def test_sample_limit_law_diffusive_moments(law_diffusive):
 def test_sample_limit_law_rejects_bad_t(law_levy):
     with pytest.raises(InvalidRequest):
         sample_limit_law(law_levy, 0.0, 10)
-
-
-# ---------------------------------------------------------------------------
-# Brownian grid and local-time estimators
-
-def test_grid_shape_and_horizon():
-    g = BrownianGrid.simulate(0.01, 500, seed=4)
-    assert g.W[0] == 0.0
-    assert g.W.size == 501
-    assert np.all(np.isfinite(g.W))
-    assert g.horizon == pytest.approx(5.0)
-    assert g.delta == pytest.approx(0.1)
-    t = g.times()
-    assert t[0] == 0.0 and t.size == 501
-    assert t[-1] == pytest.approx(5.0)
-
-
-def test_grid_rejects_bad_parameters():
-    with pytest.raises(InvalidRequest):
-        BrownianGrid.simulate(0.0, 100)
-    with pytest.raises(InvalidRequest):
-        BrownianGrid.simulate(0.01, 0)
-    with pytest.raises(InvalidRequest):
-        BrownianGrid.simulate(0.01, 100, delta=-0.1)
-    for steps in (2.5, True):
-        with pytest.raises(InvalidRequest):
-            BrownianGrid.simulate(0.01, steps)
-
-
-def test_estimate_matches_counting_oracle():
-    g = BrownianGrid.simulate(1e-3, 2000, seed=5)
-    for level in (0.0, 0.3, -0.55):
-        for t in (0.25, 1.0, 1.7, 2.0):
-            k = min(int(t / g.dt + 1e-12), g.steps)
-            rem = max(t - k * g.dt, 0.0)
-            lo, hi = level - g.delta, level + g.delta
-            occ = np.count_nonzero((g.W[:k] >= lo) & (g.W[:k] < hi)) * g.dt
-            if rem > 0.0 and lo <= g.W[k] < hi:
-                occ += rem
-            assert estimate_local_time(g, level, t) == occ / (2.0 * g.delta)
-
-
-def test_estimate_zero_time_and_monotone():
-    g = BrownianGrid.simulate(1e-3, 1500, seed=6)
-    assert estimate_local_time(g, 0.0, 0.0) == 0.0
-    vals = [estimate_local_time(g, 0.2, u) for u in (0.3, 0.6, 0.9, 1.2, 1.5)]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    with pytest.raises(InvalidRequest):
-        estimate_local_time(g, 0.0, 2.0)
-
-
-def test_field_matches_pointwise_estimates():
-    g = BrownianGrid.simulate(2e-3, 1200, seed=7)
-    levels, values = local_time_field(g, 2.0)
-    point = np.array([estimate_local_time(g, lv, 2.0) for lv in levels])
-    np.testing.assert_allclose(values, point, rtol=0, atol=1e-12)
-    assert np.all(values >= 0.0)
-
-
-def test_field_default_time_and_zero_time():
-    g = BrownianGrid.simulate(0.01, 300, seed=9)
-    l1, v1 = local_time_field(g)
-    l2, v2 = local_time_field(g, g.horizon)
-    np.testing.assert_array_equal(l1, l2)
-    np.testing.assert_array_equal(v1, v2)
-    _, v0 = local_time_field(g, 0.0)
-    np.testing.assert_array_equal(v0, 0.0)
-
-
-def test_occupation_identity():
-    # integral of phi along the path == integral of phi against the field
-    gaps = []
-    for i in range(40):
-        g = BrownianGrid.simulate(1e-3, 2000, seed=100 + i)
-        lhs = g.dt * np.sum(np.exp(-g.W[:2000] ** 2))
-        levels, values = local_time_field(g, 2.0)
-        rhs = g.delta * np.sum(np.exp(-levels ** 2) * values)
-        gaps.append(abs(lhs - rhs) / lhs)
-    gaps = np.asarray(gaps)
-    assert gaps.mean() < 0.01
-    assert gaps.max() < 0.02
-
-
-def test_mean_origin_local_time():
-    # E L_1^0 = sqrt(2/pi); the delta-window bias at this resolution is well
-    # inside the Monte Carlo band
-    vals = np.empty(3000)
-    for i in range(vals.size):
-        g = BrownianGrid.simulate(1e-3, 1000, seed=i)
-        vals[i] = estimate_local_time(g, 0.0, 1.0)
-    target = math.sqrt(2.0 / math.pi)
-    se = vals.std(ddof=1) / math.sqrt(vals.size)
-    assert abs(vals.mean() - target) <= 3.0 * se
-
-
-def test_inverse_local_time_properties():
-    g = BrownianGrid.simulate(1e-3, 4000, seed=10)
-    assert inverse_local_time(g, 0.0) == 0.0
-    total = estimate_local_time(g, 0.0, g.horizon)
-    targets = np.linspace(0.05, 0.95, 7) * total
-    taus = [inverse_local_time(g, s) for s in targets]
-    assert all(b > a for a, b in zip(taus, taus[1:]))
-    for s, tau in zip(targets, taus):
-        # inverse property: the estimate run out to tau gives back s
-        assert estimate_local_time(g, 0.0, tau) == pytest.approx(s, abs=1e-12)
-        # and the path is inside the origin window during the crossing step:
-        # tau lies in ((j)dt, (j+1)dt] with the increment earned by W[j]
-        j = int(np.searchsorted(g.times(), tau, side="left")) - 1
-        assert -g.delta <= g.W[j] < g.delta
-
-
-def test_inverse_local_time_errors():
-    g = BrownianGrid.simulate(1e-3, 4000, seed=10)
-    total = estimate_local_time(g, 0.0, g.horizon)
-    with pytest.raises(HorizonExceeded):
-        inverse_local_time(g, total * 1.01)
-    with pytest.raises(InvalidRequest):
-        inverse_local_time(g, -0.5)
-
-
-def test_inverse_local_time_scaling():
-    # tau_1 and tau_2/4 share one law; compare the two empirical samples,
-    # truncated at the same point in tau_1 units so the horizon cut is fair
-    def tau_sample(t_target, seed0, n):
-        out = []
-        for i in range(n):
-            g = BrownianGrid.simulate(5e-3, 100000, seed=seed0 + i)
-            try:
-                out.append(inverse_local_time(g, t_target))
-            except HorizonExceeded:
-                pass
-        return np.asarray(out)
-
-    a = tau_sample(1.0, 0, 1800)
-    b = tau_sample(2.0, 50000, 1800) / 4.0
-    cut = 125.0
-    a, b = a[a <= cut], b[b <= cut]
-    assert min(a.size, b.size) > 1500
-    assert ks_statistic(a, b) < ks_critical_1pct(a.size, b.size)
 
 
 # ---------------------------------------------------------------------------

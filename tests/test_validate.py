@@ -267,6 +267,25 @@ def test_validate_small_sample_skips_index(law_diffusive):
     assert report.verdict["cf_band"]
 
 
+@pytest.mark.parametrize("name,at,value,count", [
+    ("samples", slice(None), np.nan, 4000),
+    ("samples", 17, np.nan, 1),
+    ("samples", 17, np.inf, 1),
+    ("reference_samples", 17, np.nan, 1),
+], ids=["all_nan", "one_nan", "one_inf", "nan_in_reference"])
+def test_validate_rejects_non_finite_samples(law_levy, name, at, value, count):
+    # a NaN gap is never outside the band and a NaN sorts past every KS
+    # bound, so a non-finite sample would otherwise pass the report
+    sets = {"samples": sample_limit_law(law_levy, 1.0, 4000, seed=3),
+            "reference_samples": sample_limit_law(law_levy, 1.0, 4000, seed=4)}
+    sets[name][at] = value
+    with pytest.raises(InvalidRequest, match=f"{name} hold {count} non-finite"):
+        validate_against_law(sets["samples"], law_levy, 1.0,
+                             reference_samples=sets["reference_samples"])
+    with pytest.raises(InvalidRequest, match=f"hold {count} non-finite"):
+        ks_two_sample(sets["samples"], sets["reference_samples"])
+
+
 def test_report_serialization_roundtrip(tmp_path, law_levy):
     x = sample_limit_law(law_levy, 1.0, 4000, seed=3)
     ref = sample_limit_law(law_levy, 1.0, 4000, seed=4)

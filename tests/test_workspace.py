@@ -76,7 +76,7 @@ def test_normals_keep_every_path_is_a_no_op():
 
 
 TAGS = [_rng.TAG_DIRECT, _rng.TAG_TIMECHANGE, _rng.TAG_EXCURSION, _rng.TAG_CMS,
-        _rng.TAG_GRID, _rng.TAG_BOOTSTRAP]
+        _rng.TAG_BOOTSTRAP]
 
 
 def draws(gen):
