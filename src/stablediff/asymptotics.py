@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad, simpson
-from scipy.interpolate import CubicHermiteSpline
 
+from ._numerics import CubicHermiteSpline, cumulative_simpson, simpson
 from .errors import (
     ClassificationFailed,
     Divergent,
@@ -86,20 +86,26 @@ REGIMES = ("Diffusive", "CriticalDiffusive", "Levy", "CriticalLevy")
 # Euler-Mascheroni constant and A = int_0^1 (sin x - x)/x^2 dx
 # + int_1^inf sin(x)/x^2 dx = 1 - gamma; both enter the alpha = 1
 # characteristic exponent and generator drift.  Hard-coded to 20 significant
-# digits and re-derived by quadrature at import (see _self_check_constants).
+# digits and re-derived at import, to 1e-9, by the package's own adaptive
+# Gauss panels (see _self_check_constants).
 EULER_GAMMA = 0.57721566490153286061
 SIN_INTEGRAL_A = 1.0 - EULER_GAMMA
 
 
 def _self_check_constants() -> None:
-    g, _ = quad(lambda x: -math.exp(-x) * math.log(x), 0.0, np.inf, limit=200)
-    a1, _ = quad(lambda x: (math.sin(x) - x) / x**2, 0.0, 1.0)
+    # gamma = -int_0^inf e^{-x} log x dx; with x = e^u the integrand
+    # -u e^u exp(-e^u) is smooth, and cut at u = -50 and u = 5 it loses
+    # below 1e-19
+    g = adaptive_panels(lambda u: -u * np.exp(u - np.exp(u)),
+                        np.linspace(-50.0, 5.0, 56), 1e-12).sum()
+    a1 = adaptive_panels(lambda x: (np.sin(x) - x) / x**2,
+                         np.linspace(0.0, 1.0, 5), 1e-12).sum()
     # int_1^inf sin(x)/x^2 dx rewritten through 1/x^2 = int_0^inf t e^{-xt} dt
     # (Fubini), which turns the oscillatory tail into an absolutely
-    # convergent Laplace integral.
+    # convergent Laplace integral; cut at t = 60 it loses below 1e-24.
     s1, c1 = math.sin(1.0), math.cos(1.0)
-    a2, _ = quad(
-        lambda t: t * math.exp(-t) * (t * s1 + c1) / (t * t + 1.0), 0.0, np.inf)
+    a2 = adaptive_panels(lambda t: t * np.exp(-t) * (t * s1 + c1) / (t * t + 1.0),
+                         np.linspace(0.0, 60.0, 61), 1e-12).sum()
     if abs(g - EULER_GAMMA) > 1e-9 or abs((a1 + a2) - SIN_INTEGRAL_A) > 1e-9:
         raise ArithmeticError(
             "hard-coded constants failed their quadrature self-check: "
@@ -168,10 +174,19 @@ def compute_rho(ell: Callable) -> float:
     return float(panels.sum() + tail)
 
 
+def _check_eps(eps) -> float:
+    """eps as a float when it is a finite real > 0 (not a bool);
+    InvalidRequest otherwise."""
+    real = isinstance(eps, numbers.Real) and not isinstance(eps, bool)
+    value = float(eps) if real else math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidRequest(f"eps must be finite and > 0, got {eps!r}")
+    return value
+
+
 def compute_rho_eps(ell: Callable, eps: float) -> float:
     """Truncation rho_eps = int_1^{1/eps} of the rho integrand (0 if eps >= 1)."""
-    if eps <= 0.0:
-        raise InvalidRequest("rho_eps requires eps > 0")
+    eps = _check_eps(eps)
     u_hi = math.log(1.0 / eps)
     if u_hi <= 0.0:
         return 0.0
@@ -463,7 +478,8 @@ class LimitLaw:
     diffusive regimes and sigma_alpha * S_t^(alpha) otherwise, where S has
     characteristic function exp(-t |xi|^alpha z_alpha(xi)).  Levy-only fields
     are None in diffusive regimes and vice versa; the eps-indexed functions
-    raise InvalidRequest where they are not defined.
+    raise InvalidRequest where they are not defined, and for an eps that is
+    not finite and > 0.
     """
 
     regime: str
@@ -513,7 +529,7 @@ class LimitLaw:
                 raise InvalidRequest(
                     f"rho_eps applies to the diffusive regimes, not {self.regime}")
             raise InvalidRequest("rho_eps is not available on a deserialized law")
-        return self._rho_eps_fn(eps)
+        return self._rho_eps_fn(_check_eps(eps))
 
     def xi_eps(self, eps: float) -> float:
         """Exact centering (alpha = 1): kappa ell(1/eps) int f dm over the
@@ -522,14 +538,14 @@ class LimitLaw:
             raise InvalidRequest(f"xi_eps is defined only at alpha = 1, not for {self.regime}")
         if self._xi_eps_fn is None:
             raise InvalidRequest("xi_eps is not available on a deserialized law")
-        return self._xi_eps_fn(eps)
+        return self._xi_eps_fn(_check_eps(eps))
 
     def zeta_eps(self, eps: float) -> float:
         if self.regime != "CriticalLevy":
             raise InvalidRequest(f"zeta_eps is defined only at alpha = 1, not for {self.regime}")
         if self._zeta_eps_fn is None:
             raise InvalidRequest("zeta_eps is not available on a deserialized law")
-        return self._zeta_eps_fn(eps)
+        return self._zeta_eps_fn(_check_eps(eps))
 
     # -- serialization -------------------------------------------------------
 
@@ -659,8 +675,6 @@ def _xi_eps_exact(model: DiffusionModel, f: Callable, ell: Callable, kappa: floa
     core = model.core()
 
     def xi(eps: float) -> float:
-        if eps <= 0.0:
-            raise InvalidRequest("xi_eps requires eps > 0")
         w_edge = kappa / eps
         total = 0.0
         for side in (core.pos, core.neg):
@@ -831,7 +845,9 @@ def poisson_solution(model: DiffusionModel, f: Callable) -> PoissonSolution:
     Only what gamma^2 needs is computed here: T, g' at the nodes and the
     two variance sums, so every NotCentered and PoissonUnavailable is
     raised by this call.  g by cumulative Simpson, g'' and the splines are
-    built when ``g`` or ``g_prime`` is first called.
+    built when ``g`` or ``g_prime`` is first called.  ``simpson``,
+    ``cumulative_simpson`` and the Hermite splines are ``_numerics``'s numpy
+    ports of their scipy namesakes, equal to them to the bit.
     """
     core = model.core()
     kappa = compute_kappa(model)
@@ -886,7 +902,7 @@ def poisson_solution(model: DiffusionModel, f: Callable) -> PoissonSolution:
         # small outer contributions first keeps T accurate where it is tiny
         # (a left-to-right cumulative sum subtracted from its total would
         # drown the far tail in rounding noise)
-        T = cumulative_simpson(fm[::-1], dx=dx, initial=0.0)[::-1] + tail
+        T = cumulative_simpson(fm[::-1], dx)[::-1] + tail
         sides[sign] = (xs, dx, E, sig, m, fv, T)
 
     xp, dxp, Ep, sigp, mp, fp, Tp = sides[+1.0]
@@ -910,8 +926,8 @@ def poisson_solution(model: DiffusionModel, f: Callable) -> PoissonSolution:
     def _var_piece(xs, dx, gp, sig, m):
         """(body + tail, |S_h - S_2h| / 15) of int (g' sigma)^2 m on one side."""
         integrand = (gp * sig) ** 2 * m
-        body = float(simpson(integrand, dx=dx))
-        coarse = float(simpson(integrand[::2], dx=2.0 * dx))
+        body = float(simpson(integrand, dx))
+        coarse = float(simpson(integrand[::2], 2.0 * dx))
         tail, divergent = octave_tail(xs, integrand)
         if divergent or not np.isfinite(tail):
             raise PoissonUnavailable("int (g' sigma)^2 dmu diverges")
@@ -928,10 +944,10 @@ def poisson_solution(model: DiffusionModel, f: Callable) -> PoissonSolution:
         ``nodes()`` gives the (values, slopes) at all nodes; it and the
         spline run on the read-out's first call only.
 
-        The even nodes are composite-Simpson sums; cumulative_simpson's
-        odd nodes add its one-interval rule, whose error alternates in sign
-        from node to node (2.6e-8 relative in g' on kinetic(7) near 0, 6x
-        the error of the even-node spline)."""
+        The even nodes are composite-Simpson sums; the odd nodes of
+        ``cumulative_simpson`` (scipy's rule) add its one-interval rule,
+        whose error alternates in sign from node to node (2.6e-8 relative in
+        g' on kinetic(7) near 0, 6x the error of the even-node spline)."""
         @functools.cache
         def spline():
             values, slopes = nodes()
@@ -946,8 +962,8 @@ def poisson_solution(model: DiffusionModel, f: Callable) -> PoissonSolution:
 
     # On the negative side the distance u = -x reverses every slope:
     # d/du g(-u) = -g'(-u) and d/du g'(-u) = -g''(-u).
-    g_p = read_out(xp, lambda: (cumulative_simpson(gp_pos, dx=dxp, initial=0.0), gp_pos))
-    g_n = read_out(xn, lambda: (-cumulative_simpson(gp_neg, dx=dxn, initial=0.0),  # int_0^{-u}
+    g_p = read_out(xp, lambda: (cumulative_simpson(gp_pos, dxp), gp_pos))
+    g_n = read_out(xn, lambda: (-cumulative_simpson(gp_neg, dxn),  # int_0^{-u}
                                 -gp_neg))
     gp_p = read_out(xp, lambda: (gp_pos, gpp(xp, fp, gp_pos, sigp)))
     gp_n = read_out(xn, lambda: (gp_neg, -gpp(-xn, fn, gp_neg, sig_n)))

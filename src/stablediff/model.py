@@ -47,9 +47,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.optimize import brentq
 
+from ._numerics import CubicHermiteSpline, CubicSpline, brentq
 from .errors import (
     ConfigError,
     NotIntegrable,
@@ -380,11 +379,16 @@ class _QuadCore:
         return _two_sided(self._split(x), self.pos.s_at, lambda u: -self.neg.s_at(u))
 
     def inv_s(self, w):
-        """Inverse scale by bracketed root-finding (bisection bracket from the
-        node table, then Brent refinement against the panel evaluator)."""
+        """Inverse scale by bracketed root-finding: a bracket from the node
+        table, then Brent's method (``_numerics.brentq``, scipy's brentq step
+        for step) against the panel evaluator.  A w that is not finite, or
+        lies beyond the image of s, raises OutOfDomain."""
         w = np.asarray(w, dtype=np.float64)
         scalar = w.ndim == 0
         w = np.atleast_1d(w)
+        if not np.isfinite(w).all():
+            raise OutOfDomain("inverse scale needs a finite w, got "
+                              f"w={w[~np.isfinite(w)][0]:g}")
         out = np.empty_like(w)
         for i, wi in enumerate(w):
             side = self.pos if wi >= 0 else self.neg

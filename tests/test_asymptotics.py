@@ -592,6 +592,19 @@ def test_eps_quantities_regime_gating(kinetic7, kinetic3):
         law3.xi_eps(0.1)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0, True, "0.1"])
+def test_eps_quantities_reject_bad_eps(eps, law_diffusive, law_critical_levy):
+    # one check, eps finite and > 0, ahead of every eps-indexed constant
+    with pytest.raises(InvalidRequest):
+        compute_rho_eps(ell_one, eps)
+    with pytest.raises(InvalidRequest):
+        law_diffusive.rho_eps(eps)
+    with pytest.raises(InvalidRequest):
+        law_critical_levy.xi_eps(eps)
+    with pytest.raises(InvalidRequest):
+        law_critical_levy.zeta_eps(eps)
+
+
 def test_limit_law_serialization_round_trip(kinetic7):
     cases = []
     a7 = presets.kinetic_tail_limits(7.0)

@@ -321,6 +321,12 @@ def test_out_of_domain_guard(heavy1):
         eval_scale(heavy1, 1e6)
     with pytest.raises(OutOfDomain):
         heavy1.core().inv_s(1e308)
+    # a non-finite w is outside the image too, nan included
+    for w in (math.nan, math.inf, np.array([0.5, math.nan])):
+        with pytest.raises(OutOfDomain):
+            heavy1.core().inv_s(w)
+    with pytest.raises(OutOfDomain):
+        eval_psi_phi(heavy1, lambda x: np.asarray(x, dtype=np.float64), math.nan)
 
 
 # -- coefficient tables -----------------------------------------------------------
