@@ -184,17 +184,19 @@ def _gtsv(dl: list, d: list, du: list, b: list) -> list:
     return b
 
 
-def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+def brentq(f, a: float, b: float, xtol: float, rtol: float,
+           fa: float | None = None, fb: float | None = None) -> float:
     """Root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
     method: scipy's C routine step for step, with scipy's cap of 100 steps.
 
     ``rtol`` must be at least scipy's floor 4 eps and ``xtol`` positive.  A
     nan value of f, or a bracket without a sign change, raises ValueError,
-    as scipy raises them; not converging raises RuntimeError.
+    as scipy raises them; not converging raises RuntimeError.  ``fa`` and
+    ``fb``, if given, are f(a) and f(b), which are then not evaluated again.
     """
 
-    def value(x: float) -> float:
-        fx = float(f(x))
+    def value(x: float, fx: float | None = None) -> float:
+        fx = float(f(x) if fx is None else fx)
         if fx != fx:
             raise ValueError(f"the function value at x={x!r} is nan")
         return fx
@@ -202,7 +204,7 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
     xtol, rtol = float(xtol), float(rtol)
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = value(xpre, fa), value(xcur, fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:

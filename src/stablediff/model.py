@@ -402,12 +402,14 @@ class _QuadCore:
             j = min(j, side.x.size - 1)
             lo, hi = side.x[j - 1], side.x[j]
             f = lambda u: float(side.s_at(u)[0]) - target
-            if f(lo) == 0.0:
+            f_lo = f(lo)
+            if f_lo == 0.0:
                 root = lo
-            elif f(hi) <= 0.0:
-                root = hi
             else:
-                root = brentq(f, lo, hi, xtol=1e-14 * (1.0 + hi), rtol=8.9e-16)
+                f_hi = f(hi)
+                # the bracket ends' values go along, so each is evaluated once
+                root = hi if f_hi <= 0.0 else brentq(
+                    f, lo, hi, xtol=1e-14 * (1.0 + hi), rtol=8.9e-16, fa=f_lo, fb=f_hi)
             out[i] = root if wi >= 0 else -root
         return float(out[0]) if scalar else out
 

@@ -418,13 +418,17 @@ def _euler_walk(bv, sv, dt: float, n_steps: int, guard: float, seed: int,
     scaled once, in place, by the float ``c*sqrt(dt)``, and a step calls
     only the drift: the same two rounded products as ``(s*sqrt(dt))*z``,
     so both forms give the same bits.
-    Before a chunk is yielded, ``exploded[j]`` is set to the first step at
-    which path j lay beyond ``guard`` (or was nan), if it is still -1.
-    Every state is clamped to [-lim, lim], lim the next float above
-    the guard, and a nan state goes to -lim: a path that left stays
-    flagged, and its coefficients are never evaluated far outside the guard
-    interval, where they could overflow.  The states of such a path mean
-    nothing.
+    A chunk is stepped unclamped, with numpy's floating-point errors
+    ignored for the step loop alone: a path that leaves the guard interval
+    may overflow or turn nan within its chunk, and no other path sees it.
+    Before the chunk is yielded, ``exploded[j]`` is set to the first step
+    at which path j did not lie within ``guard`` (nan counts), if it is
+    still -1, and every column that left the guard interval in the chunk
+    is clamped to [-lim, lim], lim the next float above the guard, a nan
+    going to -lim.  So the consumer and the next chunk see only finite
+    states, and a path that left stays flagged.  The states of such a path
+    mean nothing.  A path that stays within the guard is never clamped, so
+    its states do not depend on the chunk length.
     """
     n = len(indices)
     sqdt = math.sqrt(dt)
@@ -443,22 +447,25 @@ def _euler_walk(bv, sv, dt: float, n_steps: int, guard: float, seed: int,
             if additive:
                 z *= sv * sqdt                  # row i is the noise of step i
             X = ws.view("x", k + 1, n)          # row 0 is the carried state
-            for i in range(k):
-                x = X[i]
-                np.multiply(np.asarray(bv(x), dtype=np.float64), dt, out=drift_dt)
-                if not additive:
-                    np.multiply(np.asarray(sv(x), dtype=np.float64), sqdt, out=noise)
-                    z[i] *= noise
-                drift_dt += z[i]
-                nxt = np.add(x, drift_dt, out=X[i + 1])
-                np.fmax(nxt, -lim, out=nxt)      # nan goes to -lim
-                np.fmin(nxt, lim, out=nxt)
+            with np.errstate(all="ignore"):
+                for i in range(k):
+                    x = X[i]
+                    np.multiply(np.asarray(bv(x), dtype=np.float64), dt, out=drift_dt)
+                    if not additive:
+                        np.multiply(np.asarray(sv(x), dtype=np.float64), sqdt, out=noise)
+                        z[i] *= noise
+                    drift_dt += z[i]
+                    np.add(x, drift_dt, out=X[i + 1])
             new = X[1:]
-            hit = (new.max(axis=0) > guard) | (new.min(axis=0) < -guard)
-            hit &= exploded < 0
-            if hit.any():
-                cols = np.flatnonzero(hit)
-                exploded[cols] = k0 + 1 + np.argmax(np.abs(new[:, cols]) > guard, axis=0)
+            # a nan maximum or minimum fails both comparisons
+            left = ~((new.max(axis=0) <= guard) & (new.min(axis=0) >= -guard))
+            if left.any():
+                cols = np.flatnonzero(left & (exploded < 0))
+                exploded[cols] = k0 + 1 + np.argmax(~(np.abs(new[:, cols]) <= guard), axis=0)
+                cols = np.flatnonzero(left)
+                far = X[:, cols]                # a copy
+                np.fmax(far, -lim, out=far)     # nan goes to -lim
+                X[:, cols] = np.fmin(far, lim, out=far)
             yield k0, X
             X[0] = X[k]
             k0 += k

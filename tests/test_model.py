@@ -301,6 +301,25 @@ def test_inverse_scale_round_trip(fixture, heavy1, kinetic3):
     assert np.all(np.abs(back - xs) < 1e-9 * (1.0 + np.abs(xs)))
 
 
+def test_inverse_scale_evaluates_each_point_once(kinetic_critical, monkeypatch):
+    # each s_at call is a Gauss panel: inverting a point evaluates no
+    # abscissa twice, its bracket ends included
+    core = kinetic_critical.core()
+    w = core.s(np.linspace(0.9 * core.x_lo, 0.9 * core.x_hi, 41))
+    want = core.inv_s(w)
+    calls = []
+    s_at = stablediff.model._Side.s_at
+    monkeypatch.setattr(stablediff.model._Side, "s_at",
+                        lambda side, u: calls.append(float(u)) or s_at(side, u))
+    n_calls = 0
+    for wi, xi in zip(w, want):
+        calls.clear()
+        assert core.inv_s(wi) == xi
+        assert len(calls) == len(set(calls))
+        n_calls += len(calls)
+    assert n_calls > 0
+
+
 def test_mu_is_probability(heavy1):
     val, err = invariant_integral(heavy1, lambda x: np.ones_like(np.asarray(x)), with_error=True)
     assert abs(val - 1.0) <= max(err, 1e-12)

@@ -165,9 +165,10 @@ def test_degenerate_noise_model_rejected():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_single_path_explosion_reports_step():
-    with pytest.raises(PathExploded) as exc:
-        simulate_path(outward_model(1.0), T=6.0, dt=0.005, seed=0)
-    assert exc.value.step == 751
+    for errors in ("warn", "raise"):
+        with np.errstate(all=errors), pytest.raises(PathExploded) as exc:
+            simulate_path(outward_model(1.0), T=6.0, dt=0.005, seed=0)
+        assert exc.value.step == 751
 
 
 def test_single_path_is_ensemble_path_zero(kinetic3):
@@ -463,12 +464,16 @@ EXPLODED_PINS = {
 }
 
 
+BLOWUP_CFG = SimConfig(dt=0.01, epsilon=0.5, horizon_times=(0.5, 1.0), n_paths=300,
+                       seed=0, scheme="Direct")
+
+
 def check_explosion_steps(monkeypatch, drift, chunk, diffusion):
+    """The pinned block's exploded-step vector, after checking the pin."""
     monkeypatch.setattr(_workspace, "_CHUNK", chunk)
     model = outward_model(1.0, BLOWUP_DRIFTS[drift], diffusion)
     model.core()
-    cfg = SimConfig(dt=0.01, epsilon=0.5, horizon_times=(0.5, 1.0), n_paths=300,
-                    seed=0, scheme="Direct")
+    cfg = BLOWUP_CFG
     out, exploded = pathsim._direct_block(
         model.drift, pathsim._diffusion(model), f_id, cfg,
         pathsim._GUARD_FACTOR * model.domain_cutoff, pathsim._emission_schedule(cfg),
@@ -480,6 +485,7 @@ def check_explosion_steps(monkeypatch, drift, chunk, diffusion):
     steps = exploded[exploded >= 0]
     assert np.any(steps % 64 != 0) and np.any(steps % 64 == 0)
     assert np.bincount((steps - 1) // 64).max() >= 2
+    return exploded
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -493,8 +499,38 @@ def test_direct_explosion_steps_pinned(monkeypatch, drift, chunk):
 @pytest.mark.parametrize("chunk", [3, 64, 257])
 @pytest.mark.parametrize("drift", sorted(BLOWUP_DRIFTS))
 def test_direct_explosion_steps_pinned_additive(monkeypatch, drift, chunk):
-    # the constant-diffusion branch clamps every step too: same pins
+    # the constant-diffusion branch takes the same per-chunk guard: same pins
     check_explosion_steps(monkeypatch, drift, chunk, 1.0)
+
+
+@pytest.mark.parametrize("diffusion", [unit_noise, 1.0], ids=["callable", "constant"])
+@pytest.mark.parametrize("drift", ["cubic", "nan"])
+def test_exploding_run_raises_path_exploded_under_raising_errstate(
+        monkeypatch, law_levy, drift, diffusion):
+    # an exploding path overflows or turns nan within its chunk; under the
+    # caller's errstate(all="raise") the run still fails with the pinned
+    # explosion, not with FloatingPointError
+    exploded = check_explosion_steps(monkeypatch, drift, 64, diffusion)
+    bad = np.flatnonzero(exploded >= 0)
+    model = outward_model(1.0, BLOWUP_DRIFTS[drift], diffusion)
+    with np.errstate(all="raise"), pytest.raises(PathExploded) as exc:
+        rescaled_functional(model, f_id, law_levy, BLOWUP_CFG)
+    assert (exc.value.step, exc.value.n_exploded) == (exploded[bad[0]], bad.size)
+
+
+def test_euler_walk_leaves_the_caller_errstate_between_chunks():
+    # the kernel ignores floating-point errors in its step loop only
+    model = outward_model(1.0, BLOWUP_DRIFTS["cubic"])
+    model.core()
+    exploded = np.full(300, -1, dtype=np.int64)
+    with np.errstate(all="raise", under="ignore"):
+        caller = np.geterr()
+        for _, X in pathsim._euler_walk(model.drift, model.diffusion, 0.01, 200,
+                                        pathsim._GUARD_FACTOR * model.domain_cutoff, 0,
+                                        np.arange(300), exploded):
+            assert np.geterr() == caller
+            assert np.all(np.abs(X) <= np.nextafter(10.0, np.inf))
+    assert np.any(exploded >= 0)
 
 
 # driftless(2.5) on Direct: sigma = (1 + |x|)^1.25 is the one preset
