@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidRequest
+
 # Purpose tags; shifted into the high bits of the second key word so that the
 # path index (low bits) can never collide across purposes.  A tag's value is
 # part of every stream it keys, so no tag is ever renumbered.  Tag 5 is
@@ -34,6 +36,19 @@ TAG_CMS = 4         # direct stable sampling
 TAG_BOOTSTRAP = 6   # validation bootstrap
 
 _MASK64 = (1 << 64) - 1
+
+
+def checked_seed(seed) -> int:
+    """``seed`` as an int, if it is an integer (not a bool) in [0, 2**64).
+
+    Anything else raises :class:`InvalidRequest`: :func:`key` keeps only a
+    seed's low 64 bits, so an unchecked 2**64 or -1 would silently replay
+    the stream of another seed.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or not 0 <= int(seed) <= _MASK64:
+        raise InvalidRequest(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
 
 
 def key(seed: int, tag: int, index: int) -> np.ndarray:

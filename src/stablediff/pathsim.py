@@ -43,7 +43,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._rng import TAG_DIRECT, TAG_TIMECHANGE
+from . import _workspace
+from ._rng import TAG_DIRECT, TAG_TIMECHANGE, checked_seed
 from ._workspace import _ChunkWorkspace, _cumsum_end, _first_passages, _Normals, _run_blocks
 from .asymptotics import LimitLaw
 from .errors import (
@@ -67,8 +68,11 @@ SCHEMES = ("Direct", "TimeChange")
 
 _EULER_BLOCK = 2048       # widest lockstep block of the Euler-Maruyama engine
 _BLOCK = 1024             # widest lockstep block of the time-change walk
-_CLOCK_SLAB = 256         # normals a clock-walk path draws per generator call;
-                          # half the default, to bound the wider block's memory
+_CLOCK_SLAB = 256         # normals a clock-walk path draws per generator call
+                          # in a full block; a narrower one draws up to
+                          # _CLOCK_SLAB * _BLOCK // width, so that no block's
+                          # slab buffer passes the full block's 2 MiB
+_GUIDE_CAP = 1 << 21      # most entries of a clock table's bracket guide
 _GUARD_FACTOR = 10.0      # explosion guard at |X| > guard_factor * domain_cutoff
 _MAX_RETRIES = 3          # substitute draws attempted per exploded path
 _EXPLODED_TOL = 1e-3      # run fails if more than this fraction of paths explode
@@ -116,10 +120,10 @@ class SimConfig:
             raise ConfigError(f"n_paths must be an integer, got {self.n_paths!r}")
         if self.n_paths < 2:
             raise ConfigError(f"need n_paths >= 2, got {self.n_paths}")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not (0 <= int(self.seed) < 2 ** 64):
-            raise ConfigError(f"seed must fit in an unsigned 64-bit word, got {self.seed}")
+        try:
+            checked_seed(self.seed)
+        except InvalidRequest as err:
+            raise ConfigError(str(err)) from None
         for name in ("dt", "epsilon"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -590,15 +594,23 @@ class _ClockTables:
     bracket search serves both tables.
 
     The bracket search is a guide-table lookup (see :class:`_Bracket`),
-    built once per table.  Buckets are uniform in asinh(y), one per
-    smallest node spacing in that variable but no more than 8 per node;
-    ``guide[b]`` counts the nodes whose bucket is at most b.  On the
-    kinetic and driftless presets the nodes are nearly uniform in asinh(y)
-    (spacings within a factor of 8), so no bucket holds two nodes.  On
-    heavy_tailed(1) they are not (a factor of ~1300): the cap puts ~20
-    nodes in each bucket near y = 0, and most queries there take the
-    searchsorted fallback.  ``ext`` is ``y`` padded with -inf and +inf, so
-    the bracket ``ext[k] <= y < ext[k + 1]`` of every count k is defined.
+    built once per table from the bit pattern of a float.  With c the
+    smallest nonzero |node| and s the shift ``guide_shift``,
+    ``key(y) = (bits(|y| + c) - bits(c)) >> s``, clipped to ``G0 - 1``:
+    each step is monotone in |y| under rounding, and |y| + c spreads |y|
+    linearly below c and by octaves above it.  The guide has 2 * G0
+    buckets in the order of y: G0 + key(y) for y >= 0 (-0.0 included) and
+    G0 - 1 - key(y) for y < 0.  So nan of either sign and +inf land in the
+    top bucket, -inf in bucket 0, and the bucket never falls as y rises.
+    ``guide[b]`` counts the nodes whose bucket is at most b.  s is the
+    largest shift that keeps every two neighbouring nodes in different
+    buckets, so no bucket holds two nodes and the guide is ``exact``; the
+    kinetic and driftless tables take about 20 thousand entries,
+    heavy_tailed(1)'s 1.0 million.  A table whose exact guide would pass
+    ``_GUIDE_CAP`` entries, say with nodes a few ulps apart or two that
+    |y| + c rounds together, takes the smallest shift that fits instead
+    and is not exact.  ``ext`` is ``y`` padded with -inf and +inf, so the
+    bracket ``ext[k] <= y < ext[k + 1]`` of every count k is defined.
     """
 
     y: np.ndarray
@@ -608,27 +620,44 @@ class _ClockTables:
     slope_fval: np.ndarray = field(init=False, repr=False)
     ext: np.ndarray = field(init=False, repr=False)
     guide: np.ndarray = field(init=False, repr=False)
-    guide_shift: float = field(init=False, repr=False)
-    guide_scale: float = field(init=False, repr=False)
+    guide_c: float = field(init=False, repr=False)
+    guide_base: int = field(init=False, repr=False)
+    guide_shift: int = field(init=False, repr=False)
+    exact: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         dy = np.diff(self.y)
         with np.errstate(over="ignore"):
             object.__setattr__(self, "slope_rate1", np.diff(self.rate1) / dy)
             object.__setattr__(self, "slope_fval", np.diff(self.fval) / dy)
-        g = np.arcsinh(self.y)
-        with np.errstate(divide="ignore", over="ignore"):
-            scale = min(8 * (g.size - 1) / (g[-1] - g[0]), 1.0 / np.diff(g).min())
-        # a span too small to scale (zero, subnormal) makes one bucket
-        scale = float(scale) if np.isfinite(scale) else 1.0
-        # the node buckets, in the query's own expression
-        bucket = (g - g[0]) * scale
-        np.floor(bucket, out=bucket)
+        mag = np.abs(self.y)
+        c = float(mag[mag > 0.0].min())
+        base = int(np.float64(c).view(np.int64))
+        key = (mag + c).view(np.int64) - base
+        neg = self.y < 0.0
+        # neighbours on one side of 0; the two sides never share a bucket
+        same = neg[1:] == neg[:-1]
+        lo, hi = key[:-1][same], key[1:][same]
+        top = int(key.max())
+        # two keys stay apart under every shift up to their highest
+        # differing bit
+        s = 0
+        while s < 62 and np.all((lo >> (s + 1)) != (hi >> (s + 1))):
+            s += 1
+        exact = bool(np.all(lo != hi)) and 2 * ((top >> s) + 1) <= _GUIDE_CAP
+        if not exact:
+            s = 0
+            while 2 * ((top >> s) + 1) > _GUIDE_CAP:
+                s += 1
+        key >>= s
+        half = (top >> s) + 1               # G0
+        bucket = np.where(neg, half - 1 - key, half + key)
         object.__setattr__(self, "ext", np.concatenate([[-np.inf], self.y, [np.inf]]))
-        object.__setattr__(self, "guide", np.searchsorted(
-            bucket, np.arange(bucket[-1] + 1.0), side="right"))
-        object.__setattr__(self, "guide_shift", float(g[0]))
-        object.__setattr__(self, "guide_scale", scale)
+        object.__setattr__(self, "guide", np.cumsum(np.bincount(bucket, minlength=2 * half)))
+        object.__setattr__(self, "guide_c", c)
+        object.__setattr__(self, "guide_base", base)
+        object.__setattr__(self, "guide_shift", s)
+        object.__setattr__(self, "exact", exact)
 
 
 def _clock_tables(model: DiffusionModel, f: Callable, n_nodes: int = 6001) -> _ClockTables:
@@ -656,15 +685,16 @@ class _Bracket:
     """One table search shared by every table read at the same points.
 
     ``j`` is ``np.searchsorted(tab.y, y, side="right") - 1`` for every point.
-    The guide (see :class:`_ClockTables`) finds it in O(1): the bucket of
-    asinh(y), clamped with ``fmax``/``fmin`` so that nan and the infinities
-    land inside the guide, gives the count k of nodes up to the bucket's
-    end; one step down covers a bucket holding one node above y.  A point
-    is a hit when ``ext[k] <= y < ext[k + 1]``, and since the nodes
-    strictly increase that bracket fixes k as the searchsorted count, so a
-    hit is exact however it was found.  The misses -- nan, +inf, a rounding
-    at a bucket edge, a bucket holding several nodes -- and only they go
-    through ``np.searchsorted``; ``misses`` counts them.
+    The guide (see :class:`_ClockTables`) finds it in O(1): the bucket of y
+    gives the count k of nodes up to the bucket's end, and one step down
+    (``y < ext[k]``) removes the bucket's node if it lies above y.  Since
+    the buckets never fall as y rises, every node at or below y is counted
+    and any other counted node shares y's bucket, so on an ``exact`` table,
+    whose buckets hold one node at most, k is the searchsorted count.  On
+    a table that is not exact a point is a hit when ``ext[k] <= y <
+    ext[k + 1]``, which fixes k as the searchsorted count since the nodes
+    strictly increase; the misses, and only they, go through
+    ``np.searchsorted``.  ``misses`` counts them, 0 on an exact table.
 
     ``interp`` returns ``np.interp(y, tab.y, fp)`` bit for bit: inside the
     table ``slope[j] * (y - y[j]) + fp[j]``, exactly ``fp[j]`` on a node,
@@ -676,27 +706,34 @@ class _Bracket:
         self.y = y
         self.tab = tab
         # scratch: ``d``, ``off`` and ``node`` are overwritten below
-        t = np.arcsinh(y, out=ws.view("d", *y.shape))
-        t -= tab.guide_shift
-        t *= tab.guide_scale
-        np.fmax(t, 0.0, out=t)
-        np.fmin(t, tab.guide.size - 1, out=t)
-        b = ws.view("b", *y.shape, dtype=np.intp)
-        np.copyto(b, t, casting="unsafe")
-        # the default mode raises on an index the clamp failed to bound;
-        # every k lies in [0, n], so the ext reads need no check
-        k = np.take(tab.guide, b, out=ws.view("j", *y.shape, dtype=np.intp))
+        t = np.abs(y, out=ws.view("d", *y.shape))
+        t += tab.guide_c
+        key = t.view(np.int64)
+        key -= tab.guide_base
+        key >>= tab.guide_shift
+        half = tab.guide.size // 2
+        np.minimum(key, half - 1, out=key)
+        # -1 where y < 0, 0 elsewhere (-0.0 and nan too): the xor turns key
+        # into ~key = -1 - key, so the bucket is G0 + key or G0 - 1 - key
+        sign = np.less(y, 0.0, out=ws.view("off", *y.shape, dtype=np.bool_)).view(np.int8)
+        key ^= np.negative(sign, out=sign)
+        key += half
+        # every bucket lies in the guide and every k in [0, n], so no read
+        # needs a check
+        k = np.take(tab.guide, key, mode="clip", out=ws.view("j", *y.shape, dtype=np.intp))
         edge = np.take(tab.ext, k, mode="clip", out=t)
         step = np.less(y, edge, out=ws.view("off", *y.shape, dtype=np.bool_))
         k -= step
-        np.take(tab.ext, k, mode="clip", out=edge)
-        hit = np.less_equal(edge, y, out=ws.view("node", *y.shape, dtype=np.bool_))
-        np.take(tab.ext[1:], k, mode="clip", out=edge)
-        hit &= np.less(y, edge, out=step)
-        self.misses = hit.size - int(np.count_nonzero(hit))
-        if self.misses:
-            miss = ~hit
-            k[miss] = np.searchsorted(tab.y, y[miss], side="right")
+        self.misses = 0
+        if not tab.exact:
+            np.take(tab.ext, k, mode="clip", out=edge)
+            hit = np.less_equal(edge, y, out=ws.view("node", *y.shape, dtype=np.bool_))
+            np.take(tab.ext[1:], k, mode="clip", out=edge)
+            hit &= np.less(y, edge, out=step)
+            self.misses = hit.size - int(np.count_nonzero(hit))
+            if self.misses:
+                miss = ~hit
+                k[miss] = np.searchsorted(tab.y, y[miss], side="right")
         j = k
         j -= 1
         # as unsigned, j = -1 lies past the end: one compare flags both edges
@@ -752,11 +789,14 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
     step order (see :func:`_cumsum_end`), and the target crossings on the
     monotone A, for which only the columns that pass a target are summed
     step by step (see :func:`_first_passages`).  Each path takes one normal
-    per step from its own keyed stream, drawn ahead in slabs of
-    ``_CLOCK_SLAB`` (see :class:`_Normals`), and every sum adds in step
-    order, so the output depends neither on the chunk length nor on the
-    block width.  Paths that finish inside a chunk walk on to its end;
-    those steps are never read or counted.
+    per step from its own keyed stream, drawn ahead in slabs (see
+    :class:`_Normals`) of ``_CLOCK_SLAB`` normals at full width and of
+    ``_CLOCK_SLAB * _BLOCK // width``, in whole chunks, in a narrower
+    block, so that every block's slab buffer holds at most 2 MiB and a
+    narrow one pays the generator-call overhead less often.  Every sum
+    adds in step order, so the output depends neither on the chunk length
+    nor on the block width.  Paths that finish inside a chunk walk on to
+    its end; those steps are never read or counted.
     """
     eps = cfg.epsilon
     a = eps / kappa
@@ -773,7 +813,11 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
     horizon = 16.0 * max(1.0, targets[-1]) ** 2
     extensions = 0
     clipped = off_table = total = iters = 0
-    with _Normals(cfg.seed, TAG_TIMECHANGE, indices, slab=_CLOCK_SLAB) as normals:
+    # the longest slab, in whole chunks, whose buffer fits a full block's
+    chunk = _workspace._CHUNK
+    slab = max(_CLOCK_SLAB, _CLOCK_SLAB * _BLOCK // width // chunk * chunk)
+    square, maximum, sqrt, add, dt = np.square, np.maximum, np.sqrt, np.add, cfg.dt
+    with _Normals(cfg.seed, TAG_TIMECHANGE, indices, slab=slab) as normals:
         while live.size:
             if iters >= _WALK_ITER_CAP:
                 raise HorizonExceeded(
@@ -789,14 +833,13 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
             tmp = ws.view("tmp", n)
             W[0] = w_cur
             U[0] = u_cur
-            for i in range(k):
-                s = U[i + 1]
-                np.square(W[i], out=s)
-                np.maximum(s, a_sq, out=s)
-                s *= cfg.dt
-                np.sqrt(s, out=tmp)
-                tmp *= z[i]
-                np.add(W[i], tmp, out=W[i + 1])
+            for w, w_next, s, zi in zip(W[:-1], W[1:], U[1:], z):
+                square(w, out=s)
+                maximum(s, a_sq, out=s)
+                s *= dt
+                sqrt(s, out=tmp)
+                tmp *= zi
+                add(w, tmp, out=w_next)
             w_end = W[k].copy()
             # ---- phase 2: everything else, over the (k, n) chunk -----------
             # buffers are reused once read: DA takes W's and f's values the

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import TAG_CMS, TAG_EXCURSION, stream
+from ._rng import TAG_CMS, TAG_EXCURSION, checked_seed, stream
 from ._workspace import _ChunkWorkspace, _cumsum_end, _first_passages, _Normals, _run_blocks
 from .asymptotics import EULER_GAMMA, LimitLaw, _lambda_alpha
 from .errors import HorizonExceeded, InvalidAlpha, InvalidRequest
@@ -133,8 +133,10 @@ def sample_stable_cf(spec: StableSpec, t: float, n: int, seed: int = 0) -> np.nd
     With U uniform on (-pi/2, pi/2) and E standard exponential, the standard
     transform produces a unit stable variate in the one-parametrization; the
     output is then scaled by (c t)^{1/alpha}, plus, at alpha = 1, the
-    log-of-scale drift correction and the tau shift.
+    log-of-scale drift correction and the tau shift.  A seed that is not an
+    integer in [0, 2**64) raises :class:`InvalidRequest`.
     """
+    seed = checked_seed(seed)
     if not (math.isfinite(t) and t > 0.0):
         raise InvalidRequest(f"t must be positive, got {t!r}")
     _check_count("n", n)
@@ -163,8 +165,10 @@ def sample_limit_law(law: LimitLaw, t: float, n: int, seed: int = 0) -> np.ndarr
     Diffusive regimes are Gaussian with variance sigma_alpha^2 t.  The stable
     regimes reduce to the jump-weight law of (alpha, f_plus, f_minus) scaled
     by kappa^{1/alpha}: the characteristic exponents match identically, which
-    the test-suite pins at machine precision.
+    the test-suite pins at machine precision.  A seed that is not an
+    integer in [0, 2**64) raises :class:`InvalidRequest`.
     """
+    seed = checked_seed(seed)
     if not (math.isfinite(t) and t > 0.0):
         raise InvalidRequest(f"t must be positive, got {t!r}")
     _check_count("n", n)
@@ -463,8 +467,10 @@ def stable_via_excursions(spec: StableSpec, t_points, dt: float, n_paths: int,
     ``threads`` is the number of forked worker processes the path blocks
     are shared among (``None``: one per CPU this process may run on; 1
     runs every block in this process).  The output is bit-identical
-    whatever ``threads`` is.
+    whatever ``threads`` is.  A seed that is not an integer in [0, 2**64)
+    raises :class:`InvalidRequest`.
     """
+    seed = checked_seed(seed)
     if not (0.0 < spec.alpha < 2.0):
         raise InvalidAlpha(
             f"the pathwise construction covers alpha in (0, 2), got {spec.alpha}; "

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import TAG_BOOTSTRAP, stream
+from ._rng import TAG_BOOTSTRAP, checked_seed, stream
 from .asymptotics import LimitLaw, char_exponent
 from .errors import InvalidRequest, WindowNotFound
 
@@ -103,8 +103,8 @@ def estimate_alpha(samples, seed: int = 0, n_boot: int = 200) -> AlphaEstimate:
     selected once on the full sample and held fixed across the bootstrap
     resamples, so the CI reflects slope noise at the chosen window.
     ``n_boot``, the number of resamples, must be an integer of at least 2,
-    the fewest that give a spread; anything else raises
-    :class:`InvalidRequest`.
+    the fewest that give a spread, and ``seed`` an integer in [0, 2**64);
+    anything else raises :class:`InvalidRequest`.
 
     ``alpha_hat`` is the ``np.polyfit`` slope of the full sample.  The grid's
     ECF is computed a few points at a time, and only the window points' cos
@@ -116,6 +116,7 @@ def estimate_alpha(samples, seed: int = 0, n_boot: int = 200) -> AlphaEstimate:
     least-squares slope ``sum(c * y) / sum(c * c)`` with c the centered
     log xi.
     """
+    seed = checked_seed(seed)
     if not isinstance(n_boot, (int, np.integer)) or isinstance(n_boot, bool) or n_boot < 2:
         raise InvalidRequest(f"n_boot must be an integer of at least 2, got {n_boot!r}")
     x = _finite_samples(samples)
@@ -278,8 +279,10 @@ def validate_against_law(samples, law: LimitLaw, t: float, *, seed: int = 0,
     two-sample KS.  Samples must already carry the regime normalization (for
     alpha = 1 the exact centering is part of the normalization, not
     re-applied here).  A NaN or infinity in ``samples`` or
-    ``reference_samples`` raises :class:`InvalidRequest`.
+    ``reference_samples`` raises :class:`InvalidRequest`, and so does a
+    seed that is not an integer in [0, 2**64).
     """
+    seed = checked_seed(seed)
     x = _finite_samples(samples)
     if reference_samples is not None:
         reference_samples = _finite_samples(reference_samples, "reference_samples")

@@ -845,24 +845,70 @@ def test_bracket_matches_searchsorted(nodes, tiny, values, extra):
         assert np.array_equal(got.view(np.int64), np.interp(y, xp, fp_).view(np.int64))
 
 
-@pytest.mark.parametrize("model", ["kinetic3", "kinetic_critical", "kinetic7"])
+@pytest.fixture(scope="module")
+def driftless25():
+    return presets.driftless(2.5)
+
+
+@pytest.fixture(scope="module")
+def table_model(tmp_path_factory):
+    # an Ornstein-Uhlenbeck coefficient table, read back through from_table
+    rows = ["x,b,sigma"] + [f"{x!r},{-x!r},1.0" for x in np.linspace(-10, 10, 801).tolist()]
+    p = tmp_path_factory.mktemp("table") / "ou.csv"
+    p.write_text("\n".join(rows) + "\n")
+    return presets.from_table(p)
+
+
+@pytest.mark.parametrize("model", ["kinetic3", "kinetic_critical", "kinetic7", "driftless25",
+                                   "heavy1", "table_model"])
 def test_bracket_guide_hits_kinetic_tables(model, request):
-    # on the kinetic tables one guide bucket holds at most one node, so every
-    # finite point -- on a node, between nodes or beyond either end -- is
-    # found by the guide and one step down, without the searchsorted fallback
+    # on these tables the guide is exact: every point -- on a node, one ulp
+    # either side of it, between nodes or beyond either end, the signed
+    # zeros and subnormals, the infinities and nan of either sign -- is
+    # found by one guide lookup and one step down, without the fallback
     tab = pathsim._clock_tables(request.getfixturevalue(model), f_id)
+    assert tab.exact
     g = np.arcsinh(tab.y)
     rng = np.random.default_rng(4)
-    y = np.concatenate([tab.y, 0.5 * (tab.y[1:] + tab.y[:-1]), [0.0, -0.0],
+    y = np.concatenate([tab.y, np.nextafter(tab.y, np.inf), np.nextafter(tab.y, -np.inf),
+                        0.5 * (tab.y[1:] + tab.y[:-1]),
+                        [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan,
+                         np.copysign(np.nan, -1.0)],
                         np.sinh(rng.uniform(g[0] - 1.0, g[-1] + 1.0, 50_000))])
     br = pathsim._Bracket(tab, y, pathsim._ChunkWorkspace(y.size))
     assert br.misses == 0
     assert np.array_equal(br.j, np.searchsorted(tab.y, y, side="right") - 1)
-    # nan and +inf always miss and are placed by the fallback
     br = pathsim._Bracket(tab, np.array([np.nan, np.inf, -np.inf]),
                           pathsim._ChunkWorkspace(3))
-    assert br.misses == 2
+    assert br.misses == 0
     assert br.j.tolist() == [tab.y.size - 1, tab.y.size - 1, -1]
+
+
+@pytest.mark.parametrize("width", [128, 512, 1024])
+def test_clock_slab_buffer_is_bounded(kinetic3, monkeypatch, width):
+    # a narrower block draws a longer slab per generator call, as long as
+    # the full block's buffer allows, and never a larger buffer
+    buffers = []
+
+    class Built(Exception):
+        pass
+
+    class Recorded(_workspace._Normals):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            buffers.append(self._buf.shape)
+            raise Built     # the walk itself is not needed
+
+    monkeypatch.setattr(pathsim, "_Normals", Recorded)
+    tab = pathsim._clock_tables(kinetic3, f_id)
+    cfg = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.5,), n_paths=width,
+                    seed=1, scheme="TimeChange")
+    with pytest.raises(Built):
+        pathsim._timechange_block(tab, 1.0, cfg, np.arange(width))
+    (rows, slab), = buffers
+    assert rows == width
+    assert rows * slab <= pathsim._BLOCK * pathsim._CLOCK_SLAB
+    assert slab == pathsim._CLOCK_SLAB * pathsim._BLOCK // width
 
 
 def test_clock_table_edge_gate(kinetic3, monkeypatch):

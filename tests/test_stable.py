@@ -214,6 +214,37 @@ def test_sampler_rejects_bad_requests():
             sample_limit_law(law, 1.0, n)
 
 
+# a seed out of [0, 2**64) or not an integer; key() would keep only the low
+# 64 bits, so 2**64 and -1 replayed other seeds' streams
+BAD_SEEDS = [2 ** 64, -1, True, 1.5, np.int64(-1)]
+BAD_SEED_IDS = ["2**64", "-1", "True", "1.5", "int64(-1)"]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=BAD_SEED_IDS)
+def test_sample_stable_cf_rejects_bad_seed(seed):
+    with pytest.raises(InvalidRequest, match="seed"):
+        sample_stable_cf(StableSpec(1.3, 1.0, 0.0), 1.0, 5, seed=seed)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=BAD_SEED_IDS)
+def test_sample_limit_law_rejects_bad_seed(seed, law_levy):
+    with pytest.raises(InvalidRequest, match="seed"):
+        sample_limit_law(law_levy, 1.0, 5, seed=seed)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=BAD_SEED_IDS)
+def test_stable_via_excursions_rejects_bad_seed(seed):
+    with pytest.raises(InvalidRequest, match="seed"):
+        stable_via_excursions(StableSpec(1.5, 1.0, 1.0), [0.5], 1e-3, 4, seed=seed)
+
+
+def test_seed_edges_are_accepted():
+    sp = StableSpec(1.3, 1.0, 0.0)
+    top = sample_stable_cf(sp, 1.0, 5, seed=2 ** 64 - 1)
+    assert np.array_equal(sample_stable_cf(sp, 1.0, 5, seed=np.uint64(2 ** 64 - 1)), top)
+    assert not np.array_equal(sample_stable_cf(sp, 1.0, 5, seed=0), top)
+
+
 # ---------------------------------------------------------------------------
 # the limit law and the reference law are one object in two parametrizations
 

@@ -177,6 +177,24 @@ def test_alpha_hat_takes_two_resamples():
     assert math.isfinite(est.se) and est.ci[0] <= est.ci[1]
 
 
+# a seed out of [0, 2**64) or not an integer; 2**64 gave seed 0's bootstrap
+BAD_SEEDS = [2 ** 64, -1, True, 1.5, np.int64(-1)]
+BAD_SEED_IDS = ["2**64", "-1", "True", "1.5", "int64(-1)"]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=BAD_SEED_IDS)
+def test_alpha_hat_rejects_bad_seed(seed):
+    with pytest.raises(InvalidRequest, match="seed"):
+        estimate_alpha(normals(1000), seed=seed)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=BAD_SEED_IDS)
+def test_validate_rejects_bad_seed(seed, law_levy):
+    # estimate_alpha's InvalidRequest would otherwise only drop alpha_hat
+    with pytest.raises(InvalidRequest, match="seed"):
+        validate_against_law(normals(1000), law_levy, 1.0, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # CF distance and the KS test
 
