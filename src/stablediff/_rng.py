@@ -8,6 +8,14 @@ other paths exist.  Since every per-path sum adds in step order, whole runs
 are bit-identical for any block width and so for any ``threads`` value
 (the worker-process count, which sets the width).
 
+The one exception is the Ray-Knight construction
+(:func:`stablediff.stable.stable_via_excursions`): it keys one stream per
+block of ``_workspace._MIN_WIDTH`` paths by the block's index, and its
+paths share it.  Those blocks are fixed whatever ``threads`` is, so its runs
+are bit-identical for any ``threads`` too; but the rows of the last block,
+which is short unless ``n_paths`` is a whole number of blocks, change with
+``n_paths``.
+
 Philox output is chunk-invariant: drawing 2×4096 doubles in two calls yields
 the same stream as one call of 8192, so a walk may draw its normals a chunk
 of steps at a time.  A Philox stream is its key and a counter, so an
@@ -31,7 +39,7 @@ from .errors import InvalidRequest
 # retired (it keyed a single-path Brownian grid) and must not be reused.
 TAG_DIRECT = 1      # Euler-Maruyama paths
 TAG_TIMECHANGE = 2  # Brownian clock of the time-change scheme
-TAG_EXCURSION = 3   # Brownian excursion engine
+TAG_EXCURSION = 3   # Ray-Knight local-time blocks (keyed by block, not path)
 TAG_CMS = 4         # direct stable sampling
 TAG_BOOTSTRAP = 6   # validation bootstrap
 

@@ -1,25 +1,22 @@
 """Block runner, scratch memory and keyed noise for the chunked lockstep walks.
 
-All three walk engines (the Euler-Maruyama engine and the time-change clock
-walk in :mod:`stablediff.pathsim`, the excursion engine in
-:mod:`stablediff.stable`) split their paths into blocks and advance each
-block in chunks of lockstep steps: ``_CHUNK`` while every path of the block
-is live, longer as paths finish (see :meth:`_Normals.take`), so a block's
-straggler tail pays the per-chunk work once per up to a slab of steps.
-Once at most ``stable._NARROW`` of its paths are live, the excursion walk
-also takes each step's Brownian recursion path by path in Python floats,
-which costs less than the per-step ufunc calls at that width.
-:func:`_run_blocks`, the one block scheduler, shares the blocks among
-forked worker processes, one per CPU by default: the walks spend their time
-in short numpy calls whose interpreter overhead holds the GIL, so threads
-did not pay.  Per block, a :class:`_Normals` hands out each chunk's keyed
+The two walk engines of :mod:`stablediff.pathsim`, the Euler-Maruyama
+engine and the time-change clock walk, split their paths into blocks and
+advance each block in chunks of lockstep steps: ``_CHUNK`` while every path
+of the block is live, longer as paths finish (see :meth:`_Normals.take`), so
+a block's straggler tail pays the per-chunk work once per up to a slab of
+steps.  :func:`_run_blocks`, the one block scheduler, shares the blocks
+among forked worker processes, one per CPU by default: the walks spend
+their time in short numpy calls whose interpreter overhead holds the GIL,
+so threads did not pay.  The Ray-Knight construction of
+:mod:`stablediff.stable` runs its blocks through it too, at the fixed width
+``_MIN_WIDTH``.  Per block, a :class:`_Normals` hands out each chunk's keyed
 normals from generators re-keyed out of a per-thread pool (:func:`stream`),
 and a :class:`_ChunkWorkspace` holds every other per-chunk array.  The
 walks keep each running sum as its increments, with the carried state in
 row 0: they read the chunk's end by one reduction (:func:`_cumsum_end`) and
 build the running sums only on the few columns that pass a target, where
-:func:`_first_passages` is the two clock walks' read-out.  A chunk of the
-excursion walk in which no path passes a target builds none of them.
+:func:`_first_passages` is the clock walk's read-out.
 """
 
 from __future__ import annotations
@@ -38,15 +35,16 @@ import numpy as np
 from . import _rng
 
 # lockstep steps per chunk of every walk while all of a block's paths are
-# live; in the excursion engine at 512 paths and dt = 1e-5, 64 and 128 ran
-# alike and 32 took about 20% longer
+# live
 _CHUNK = 64
 _NOISE_SLAB = 512   # normals a path draws per generator call, by default
 _TILE = 128         # paths per tile of the step-major noise copy
 # fewest paths a block is cut to when the paths are shared among workers.
 # A fork costs the caller 5-10 ms; at 1000 steps per path, 256 paths as two
 # blocks of 128 on two workers ran about as fast as one block here, and two
-# blocks of 64 or fewer ran slower, on each of the three walks
+# blocks of 64 or fewer ran slower, on Direct and on the clock walk.
+# stable.stable_via_excursions keys its draws by blocks of this width, so a
+# new value changes that route's samples
 _MIN_WIDTH = 128
 
 _in_worker = False  # True in a process forked by _run_blocks
@@ -185,9 +183,14 @@ class _ChunkWorkspace:
         self._bufs: dict[str, np.ndarray] = {}
 
     def view(self, name: str, *shape: int, dtype=np.float64) -> np.ndarray:
+        """The named buffer's front as a ``shape`` array; a name keeps the
+        dtype it was first asked for, and asking for another raises
+        ``TypeError``."""
         flat = self._bufs.get(name)
         if flat is None:
             flat = self._bufs[name] = _mapped(self._size, dtype=dtype)
+        elif flat.dtype != dtype:
+            raise TypeError(f"workspace buffer {name!r} holds {flat.dtype}, not {np.dtype(dtype)}")
         return flat[:math.prod(shape)].reshape(shape)
 
 
@@ -328,27 +331,26 @@ class _Normals:
         self._gens = self._taken = []
 
 
-def _first_passages(clock, dclock, value, dvalue, targets, crossed, side: str):
-    """Where a chunk's non-decreasing clocks first pass sorted targets.
+def _first_passages(clock, dclock, value, dvalue, targets, crossed):
+    """Where a chunk's non-decreasing clocks first reach sorted targets.
 
-    The walks call it on the columns that pass a target in the chunk only.
-    ``clock`` and ``value`` are step-major ``(k+1, n)`` running sums with
-    the carried state in row 0; row s+1 of ``dclock`` and ``dvalue`` holds
-    step s's increments.  Column j passed ``crossed[j]`` targets before the
-    chunk; target t is passed in the first step s whose end ``clock[s+1]``
-    reaches t (``side="right"``) or exceeds it (``side="left"``).  Returns
-    the counts at the chunk's end and, per passage in column then target
-    order, the column, target index, step s and the in-step interpolated
-    ``value[s] + (t - clock[s]) / dclock[s+1] * dvalue[s+1]``.
+    The clock walk calls it on the columns that pass a target in the chunk
+    only.  ``clock`` and ``value`` are step-major ``(k+1, n)`` running sums
+    with the carried state in row 0; row s+1 of ``dclock`` and ``dvalue``
+    holds step s's increments.  Column j passed ``crossed[j]`` targets
+    before the chunk; target t is passed in the first step s whose end
+    ``clock[s+1]`` reaches t.  Returns the counts at the chunk's end and,
+    per passage in column then target order, the column, target index,
+    step s and the in-step interpolated ``value[s] + (t - clock[s]) /
+    dclock[s+1] * dvalue[s+1]``.
     """
-    end = np.searchsorted(targets, clock[-1], side=side)
+    end = np.searchsorted(targets, clock[-1], side="right")
     n_ev = end - crossed
     col = np.repeat(np.arange(n_ev.size), n_ev)
     # passage i of column j is target i - (passages of columns < j) + crossed[j]
     tgt = np.arange(col.size) - np.repeat(np.cumsum(n_ev) - end, n_ev)
     t = targets[tgt]
-    short = np.less if side == "right" else np.less_equal
-    step = np.count_nonzero(short(clock[1:, col], t), axis=0)
+    step = np.count_nonzero(clock[1:, col] < t, axis=0)
     val = value[step, col] + (t - clock[step, col]) / dclock[step + 1, col] \
         * dvalue[step + 1, col]
     return end, col, tgt, step, val

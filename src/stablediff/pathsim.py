@@ -870,7 +870,7 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
             DAp, DHp = DA[:, pc], DH[:, pc]
             _, col, tgt, s_ev, val = _first_passages(
                 np.cumsum(DAp, axis=0), DAp, np.cumsum(DHp, axis=0), DHp, targets,
-                ti[live[pc]], "right")
+                ti[live[pc]])
             col = pc[col]
             out[live[col], tgt] = val
             steps = np.full(n, k)          # steps each path takes in the chunk

@@ -2,29 +2,37 @@
 
 Route one samples a stable law directly from its characteristic function via
 the classical trigonometric (CMS) transform of a uniform and an exponential
-variate.  Route two builds the same law pathwise from a Brownian motion: an
-additive functional of the path (a weighted integral of its local-time field,
-compensated at the origin) is read off at inverse-local-time instants, which
-turns it into a stable process.  Agreement of the two routes is what the
-validation layer checks; neither route knows about diffusions or regimes.
+variate.  Route two builds the same law from Brownian local time: a weighted
+integral of the local-time field, compensated at the origin, read off at
+inverse-local-time instants, which turns it into a stable process.
+Agreement of the two routes is what the validation layer checks; neither
+route knows about diffusions or regimes, and route two never sees the
+characteristic function.
 
-The pathwise engine never stores the local-time field: by the occupation
-identity int w(x) L_t^x dx = int_0^t w(W_s) ds, each part of the functional,
-the binned field on [-1, 1] at alpha >= 1 included, is a running time
-integral along the walk.
+Route two samples the field from its exact law.  By the Ray-Knight theorem
+(Revuz and Yor, *Continuous Martingales and Brownian Motion*, ch. XI), at
+the inverse local time tau_ell of the origin the field x -> L^x, on each
+side of 0, is a BESQ^0 process started at ell, the two sides independent.
+BESQ^0 has an exact transition law, a Gamma law whose shape is a Poisson
+draw, so the field is drawn level by level over a geometric grid, with no
+Brownian path and no time step.  Between two local-time targets the field
+grows by an independent field of the same law, started at the increment
+of ell, so each increment has its own chains and a cumulative sum reads
+the targets.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._rng import TAG_CMS, TAG_EXCURSION, checked_seed, stream
-from ._workspace import _ChunkWorkspace, _cumsum_end, _first_passages, _Normals, _run_blocks
+from ._workspace import _MIN_WIDTH, _run_blocks
 from .asymptotics import EULER_GAMMA, LimitLaw, _lambda_alpha
-from .errors import HorizonExceeded, InvalidAlpha, InvalidRequest
+from .errors import InvalidAlpha, InvalidRequest
 
 __all__ = [
     "StableSpec",
@@ -34,12 +42,7 @@ __all__ = [
     "stable_via_excursions",
 ]
 
-_BLOCK = 512          # widest block of paths; results do not depend on the width
-# most live paths whose phase-1 steps the excursion walk takes path by path
-# in Python floats: about 0.12 us per path-step, against 2.8 us per step
-# for the five ufunc calls at any width up to 64.  Serial 256-path blocks
-# at dt = 1e-5 ran alike at 24 and 32 and slower at 16 and 48
-_NARROW = 32
+_RATIO = 1.02   # largest ratio of neighbouring levels of the Ray-Knight grid
 _HALF_PI = math.pi / 2.0
 
 
@@ -180,278 +183,94 @@ def sample_limit_law(law: LimitLaw, t: float, n: int, seed: int = 0) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Pathwise construction: K evaluated at inverse local time
+# Pathwise construction: K read off the Ray-Knight local-time field
 # ---------------------------------------------------------------------------
 
 
-class _EngineTables:
-    """Per-(spec, dt) precomputation for the excursion engine.
+def _cell_weights(p: float, x0: float, x1: float) -> tuple[float, float]:
+    """(A, B) with int_{x0}^{x1} Z(x) x^p dx = A Z(x0) + B Z(x1) for Z
+    linear on [x0, x1], from the exact moments of x^p and x^(p+1) there.
 
-    For alpha >= 1 the weight |x|^{1/alpha - 2} is not integrable through 0,
-    so K splits into a near field on [-1, 1] (binned local-time estimates
-    against exact cell integrals ``weights`` of the weight, compensated by
-    L^0) and a far field |x| > 1.  Both are running time integrals: the far
-    field of the weight, with its L^0 compensator in closed form, the near
-    field of the piecewise-constant ``smooth``, whose antiderivative is
-    ``omega`` on ``edges``.  For alpha < 1 the whole of K is the running
-    time integral of an integrable weight.
+    On the first cell, x0 = 0, A is infinite unless p > -1.
     """
-
-    def __init__(self, spec: StableSpec, dt: float):
-        self.spec = spec
-        self.p = 1.0 / spec.alpha - 2.0
-        self.q = self.p + 1.0
-        self.sqdt = math.sqrt(dt)
-        self.near = spec.alpha >= 1.0
-        self.sign_ab = np.array([-spec.b, spec.a])   # anti's factor at x < 0, x >= 0
-        if not self.near:
-            return
-        n_half = max(4, round(1.0 / self.sqdt))
-        self.delta = 1.0 / n_half     # divides 1 exactly: +-1 and 0 are cell edges
-        self.n_cells = 2 * (n_half + 1)
-        self.edges = (np.arange(self.n_cells + 1) - (n_half + 1)) * self.delta
-        el, er = self.edges[:-1], self.edges[1:]
-        w = np.zeros(self.n_cells)
-        a, b, q = spec.a, spec.b, self.q
-        pos = el >= 0.0
-        neg = er <= 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if spec.alpha == 1.0:
-                w[pos] = a * np.log(er[pos] / np.where(el[pos] > 0, el[pos], 1.0))
-                w[neg] = b * np.log(np.abs(el[neg]) / np.where(er[neg] < 0, np.abs(er[neg]), 1.0))
-            else:
-                w[pos] = a * (er[pos] ** q - el[pos] ** q) / q
-                w[neg] = b * (np.abs(el[neg]) ** q - np.abs(er[neg]) ** q) / q
-        # outermost cells lie beyond [-1, 1] (bandwidth padding only) and the
-        # two cells touching 0 are dropped with their compensator mass
-        w[[0, self.n_cells - 1, n_half, n_half + 1]] = 0.0
-        self.weights = w
-        cfar = (a + b) / abs(q) if spec.alpha > 1.0 else 0.0
-        self.compensator = w.sum() + cfar
-        # time in a cell counts with its weight smoothed by the binned field's
-        # window (the cell plus half of each neighbour, width 2 delta); omega
-        # is the antiderivative at the edges and rise its increments
-        pad = np.pad(w, 1)
-        self.smooth = (w + 0.5 * (pad[:-2] + pad[2:])) / (2.0 * self.delta)
-        self.rise = self.smooth * self.delta
-        self.omega = np.concatenate(([0.0], np.cumsum(self.rise)))
-
-    def anti(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Antiderivative of the time-integral weight, written into ``out``.
-
-        With the near field split off (alpha >= 1) the weight is
-        sgn_ab(x)|x|^p 1{|x|>1} and the antiderivative is 0 on [-1, 1];
-        otherwise (alpha < 1, q > 0) it is the whole sgn_ab(x)|x|^p,
-        continuous at 0.
-        """
-        q = self.q
-        core = np.abs(x, out=out)
-        if self.near:
-            np.maximum(core, 1.0, out=core)
-            if self.spec.alpha == 1.0:
-                np.log(core, out=core)
-            else:
-                core **= q
-                core -= 1.0
-                core /= q
-        else:
-            core **= q
-            core /= q
-        # a two-entry table lookup: np.where(x >= 0, a, -b) ran 2-3x slower
-        core *= np.take(self.sign_ab, np.greater_equal(x, 0.0).view(np.uint8))
-        return core
-
-    def near_anti(self, x: np.ndarray, out: np.ndarray, cell: np.ndarray,
-                  tmp: np.ndarray) -> np.ndarray:
-        """omega at x, linear in each cell and constant beyond the end edges,
-        into ``out``; ``cell`` (int64) and ``tmp`` are scratch of x's shape."""
-        np.subtract(x, self.edges[0], out=out)
-        out /= self.delta
-        np.clip(out, 0.0, self.n_cells, out=out)          # position in cells
-        np.minimum(out, self.n_cells - 1, out=cell, casting="unsafe")
-        out -= cell
-        out *= np.take(self.rise, cell, out=tmp)
-        out += np.take(self.omega, cell, out=tmp)
-        return out
-
-    def near_weight(self, x: np.ndarray) -> np.ndarray:
-        """Near-field weight at x: its cell's ``smooth``, 0 off the grid."""
-        # clamping before the cast keeps far-away levels from overflowing it
-        cell = np.clip((x - self.edges[0]) / self.delta, 0, self.n_cells - 1)
-        return np.where(np.abs(x) < self.edges[-1], self.smooth[cell.astype(np.int64)], 0.0)
-
-    def point_weight(self, x: np.ndarray) -> np.ndarray:
-        """Integrand value for degenerate (zero-span) steps, singularity floored."""
-        ax = np.maximum(np.abs(x), self.sqdt)
-        val = ax ** self.p
-        if self.near:
-            val = np.where(np.abs(x) > 1.0, val, 0.0)
-        return self.spec.sgn_ab(x) * val
+    q, q1 = p + 1.0, p + 2.0        # q1 = 1/alpha > 0: x^(p+1) is integrable at 0
+    if x0 == 0.0:
+        b = x1 ** q / q1
+        return (x1 ** q / q - b if q > 0.0 else math.inf), b
+    u = math.log(x1 / x0)
+    m0 = x0 ** q * (math.expm1(q * u) / q if q else u)      # int x^p
+    m1 = x0 ** q1 * math.expm1(q1 * u) / q1                 # int x^(p+1)
+    b = (m1 - x0 * m0) / (x1 - x0)
+    return m0 - b, b
 
 
-def _excursion_block(tab: _EngineTables, t_arr: np.ndarray, dt: float, seed: int,
-                     path_lo: int, m: int, step_cap: int) -> np.ndarray:
-    """Walk m paths until each has crossed every local-time target.
+def _levels(dt: float):
+    """The level grid's nodes, without end: dt, then a geometric sequence
+    whose ratio is the largest at most ``_RATIO`` that makes 1 a node."""
+    n = math.ceil(-math.log(dt) / math.log(_RATIO))
+    yield from np.geomspace(dt, 1.0, n + 1).tolist()
+    r = dt ** (-1.0 / n)
+    for k in itertools.count(1):
+        yield r ** k
 
-    The walk runs in chunks of lockstep steps, ``_CHUNK`` long at full
-    width and longer as paths finish (see :meth:`_Normals.take`).  A step
-    lasts ``step = max(dt, (0.1 |w|)^2)``: fine near the origin, coarse far
-    away.  Phase one loops over the steps and advances only the Brownian
-    recursion ``w <- w + max(sqrt(dt), 0.1 |w|) z``, the one quantity a step
-    hands to the next: in five ufunc calls per step, or, once at most
-    ``_NARROW`` paths are live, path by path in Python floats, which round
-    alike; in binary64 ``max(sqrt(dt), 0.1 |w|)`` equals ``sqrt(step)`` bit
-    for bit, since sqrt(RN(s^2)) = |s| without under- or overflow and
-    rounded sqrt is monotone.  Phase two
-    derives everything else for the whole chunk at once: ``step`` from the
-    chunk's start rows, then the increments of the origin local time l0 and
-    of the far-field and (alpha >= 1) near-field running time integrals
-    below their carried state, whose ends are read by one reduction in step
-    order (see :func:`_cumsum_end`), and the target crossings, for which
-    only the columns whose l0 passes a target are summed step by step (see
-    :func:`_first_passages`).  A step spreads its duration uniformly over
-    the levels it spans, so it adds ``step * (F(hi) - F(lo)) / (hi - lo)``
-    to a time integral with weight antiderivative F (``anti`` for the far
-    field, ``near_anti`` for the near field); a zero-span step adds
-    ``step`` times the weight at its level.  At alpha >= 1 the far-field
-    weight is 0 on [-1, 1], so only the paths that step beyond it in a
-    chunk, or pass a target, are evaluated there, and a chunk without such
-    a path skips the far field.  A chunk in which no path passes a target
-    reads nothing out.  Each path takes one
-    normal per step from its own keyed stream, drawn ahead in slabs (see
-    :class:`_Normals`), and every per-path sum adds in step order, so the
-    output depends neither on the chunk length nor on the block width.
-    Paths that finish inside a chunk walk on to its end; those steps are
-    never read.
+
+def _besq_step(gen: np.random.Generator, z: np.ndarray, h: float) -> np.ndarray:
+    """BESQ^0 from z, an exact step of h: Gamma(N, 2h) with N ~ Poisson(z / 2h)."""
+    try:
+        n = gen.poisson(z / (2.0 * h))
+    except ValueError as err:       # a rate beyond what numpy's sampler takes
+        raise InvalidRequest(
+            f"a local-time level of {z.max():g} is too large against the level step "
+            f"{h:g}: raise dt or split the t_points increments") from err
+    z = gen.standard_gamma(n)       # gamma(n, 2h)'s bits, without its broadcasting
+    z *= 2.0 * h
+    return z
+
+
+def _ray_knight_block(spec: StableSpec, inc: np.ndarray, dt: float, seed: int,
+                      block: int, m: int) -> np.ndarray:
+    """K at the targets for the m paths of block ``block``, from its stream.
+
+    A path has a column per side of 0 and per increment ell_j of the
+    targets, in (side, path, increment) order: a BESQ^0 chain from ell_j
+    over the levels of :func:`_levels`, one Poisson and one Gamma draw per
+    cell.  Each column sums int Z x^p dx, p = 1/alpha - 2, over the cells,
+    with Z linear within each (:func:`_cell_weights`), until it is absorbed
+    at 0 and leaves the chain.  The weight is compensated by -ell per unit
+    on all levels when alpha > 1 and on levels up to 1 when alpha = 1.  The
+    first cell, [0, dt], is then taken against Z - ell, whose A term is 0;
+    the rest of the compensator, -ell int_dt x^p dx over the compensated
+    levels, is owed in closed form wherever the column is absorbed.
     """
-    nt = t_arr.size
-    out = np.empty((m, nt), dtype=np.float64)
-    live = np.arange(m)                    # block rows of unfinished paths, ascending
-    w_cur, l0, kfar, knear = np.zeros((4, m))
-    ti = np.zeros(m, dtype=np.int64)       # targets crossed so far
-    sqdt = delta0 = tab.sqdt               # sqrt(dt), also the origin bandwidth
-    ws = _ChunkWorkspace(m)
-    iters = 0
-    with _Normals(seed, TAG_EXCURSION, range(path_lo, path_lo + m)) as normals:
-        while live.size:
-            n = live.size
-            # ---- phase 1: the Brownian recursion, step by step -------------
-            z = normals.take(step_cap + 1 - iters)
-            k = len(z)
-            W = ws.view("w", k + 1, n)
-            W[0] = w_cur
-            if n > _NARROW:
-                for i in range(k):
-                    s = W[i + 1]
-                    np.abs(W[i], out=s)
-                    s *= 0.1
-                    np.maximum(s, sqdt, out=s)
-                    s *= z[i]
-                    s += W[i]
-            else:
-                # path by path in Python floats, which round like the
-                # ufuncs; ``sqdt if a < sqdt else a`` is np.maximum(a,
-                # sqdt) here, nan included
-                for j, (w, zj) in enumerate(zip(w_cur.tolist(), z.T.tolist())):
-                    for i, zi in enumerate(zj):
-                        a = abs(w) * 0.1
-                        zj[i] = w = w + (sqdt if a < sqdt else a) * zi
-                    W[1:, j] = zj
-            # ---- phase 2: everything else, over the (k, n) chunk -----------
-            wa, w1 = W[:-1], W[1:]
-            # the step durations, whose square roots phase 1 took; a step is
-            # never large relative to the distance to 0
-            step = np.abs(wa, out=ws.view("step", k, n))
-            step *= 0.1
-            np.square(step, out=step)
-            np.maximum(step, dt, out=step)
-            lo = np.minimum(wa, w1, out=ws.view("lo", k, n))
-            hi = np.maximum(wa, w1, out=ws.view("hi", k, n))
-            span = np.subtract(hi, lo, out=ws.view("span", k, n))
-            dw = np.subtract(w1, wa, out=ws.view("dw", k, n))
-            tiny = np.less_equal(span, 1e-9, out=ws.view("tiny", k, n, dtype=np.bool_))
-            any_tiny = tiny.any()
-            # origin local time: linear-bridge overlap with (-delta0, delta0);
-            # row 0 of each increment array carries the state
-            DL = ws.view("dl", k + 1, n)
-            DL[0] = l0
-            dl = DL[1:]
-            np.minimum(hi, delta0, out=dl)
-            dl -= np.maximum(lo, -delta0, out=ws.view("tmp2", k, n))
-            np.clip(dl, 0.0, None, out=dl)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dl /= span
-            if any_tiny:
-                dl[tiny] = np.abs(wa[tiny]) < delta0
-            dl *= step
-            dl /= 2.0 * delta0
-            l_end = _cumsum_end(DL)
-            # target j is read in the first step whose end l0 exceeds t_j;
-            # only the columns that pass a target in this chunk are summed
-            ti_end = np.searchsorted(t_arr, l_end, side="left")
-            passing = ti_end > ti[live]
-
-            def running(F, carry, point, name, cols=slice(None)):
-                # the increments of a time integral with weight
-                # antiderivative F (evaluated at every row of W[:, cols])
-                # and point weight ``point``, below the carry
-                D = ws.view(name, *F.shape)
-                D[0] = carry
-                d = np.subtract(F[1:], F[:-1], out=D[1:])
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    d /= dw[:, cols]
-                if any_tiny:
-                    t = tiny[:, cols]
-                    d[t] = point(wa[:, cols][t])
-                d *= step[:, cols]
-                return D
-            # the far field (all of K when alpha < 1).  At alpha >= 1 its
-            # weight lives on |x| > 1, so a step within [-1, 1] adds exactly
-            # 0 (as +-0.0, which no sum or read-out tells apart): only the
-            # paths that step beyond it in this chunk, about 2.5% of them at
-            # dt = 1e-5, or pass a target are evaluated, and the others keep
-            # the carry
-            pc = np.flatnonzero(passing)
-            cols, at = slice(None), pc      # at: where pc lies among cols
-            if tab.near:
-                cols = np.flatnonzero(passing | (hi.max(axis=0) > 1.0) | (lo.min(axis=0) < -1.0))
-                at = np.searchsorted(cols, pc)
-            if not tab.near or cols.size:
-                Wc = W[:, cols]
-                DK = running(tab.anti(Wc, out=ws.view("anti", *Wc.shape)), kfar[cols],
-                             tab.point_weight, "dkfar", cols)
-                kfar[cols] = _cumsum_end(DK)
-            # and the near field, which every chunk carries
-            if tab.near:
-                O = tab.near_anti(W, ws.view("omega", k + 1, n),
-                                  ws.view("cell", k + 1, n, dtype=np.int64),
-                                  ws.view("tmp2", k + 1, n))
-                DN = running(O, knear, tab.near_weight, "dknear")
-                knear = _cumsum_end(DN)
-            # the read-out, on the columns that pass a target only; the near
-            # field joins it with its compensator at the end of that step
-            if pc.size:
-                DKp, DLp = DK[:, at], DL[:, pc]
-                Lp = np.cumsum(DLp, axis=0)
-                _, col, tgt, s_ev, val = _first_passages(Lp, DLp, np.cumsum(DKp, axis=0), DKp,
-                                                         t_arr, ti[live[pc]], "left")
-                if tab.near:
-                    KNp = np.cumsum(DN[:, pc], axis=0)
-                    val = val + KNp[s_ev + 1, col] - Lp[s_ev + 1, col] * tab.compensator
-                out[live[pc[col]], tgt] = val
-            keep = ti_end < nt
-            iters += k if keep.any() else int(s_ev.max()) + 1
-            if iters > step_cap:
-                raise HorizonExceeded(
-                    f"a path exceeded {step_cap} steps before its local-time target; "
-                    f"dt = {dt:g} is too small relative to the requested horizon")
-            ti[live] = ti_end
-            w_cur, l0, kfar = W[k][keep], l_end[keep], kfar[keep]
-            if tab.near:
-                knear = knear[keep]
-            live = live[keep]
-            normals.keep(keep)
-    return out
+    gen = stream(seed, TAG_EXCURSION, block)
+    p = 1.0 / spec.alpha - 2.0
+    ell = np.broadcast_to(inc, (2, m, inc.size)).ravel()
+    levels = _levels(dt)
+    x0 = next(levels)
+    a0, b0 = _cell_weights(p, 0.0, x0)
+    z = _besq_step(gen, ell, x0)
+    if spec.alpha < 1.0:
+        s, owed = ell * a0 + z * b0, 0.0
+    else:
+        s = (z - ell) * b0
+        owed = -math.log(x0) if spec.alpha == 1.0 else x0 ** (p + 1.0) / -(p + 1.0)
+    acc = np.empty_like(s)
+    live = np.arange(s.size)        # columns not yet absorbed
+    for x1 in levels:
+        a, b = _cell_weights(p, x0, x1)
+        z1 = _besq_step(gen, z, x1 - x0)
+        s += a * z
+        s += b * z1
+        z, x0 = z1, x1
+        gone = z == 0.0
+        if gone.any():
+            acc[live[gone]] = s[gone]
+            keep = ~gone
+            live, z, s = live[keep], z[keep], s[keep]
+            if not live.size:
+                break
+    k = (acc - owed * ell).reshape(2, m, inc.size)
+    return np.cumsum(spec.b * k[0] + spec.a * k[1], axis=1)
 
 
 def stable_via_excursions(spec: StableSpec, t_points, dt: float, n_paths: int,
@@ -459,16 +278,23 @@ def stable_via_excursions(spec: StableSpec, t_points, dt: float, n_paths: int,
     """Samples of K at inverse-local-time instants, one row per path.
 
     K is the weighted Brownian local-time functional whose law, read at the
-    inverse local time of the origin, is the stable law of ``spec``; the
-    branch (running time integral, compensated field on [-1, 1] plus far-field
-    time integral, or the log-weight truncated form) follows alpha.  Returns
-    an (n_paths, len(t_points)) array; column j holds K at tau_{t_j}.
+    inverse local time of the origin, is the stable law of ``spec``.
+    Returns an (n_paths, len(t_points)) array; column j holds K at
+    tau_{t_j}.  The local-time field comes from its Ray-Knight law, an
+    exact BESQ^0 chain per side over a grid of levels: ``dt`` is the
+    innermost level, the cells then grow geometrically by a ratio of at
+    most 1.02, and 1 is a level.  The chain's steps are exact; within a
+    cell, the field is integrated as linear between its ends.
 
     ``threads`` is the number of forked worker processes the path blocks
     are shared among (``None``: one per CPU this process may run on; 1
-    runs every block in this process).  The output is bit-identical
-    whatever ``threads`` is.  A seed that is not an integer in [0, 2**64)
-    raises :class:`InvalidRequest`.
+    runs every block in this process).  Each block of
+    ``_workspace._MIN_WIDTH`` paths draws from one stream keyed by the
+    block's index, and the blocks are the same for any ``threads``, so the
+    output is bit-identical whatever ``threads`` is.  A seed that is not an
+    integer in [0, 2**64) raises :class:`InvalidRequest`, and so does an
+    increment of ``t_points`` too large against ``dt`` for numpy's Poisson
+    sampler.
     """
     seed = checked_seed(seed)
     if not (0.0 < spec.alpha < 2.0):
@@ -482,9 +308,8 @@ def stable_via_excursions(spec: StableSpec, t_points, dt: float, n_paths: int,
     if not (math.isfinite(dt) and 0.0 < dt <= 0.25):
         raise InvalidRequest(f"dt must lie in (0, 0.25], got {dt!r}")
     _check_count("n_paths", n_paths)
-    tab = _EngineTables(spec, dt)
-    step_cap = max(20_000_000, int(2000.0 * (t_arr[-1] + 1.0) / tab.sqdt))
+    inc = np.diff(t_arr, prepend=0.0)
     parts = _run_blocks(
-        lambda idx: _excursion_block(tab, t_arr, dt, seed, int(idx[0]), idx.size, step_cap),
-        n_paths, _BLOCK, threads)
+        lambda idx: _ray_knight_block(spec, inc, dt, seed, int(idx[0]) // _MIN_WIDTH, idx.size),
+        n_paths, _MIN_WIDTH, threads)
     return np.vstack(parts)

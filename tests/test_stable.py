@@ -3,6 +3,7 @@ excursion-route sampler, cross-checked against each other."""
 
 import cmath
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -10,14 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablediff import _workspace, stable
-from stablediff._rng import TAG_EXCURSION, stream
+from stablediff import stable
 from stablediff.asymptotics import EULER_GAMMA, LimitLaw, char_exponent
-from stablediff.errors import HorizonExceeded, InvalidAlpha, InvalidRequest
+from stablediff.errors import InvalidAlpha, InvalidRequest
 from stablediff.stable import (
     StableSpec,
-    _EngineTables,
-    _excursion_block,
     sample_limit_law,
     sample_stable_cf,
     stable_cf,
@@ -315,12 +313,13 @@ def test_excursions_validates_inputs():
 
 # sha256 of the (64, 3) output of stable_via_excursions(StableSpec(alpha, 1.0,
 # 0.5), EXCURSION_PIN_TIMES, 1e-3, 64, seed=0).  The second target lies 1e-6
-# above the first, so every path crosses both in a single step.
+# above the first, an increment far below dt, so most of its columns are
+# absorbed within the first cell.
 EXCURSION_PIN_TIMES = [0.3, 0.3 + 1e-6, 1.0]
 EXCURSION_PINS = {
-    0.5: "74128e35038b198cbc51b96d988b2ba8368fff46c3a1a5d772990b9ed08b09df",
-    1.0: "7696ff83cc1353d299d7a42a282d9af3eb0bfa5daf488cc9686462c6050b5714",
-    1.5: "7ee31b4ac050cbe00b7349c8ad06b740e028e8acc00e90d44c91a663951418bd",
+    0.5: "c88a359e05dc598ca6bb77ef800e8f0b6ee1681b7612893eb37feeff783f32dc",
+    1.0: "da7b7162f9870d84d50f55827c7ac0bf9933a26e87cb9d77046571d442e061d3",
+    1.5: "de2007b82bda7c7945f9c73e9bff3a13b5e1b9d05d9cfaa58245d6c90f5e6820",
 }
 
 
@@ -331,201 +330,34 @@ def test_excursions_bit_pinned(alpha):
     assert hashlib.sha256(out.tobytes()).hexdigest() == EXCURSION_PINS[alpha]
 
 
-@pytest.mark.parametrize("alpha, width", [(0.5, 24), (0.5, stable._BLOCK),
-                                          (1.0, 24), (1.0, stable._BLOCK),
-                                          (1.5, 24), (1.5, stable._BLOCK)])
-@pytest.mark.parametrize("chunk", [3, 64, 257])
-def test_excursions_invariant_to_chunk_and_width(monkeypatch, chunk, alpha, width):
-    # 64 paths make blocks of 24 (the last of 16) or one block
-    monkeypatch.setattr(_workspace, "_CHUNK", chunk)
-    monkeypatch.setattr(stable, "_BLOCK", width)
-    out = stable_via_excursions(StableSpec(alpha, 1.0, 0.5), EXCURSION_PIN_TIMES,
-                                1e-3, 64, seed=0)
-    assert hashlib.sha256(out.tobytes()).hexdigest() == EXCURSION_PINS[alpha]
-
-
-def test_excursions_grow_chunks_as_paths_finish(monkeypatch, chunk_log):
-    # the alpha = 1 pin as one 64-path block: once fewer than 8 paths are
-    # live, a chunk takes _CHUNK * 64 // live steps (at most the slab) in
-    # the same buffers; the output equals the 3-step-chunk run's bit for
-    # bit.  That run ends in a chunk of one live path, whose running sums
-    # _cumsum_end reads by its single-column fallback
-    chunk = _workspace._CHUNK
-    spec = StableSpec(1.0, 1.0, 0.5)
-    got = stable_via_excursions(spec, EXCURSION_PIN_TIMES, 1e-3, 64, seed=0, threads=1)
-    assert min(n for _, n in chunk_log) < 64 / 8
-    assert max(k for k, _ in chunk_log) > chunk
-    assert all(k <= chunk * 64 // n for k, n in chunk_log)
-    monkeypatch.setattr(_workspace, "_CHUNK", 3)
-    del chunk_log[:]
-    ref = stable_via_excursions(spec, EXCURSION_PIN_TIMES, 1e-3, 64, seed=0, threads=1)
-    assert any(n == 1 and k > 8 for k, n in chunk_log)
-    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-    assert hashlib.sha256(got.tobytes()).hexdigest() == EXCURSION_PINS[1.0]
-
-
-@pytest.mark.parametrize("times", [[1.0], EXCURSION_PIN_TIMES])
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0 / 3.0, 1.5])
-def test_excursions_narrow_walk_is_bit_identical(monkeypatch, chunk_log, alpha, times):
-    # phase 1 steps a chunk of at most _NARROW live paths path by path in
-    # Python floats: never at 0, in the straggler tail by default, and in
-    # every chunk, where each target is crossed, at the 64-path block width
-    spec, default = StableSpec(alpha, 1.0, 0.5), stable._NARROW
-    assert default < 64
-    outs = []
-    for narrow in (0, default, 64):
-        monkeypatch.setattr(stable, "_NARROW", narrow)
-        outs.append(stable_via_excursions(spec, times, 1e-3, 64, seed=0, threads=1))
-    assert min(n for _, n in chunk_log) <= default
-    for out in outs[1:]:
-        assert np.array_equal(out.view(np.int64), outs[0].view(np.int64))
-    if times is EXCURSION_PIN_TIMES and alpha in EXCURSION_PINS:
-        assert hashlib.sha256(outs[0].tobytes()).hexdigest() == EXCURSION_PINS[alpha]
-
-
-def test_excursions_narrow_walk_thread_count_invariance(chunk_log):
-    # 512 paths walk as one block at threads = 1, whose tail narrows to
-    # _NARROW paths and below, and as two forked blocks of 256 at threads = 2
-    sp = StableSpec(4.0 / 3.0, 1.0, 0.5)
-    serial = stable_via_excursions(sp, [0.3, 1.0], 1e-3, 512, seed=4, threads=1)
-    assert chunk_log[0][1] == 512 and min(n for _, n in chunk_log) <= stable._NARROW
-    forked = stable_via_excursions(sp, [0.3, 1.0], 1e-3, 512, seed=4, threads=2)
-    assert np.array_equal(serial.view(np.int64), forked.view(np.int64))
-
-
-@settings(max_examples=300, deadline=None)
-@given(dt=st.floats(1e-9, 0.25),
-       mags=st.lists(st.floats(0.0, 1e150) | st.sampled_from(
-           [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e150]), max_size=20),
-       offsets=st.lists(st.integers(-40, 40), max_size=10))
-def test_excursion_step_identity(dt, mags, offsets):
-    # phase 1 steps by max(sqrt(dt), 0.1 |w|) in place of the old
-    # sqrt(max(dt, (0.1 |w|)^2)): equal in binary64, as sqrt(RN(s^2)) = s
-    # while nothing under- or overflows and rounded sqrt is monotone.  w
-    # around the crossover 0.1 |w| = sqrt(dt) steps a few ulps at a time
-    cross = math.sqrt(dt) / 0.1
-    near = [cross]
-    for off in offsets + list(range(-4, 5)):
-        w = cross
-        for _ in range(abs(off)):
-            w = math.nextafter(w, math.copysign(math.inf, off))
-        near.append(w)
-    w = np.array(mags + near)
-    w = np.concatenate([w, -w])
-    new = np.maximum(math.sqrt(dt), 0.1 * np.abs(w))
-    old = np.sqrt(np.maximum(dt, np.square(0.1 * np.abs(w))))
-    assert np.array_equal(new.view(np.int64), old.view(np.int64))
-
-
-def excursion_replay(tab, dt, z, targets):
-    """A scalar step-by-step replay of one path of the excursion walk on the
-    normals z.  Returns the steps it takes until its origin local time
-    exceeds the last target, and K at each target: the far field from its
-    antiderivative, interpolated in the crossing step, plus (alpha >= 1) the
-    binned near field from per-cell occupation, read as ``fld @ weights``
-    with its L^0 compensator at the end of the crossing step."""
-    sp, d0, near = tab.spec, math.sqrt(dt), tab.near
-
-    def far(x):
-        # antiderivative of the time-integral weight sgn_ab(x) |x|^p, which
-        # at alpha >= 1 lives on |x| > 1 only
-        sign = sp.a if x >= 0.0 else -sp.b
-        if not near:
-            return sign * abs(x) ** tab.q / tab.q
-        ax = max(abs(x), 1.0)
-        return sign * (math.log(ax) if sp.alpha == 1.0 else (ax ** tab.q - 1.0) / tab.q)
-
-    def far_point(x):
-        # the weight itself at a zero-span step, singularity floored
-        if near and abs(x) <= 1.0:
-            return 0.0
-        return (sp.a if x > 0.0 else sp.b if x < 0.0 else 0.0) * max(abs(x), d0) ** tab.p
-
-    if near:
-        el, er, top = tab.edges[:-1], tab.edges[1:], tab.edges[-1]
-        occ = np.zeros(tab.n_cells)
-    w = l0 = kfar = 0.0
-    vals = []
-    for k in range(z.size):
-        step = max(dt, (0.1 * abs(w)) ** 2)
-        w1 = w + math.sqrt(step) * z[k]
-        lo, hi = min(w, w1), max(w, w1)
-        if hi - lo <= 1e-9:
-            frac0 = float(abs(w) < d0)
-            dk = far_point(w) * step
-            if near and abs(w) < top:
-                # the whole step sits in w's cell
-                occ[min(int((w - el[0]) / tab.delta), tab.n_cells - 1)] += step
-        else:
-            frac0 = max(min(hi, d0) - max(lo, -d0), 0.0) / (hi - lo)
-            dk = (far(w1) - far(w)) / (w1 - w) * step
-            if near:
-                # the step's duration spread uniformly over [lo, hi]
-                occ += step / (hi - lo) * np.clip(np.minimum(hi, er) - np.maximum(lo, el),
-                                                  0.0, None)
-        dl = step * frac0 / (2.0 * d0)
-        while len(vals) < len(targets) and l0 + dl > targets[len(vals)]:
-            val = kfar + (targets[len(vals)] - l0) / dl * dk
-            if near:
-                pad = np.pad(occ, 1)
-                fld = (occ + 0.5 * (pad[:-2] + pad[2:])) / (2.0 * tab.delta)
-                val += fld @ tab.weights - (l0 + dl) * tab.compensator
-            vals.append(val)
-        if len(vals) == len(targets):
-            return k + 1, vals
-        w, l0, kfar = w1, l0 + dl, kfar + dk
-    raise AssertionError("the replay did not reach the last target")
-
-
-@pytest.mark.parametrize("zero_spans", [False, True])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
-def test_excursions_match_scalar_replay(monkeypatch, alpha, zero_spans):
-    # the oracle for the pins: the engine sums each field as a running time
-    # integral of an antiderivative, the replay keeps per-cell occupation.
-    # With zero_spans, normals below 0.05 in size become exact zeros, so
-    # about 4% of the steps take the zero-span rules
-    def zeroed(z):
-        if zero_spans:
-            z[np.abs(z) < 0.05] = 0.0
-        return z
-
-    class Stream:
-        def __init__(self, *key):
-            self.gen = stream(*key)
-
-        def standard_normal(self, out):
-            zeroed(self.gen.standard_normal(out=out))
-
-    monkeypatch.setattr(_workspace, "stream", Stream)
-    sp, dt = StableSpec(alpha, 1.0, 0.5), 1e-3
-    # eight paths, so that some pass both ends of the near-field grid
-    out = stable_via_excursions(sp, EXCURSION_PIN_TIMES, dt, 8, seed=0)
-    tab = _EngineTables(sp, dt)
-    for path in range(8):
-        z = zeroed(stream(0, TAG_EXCURSION, path).standard_normal(200_000))
-        _, ref = excursion_replay(tab, dt, z, EXCURSION_PIN_TIMES)
-        np.testing.assert_allclose(out[path], ref, rtol=1e-9, atol=0.0)
+def test_excursion_cell_weights_match_quadrature(alpha):
+    # A and B against quad of x^p times the linear Z that is 1 at x0 and 0
+    # at x1, then 0 at x0 and 1 at x1, on the first cell [0, dt] and on the
+    # cell that ends at the level 1; the first cell's A is finite only when
+    # p > -1
+    quad = pytest.importorskip("scipy.integrate").quad
+    p, dt = 1.0 / alpha - 2.0, 1e-5
+    levels = list(itertools.takewhile(lambda x: x <= 1.0, stable._levels(dt)))
+    assert levels[0] == dt and levels[-1] == 1.0
+    assert max(x1 / x0 for x0, x1 in zip(levels, levels[1:])) <= stable._RATIO
+    for x0, x1 in ((0.0, dt), (levels[-2], 1.0)):
+        a, b = stable._cell_weights(p, x0, x1)
+        h = x1 - x0
+        ref_b = quad(lambda x: (x - x0) / h * x ** p, x0, x1, epsabs=0.0, epsrel=1e-12)[0]
+        assert b == pytest.approx(ref_b, rel=1e-10)
+        if x0 == 0.0 and p <= -1.0:
+            assert a == math.inf
+            continue
+        ref_a = quad(lambda x: (x1 - x) / h * x ** p, x0, x1, epsabs=0.0, epsrel=1e-12)[0]
+        assert a == pytest.approx(ref_a, rel=1e-10)
 
 
-def test_excursion_block_step_cap(monkeypatch):
-    # the cap counts lockstep steps of the block: it passes when the slowest
-    # path finishes on the cap and raises one step below it, whether the
-    # three paths step path by path (by default) or by ufuncs (_NARROW = 0)
-    sp, dt = StableSpec(1.5, 1.0, -1.0), 1e-3
-    tab = _EngineTables(sp, dt)
-    t_arr = np.array([0.3])
-    need = max(excursion_replay(tab, dt, stream(5, TAG_EXCURSION, p).standard_normal(200_000),
-                                [0.3])[0] for p in range(3))
-    assert need > 100 and stable._NARROW >= 3
-    outs = []
-    for narrow in (stable._NARROW, 0):
-        monkeypatch.setattr(stable, "_NARROW", narrow)
-        outs.append(_excursion_block(tab, t_arr, dt, 5, 0, 3, need))
-        assert np.all(np.isfinite(outs[-1]))
-        with pytest.raises(HorizonExceeded,
-                           match=f"a path exceeded {need - 1} steps before its local-time target"):
-            _excursion_block(tab, t_arr, dt, 5, 0, 3, need - 1)
-    assert np.array_equal(outs[0].view(np.int64), outs[1].view(np.int64))
+def test_excursions_reject_an_increment_too_large_for_dt():
+    # a local-time increment of 1e17 against dt = 1e-3 asks numpy's Poisson
+    # sampler for a rate past its limit
+    with pytest.raises(InvalidRequest, match="too large against the level step"):
+        stable_via_excursions(StableSpec(1.5, 1.0, 1.0), [1e17], 1e-3, 4)
 
 
 def test_excursions_degenerate_zero_weights():
@@ -582,8 +414,9 @@ def test_excursions_stationary_independent_increments():
 
 
 def test_excursions_thread_count_invariance():
-    # 600 paths make blocks of 512 and 88 at threads = 1, two of 300 at 2
-    # and three of 200 at 3
+    # 600 paths make four blocks of 128 and one of 88, each drawing from
+    # its own stream, whether they run here (threads = 1) or are shared
+    # among forked workers (threads = 2 and 3)
     sp = StableSpec(1.5, 1.0, -1.0)
     serial = stable_via_excursions(sp, [0.3, 1.0], 1e-3, 600, seed=3, threads=1)
     for threads in (2, 3):

@@ -1,6 +1,7 @@
 """Chunked-walk helpers: the block scheduler, split invariance of
-``_Normals``, the pooled generators, the ``_cumsum_end`` reduction and the
-``_first_passages`` read-out against a step-by-step reference."""
+``_Normals``, the pooled generators, the workspace's dtype check, the
+``_cumsum_end`` reduction and the ``_first_passages`` read-out against a
+step-by-step reference."""
 
 from __future__ import annotations
 
@@ -161,14 +162,14 @@ def test_cumsum_end_matches_cumsum(k, n, layout, seed, special, zero_cols, j):
     assert np.array_equal(head.view(np.int64), ref[row].view(np.int64))
 
 
-def stepwise_passages(clock, dclock, value, dvalue, targets, crossed, side):
-    """Each column walked one step at a time, reading every target it passes."""
+def stepwise_passages(clock, dclock, value, dvalue, targets, crossed):
+    """Each column walked one step at a time, reading every target it reaches."""
     end, events = [], []
     for j in range(clock.shape[1]):
         i = int(crossed[j])
         for s in range(clock.shape[0] - 1):
             c = clock[s + 1, j]
-            while i < targets.size and (c >= targets[i] if side == "right" else c > targets[i]):
+            while i < targets.size and c >= targets[i]:
                 t = targets[i]
                 events.append((j, i, s, value[s, j] + (t - clock[s, j]) / dclock[s + 1, j]
                                * dvalue[s + 1, j]))
@@ -177,11 +178,11 @@ def stepwise_passages(clock, dclock, value, dvalue, targets, crossed, side):
     return end, events
 
 
-def check_passages(clock, dclock, value, dvalue, targets, side):
-    crossed = np.searchsorted(targets, clock[0], side=side)
+def check_passages(clock, dclock, value, dvalue, targets):
+    crossed = np.searchsorted(targets, clock[0], side="right")
     end, col, tgt, step, val = _workspace._first_passages(
-        clock, dclock, value, dvalue, targets, crossed, side)
-    ref_end, ref = stepwise_passages(clock, dclock, value, dvalue, targets, crossed, side)
+        clock, dclock, value, dvalue, targets, crossed)
+    ref_end, ref = stepwise_passages(clock, dclock, value, dvalue, targets, crossed)
     assert end.tolist() == ref_end
     assert list(zip(col.tolist(), tgt.tolist(), step.tolist())) == [e[:3] for e in ref]
     assert np.array_equal(val.view(np.int64), np.array([e[3] for e in ref]).view(np.int64))
@@ -189,9 +190,8 @@ def check_passages(clock, dclock, value, dvalue, targets, side):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), n=st.integers(1, 5), k=st.integers(1, 8),
-       side=st.sampled_from(["left", "right"]))
-def test_first_passages_match_stepwise(data, n, k, side):
+@given(data=st.data(), n=st.integers(1, 5), k=st.integers(1, 8))
+def test_first_passages_match_stepwise(data, n, k):
     # monotone clocks with zero increments; targets drawn partly from the
     # step-end clock values themselves, so some sit exactly on a step end
     inc = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 2.0)
@@ -206,19 +206,29 @@ def test_first_passages_match_stepwise(data, n, k, side):
     value, dvalue = np.array(data.draw(vals)), np.array(data.draw(vals))
     pool = st.sampled_from(clock.ravel().tolist()) | st.floats(0.0, float(clock.max()) + 1.0)
     targets = np.unique(data.draw(st.lists(pool, min_size=1, max_size=8)))
-    check_passages(clock, dclock, value, dvalue, targets, side)
+    check_passages(clock, dclock, value, dvalue, targets)
 
 
 def test_first_passages_on_a_step_end():
     # column 0 ends its steps at 1, 1 and 3: a target of 1 is reached in
-    # step 0 and exceeded in step 2, which also passes 2 and 3 (right) or 2
-    # (left); column 1 never moves and passes nothing
+    # step 0, and step 2 reaches 2 and 3; column 1 never moves and reaches
+    # nothing
     dclock = np.array([[0.0, 0.5], [1.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
     clock = np.cumsum(dclock, axis=0)
     value = np.arange(8.0).reshape(4, 2)
     targets = np.array([1.0, 2.0, 3.0])
-    assert check_passages(clock, dclock, value, value, targets, "right").tolist() == [0, 2, 2]
-    assert check_passages(clock, dclock, value, value, targets, "left").tolist() == [2, 2]
+    assert check_passages(clock, dclock, value, value, targets).tolist() == [0, 2, 2]
+
+
+def test_workspace_view_rejects_another_dtype():
+    # a name keeps its first dtype: asking for it as int8 once it holds bools
+    # raises, where it used to hand back the bool buffer
+    ws = _workspace._ChunkWorkspace(4)
+    flags = ws.view("off", 2, 4, dtype=np.bool_)
+    assert flags.dtype == np.bool_ and ws.view("off", 3, 4, dtype=np.bool_).dtype == np.bool_
+    with pytest.raises(TypeError, match="'off' holds bool, not int8"):
+        ws.view("off", 2, 4, dtype=np.int8)
+    assert ws.view("x", 5).dtype == np.float64
 
 
 def pid_of(block):
