@@ -25,7 +25,6 @@ from .model import (
     DiffusionModel,
     HarrisVerdict,
     ScaleSpeed,
-    TransformedCoeffs,
     check_harris,
     compute_kappa,
     eval_psi_phi,
@@ -68,7 +67,6 @@ __all__ = [
     "DiffusionModel",
     "HarrisVerdict",
     "ScaleSpeed",
-    "TransformedCoeffs",
     "check_harris",
     "compute_kappa",
     "eval_psi_phi",

@@ -16,7 +16,7 @@ and a :class:`_ChunkWorkspace` holds every other per-chunk array.  The
 walks keep each running sum as its increments, with the carried state in
 row 0: they read the chunk's end by one reduction (:func:`_cumsum_end`) and
 build the running sums only on the few columns that pass a target, where
-:func:`_first_passages` is the clock walk's read-out.
+the clock walk reads them (``pathsim._first_passages``).
 """
 
 from __future__ import annotations
@@ -330,27 +330,3 @@ class _Normals:
         _pool.free.extend(g for g in self._taken if isinstance(g, np.random.Generator))
         self._gens = self._taken = []
 
-
-def _first_passages(clock, dclock, value, dvalue, targets, crossed):
-    """Where a chunk's non-decreasing clocks first reach sorted targets.
-
-    The clock walk calls it on the columns that pass a target in the chunk
-    only.  ``clock`` and ``value`` are step-major ``(k+1, n)`` running sums
-    with the carried state in row 0; row s+1 of ``dclock`` and ``dvalue``
-    holds step s's increments.  Column j passed ``crossed[j]`` targets
-    before the chunk; target t is passed in the first step s whose end
-    ``clock[s+1]`` reaches t.  Returns the counts at the chunk's end and,
-    per passage in column then target order, the column, target index,
-    step s and the in-step interpolated ``value[s] + (t - clock[s]) /
-    dclock[s+1] * dvalue[s+1]``.
-    """
-    end = np.searchsorted(targets, clock[-1], side="right")
-    n_ev = end - crossed
-    col = np.repeat(np.arange(n_ev.size), n_ev)
-    # passage i of column j is target i - (passages of columns < j) + crossed[j]
-    tgt = np.arange(col.size) - np.repeat(np.cumsum(n_ev) - end, n_ev)
-    t = targets[tgt]
-    step = np.count_nonzero(clock[1:, col] < t, axis=0)
-    val = value[step, col] + (t - clock[step, col]) / dclock[step + 1, col] \
-        * dvalue[step + 1, col]
-    return end, col, tgt, step, val

@@ -21,7 +21,7 @@ and computes every constant of the limit law: sigma_alpha, the
 characteristic-exponent factor z_alpha(xi), rho and its truncation rho_eps,
 the exact alpha=1 centering xi_eps with its asymptotic form zeta_eps, the
 Levy-measure weights c_+-, the alpha=1 generator drift a, slowly-varying
-transforms L/N/M, and the Poisson-equation route (g, g', gamma^2) to the
+transforms L/N, and the Poisson-equation route (g, g', gamma^2) to the
 diffusive variance.
 
 Improper integrals over slowly varying integrands run in u = log x
@@ -184,33 +184,35 @@ def _check_eps(eps) -> float:
     return value
 
 
+def _log_panels(g: Callable, u: float, rel_tol: float) -> float:
+    """int_0^u g by adaptive panels on max(8, int(2u) + 1) equal-width edges;
+    0 when u <= 0."""
+    if u <= 0.0:
+        return 0.0
+    n = max(8, int(u * 2) + 1)
+    return float(adaptive_panels(g, np.linspace(0.0, u, n), rel_tol).sum())
+
+
 def compute_rho_eps(ell: Callable, eps: float) -> float:
     """Truncation rho_eps = int_1^{1/eps} of the rho integrand (0 if eps >= 1)."""
     eps = _check_eps(eps)
-    u_hi = math.log(1.0 / eps)
-    if u_hi <= 0.0:
-        return 0.0
-    G = _rho_integrand(ell)
-    n = max(8, int(u_hi * 2) + 1)
-    return float(adaptive_panels(G, np.linspace(0.0, u_hi, n), 1e-10).sum())
+    return _log_panels(_rho_integrand(ell), math.log(1.0 / eps), 1e-10)
 
 
 @dataclass(frozen=True)
 class SlowVarTransforms:
-    """Evaluators L(x) = int_1^x dv/(v ell), N(x) = int_x^inf dv/(v ell),
-    M(x) = int_1^x (int_v^inf du/(u^{3/2} ell))^2 dv, with N guarded by a
-    divergence flag decided at construction."""
+    """Evaluators L(x) = int_1^x dv/(v ell) and N(x) = int_x^inf dv/(v ell),
+    with N guarded by a divergence flag decided at construction."""
 
     L: Callable
     N: Callable
-    M: Callable
     n_divergent: bool
 
 
 def slow_var_transforms(ell: Callable) -> SlowVarTransforms:
-    """L/N/M transforms of a positive continuous slowly varying function.
+    """L/N transforms of a positive continuous slowly varying function.
 
-    All three are computed in u = log x coordinates.  Calling N when
+    Both are computed in u = log x coordinates.  Calling N when
     int_1^inf dv/(v ell(v)) diverges raises Divergent.
     """
     ell = _array_fn(ell, "ell", _ELL_PROBE)
@@ -220,7 +222,6 @@ def slow_var_transforms(ell: Callable) -> SlowVarTransforms:
         return 1.0 / ell(np.exp(u))
 
     n_tail, n_divergent = _tail_extrapolate(_dyadic_octaves(h, _U_MAX))
-    G = _rho_integrand(ell)
 
     def _u_of(x) -> float:
         x = float(x)
@@ -229,11 +230,7 @@ def slow_var_transforms(ell: Callable) -> SlowVarTransforms:
         return math.log(x)
 
     def L(x) -> float:
-        u = _u_of(x)
-        if u == 0.0:
-            return 0.0
-        n = max(8, int(u * 2) + 1)
-        return float(adaptive_panels(h, np.linspace(0.0, u, n), 1e-11).sum())
+        return _log_panels(h, _u_of(x), 1e-11)
 
     def N(x) -> float:
         if n_divergent:
@@ -243,14 +240,7 @@ def slow_var_transforms(ell: Callable) -> SlowVarTransforms:
         body = adaptive_panels(h, np.linspace(u, _U_MAX, n), 1e-11).sum()
         return float(body + n_tail)
 
-    def M(x) -> float:
-        u = _u_of(x)
-        if u == 0.0:
-            return 0.0
-        n = max(8, int(u * 2) + 1)
-        return float(adaptive_panels(G, np.linspace(0.0, u, n), 1e-10).sum())
-
-    return SlowVarTransforms(L=L, N=N, M=M, n_divergent=bool(n_divergent))
+    return SlowVarTransforms(L=L, N=N, n_divergent=bool(n_divergent))
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +288,20 @@ def _f_in_l1mu(alpha: float, ell: Callable) -> bool:
     return not slow_var_transforms(ell).n_divergent
 
 
-def _ratio_samples(side, f, ell, alpha: float, n_samples: int):
+# tail-ratio samples per side, at x = cutoff / 2^j, and how many of the
+# outermost finite ones must agree with the claimed limit
+_N_SAMPLES = 12
+_N_FLAT = 5
+
+
+def _ratio_samples(side, f, ell, alpha: float):
     """Sampled tail ratio [sigma s']^{-2}|s|^{2-1/alpha} ell(|s|) f on a
-    geometric grid of one side; computed in log space so that presets whose
-    factors overflow double precision individually still yield the finite
-    product.  Points where f itself overflows are returned as nan."""
+    geometric grid of ``_N_SAMPLES`` points on one side; computed in log
+    space so that presets whose factors overflow double precision
+    individually still yield the finite product.  Points where f itself
+    overflows are returned as nan."""
     sign = side.sign
-    xs = side.x[-1] * 2.0 ** -np.arange(n_samples, dtype=np.float64)[::-1]
+    xs = side.x[-1] * 2.0 ** -np.arange(_N_SAMPLES, dtype=np.float64)[::-1]
     E = side.E_spline(xs)
     s_abs = side.s_at(xs)
     sig = side.sigma(sign * xs)
@@ -324,14 +321,12 @@ def classify_regime(
     claimed: tuple | None = None,
     *,
     trend_tol: float = 0.02,
-    n_flat: int = 5,
-    n_samples: int = 12,
 ) -> RegimeReport:
     """Classify the limit regime of (model, f).
 
     With ``claimed = (alpha, ell, f_plus, f_minus)`` (ell None means 1), the
     tail ratio is sampled on a geometric grid x = cutoff/2^j per side and
-    convergence means: the outermost ``n_flat`` finite samples differ
+    convergence means: the outermost ``_N_FLAT`` finite samples differ
     pairwise by less than ``trend_tol`` relative to |f_+| + |f_-|, and their
     mean matches the claimed limit to the same tolerance.  Samples where f
     overflows double precision are skipped (the product is taken in log
@@ -364,11 +359,11 @@ def classify_regime(
             raise ClassificationFailed("claimed tail limits are both zero",
                                        diagnostics=diagnostics)
         for side, limit, key in ((core.pos, f_plus, "plus"), (core.neg, f_minus, "minus")):
-            xs, ratio = _ratio_samples(side, f, ell, alpha, n_samples)
+            xs, ratio = _ratio_samples(side, f, ell, alpha)
             diagnostics[f"x_{key}"] = xs.tolist()
             diagnostics[f"ratio_{key}"] = ratio.tolist()
             finite = ratio[np.isfinite(ratio)]
-            if finite.size < n_flat:
+            if finite.size < _N_FLAT:
                 diagnostics["warnings"].append(
                     f"{key} side: only {finite.size} finite ratio samples")
                 raise ClassificationFailed(
@@ -377,7 +372,7 @@ def classify_regime(
             if finite.size < ratio.size:
                 diagnostics["warnings"].append(
                     f"{key} side: {ratio.size - finite.size} overflowing samples skipped")
-            last = finite[-n_flat:]
+            last = finite[-_N_FLAT:]
             spread = float(last.max() - last.min())
             bias = float(abs(last.mean() - limit))
             diagnostics[f"spread_{key}"] = spread
@@ -707,28 +702,23 @@ def limit_law(report: RegimeReport, model: DiffusionModel, f: Callable) -> Limit
     if report.f_in_L1mu:
         _check_centered(model, f, fm_sides)
 
-    if regime == "Diffusive":
-        sigma_sq = _diffusive_sigma_sq(model, f, fm_sides)
+    if regime in ("Diffusive", "CriticalDiffusive"):
+        critical = regime == "CriticalDiffusive"
+        # classify_regime stores rho whenever alpha = 2; only a hand-built
+        # report can lack it
         rho = report.tail_diagnostics.get("rho")
-        if rho is None and alpha == 2.0:
+        if rho is None and (critical or alpha == 2.0):
             rho = compute_rho(report.ell)
-        if alpha == 2.0 and rho is not None and np.isinf(rho):
+        if critical and not np.isinf(rho):
+            raise InvalidRequest("CriticalDiffusive requires rho = inf")
+        if not critical and alpha == 2.0 and np.isinf(rho):
             raise InvalidRequest("rho = inf at alpha = 2 is the CriticalDiffusive regime")
+        sigma_sq = (4.0 * kappa * (f_p**2 + f_m**2) if critical
+                    else _diffusive_sigma_sq(model, f, fm_sides))
         return LimitLaw(
             regime=regime, alpha=alpha, sigma_alpha=math.sqrt(sigma_sq),
             kappa=kappa, f_plus=f_p, f_minus=f_m, ell_name=report.ell_name,
             rho=rho, notes=tuple(notes),
-            _rho_eps_fn=lambda eps: compute_rho_eps(report.ell, eps))
-
-    if regime == "CriticalDiffusive":
-        rho = report.tail_diagnostics.get("rho", compute_rho(report.ell))
-        if not np.isinf(rho):
-            raise InvalidRequest("CriticalDiffusive requires rho = inf")
-        sigma_sq = 4.0 * kappa * (f_p**2 + f_m**2)
-        return LimitLaw(
-            regime=regime, alpha=alpha, sigma_alpha=math.sqrt(sigma_sq),
-            kappa=kappa, f_plus=f_p, f_minus=f_m, ell_name=report.ell_name,
-            rho=np.inf, notes=tuple(notes),
             _rho_eps_fn=lambda eps: compute_rho_eps(report.ell, eps))
 
     # Levy measure weights shared by both stable regimes

@@ -60,7 +60,6 @@ from .errors import (
 __all__ = [
     "DiffusionModel",
     "ScaleSpeed",
-    "TransformedCoeffs",
     "HarrisVerdict",
     "eval_scale",
     "eval_speed_density",
@@ -77,6 +76,8 @@ _EXP_CAP = 690.0
 
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 _GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
+_MAX_ROUNDS = 8     # bisection rounds of adaptive_panels
+_N_OCT = 10         # dyadic octaves the tail extrapolation reads
 
 
 def _array_fn(fn: Callable, name: str, probe=(0.0, 0.5, -0.5)) -> Callable:
@@ -129,12 +130,12 @@ def _panel_values(fn: Callable, lo: np.ndarray, hi: np.ndarray, rule_x, rule_w) 
     return (vals @ rule_w) * half
 
 
-def adaptive_panels(fn: Callable, edges: np.ndarray, rel_tol: float, max_rounds: int = 8) -> np.ndarray:
+def adaptive_panels(fn: Callable, edges: np.ndarray, rel_tol: float) -> np.ndarray:
     """Integrate ``fn`` over each consecutive panel of ``edges``.
 
     Uses a 15-point Gauss rule with a 7-point embedded estimate; panels whose
     two rules disagree beyond tolerance are bisected (tracked back to their
-    original panel) until they agree or ``max_rounds`` is exhausted, in which
+    original panel) until they agree or ``_MAX_ROUNDS`` are exhausted, in which
     case a QuadratureError carrying the last two whole-sum estimates is raised.
     """
     lo = np.asarray(edges[:-1], dtype=np.float64)
@@ -143,13 +144,13 @@ def adaptive_panels(fn: Callable, edges: np.ndarray, rel_tol: float, max_rounds:
     out = np.zeros(lo.size, dtype=np.float64)
 
     prev_total = None
-    for round_ in range(max_rounds + 1):
+    for round_ in range(_MAX_ROUNDS + 1):
         i15 = _panel_values(fn, lo, hi, _GL15_X, _GL15_W)
         i7 = _panel_values(fn, lo, hi, _GL7_X, _GL7_W)
         err = np.abs(i15 - i7)
         scale = np.abs(i15) + np.mean(np.abs(i15)) + 1e-300
         bad = err > rel_tol * scale
-        if not bad.any() or round_ == max_rounds:
+        if not bad.any() or round_ == _MAX_ROUNDS:
             if bad.any():
                 total_bad = float(np.sum(i15))
                 raise QuadratureError(
@@ -220,14 +221,15 @@ class _Side:
         return self.s_abs[j] + inc
 
 
-def _dyadic_octaves(fn: Callable, x_top: float, n_oct: int = 10) -> np.ndarray:
-    """Integrals of fn over exact dyadic octaves [x_top/2^k, x_top/2^{k-1}].
+def _dyadic_octaves(fn: Callable, x_top: float) -> np.ndarray:
+    """Integrals of fn over the ``_N_OCT`` exact dyadic octaves
+    [x_top/2^k, x_top/2^{k-1}].
 
     Exact octave boundaries make the outer-ratio geometric tail extrapolation
     exact for power-law integrands; sums of grid panels straddling the
     boundaries would bias the ratio at the 1e-7 level.
     """
-    hi = x_top / 2.0 ** np.arange(n_oct)
+    hi = x_top / 2.0 ** np.arange(_N_OCT)
     lo = hi / 2.0
     mid = 0.5 * (lo + hi)
     # two Gauss panels per octave keep moderately peaked integrands accurate
@@ -539,21 +541,6 @@ class DiffusionModel:
             kappa=core.kappa, inv_scale=core.inv_s,
         )
 
-    def transformed(self, f: Callable) -> "TransformedCoeffs":
-        core = self.core()
-        f = _array_fn(f, "f")
-
-        def psi(w):
-            x = core.inv_s(w)
-            return core.sprime(np.asarray(x)) * self.diffusion(np.asarray(x))
-
-        def phi(w):
-            x = np.asarray(core.inv_s(w))
-            p = core.sprime(x) * self.diffusion(x)
-            return f(x) / p**2
-
-        return TransformedCoeffs(psi=psi, phi=phi)
-
 
 @dataclass(frozen=True)
 class ScaleSpeed:
@@ -564,14 +551,6 @@ class ScaleSpeed:
     speed_density: Callable
     kappa: float
     inv_scale: Callable
-
-
-@dataclass(frozen=True)
-class TransformedCoeffs:
-    """psi = (s'∘s^-1)(sigma∘s^-1) and phi = (f∘s^-1)/psi^2."""
-
-    psi: Callable
-    phi: Callable
 
 
 @dataclass(frozen=True)
@@ -663,6 +642,13 @@ def invariant_integral(model: DiffusionModel, h: Callable, with_error: bool = Fa
 
 
 def eval_psi_phi(model: DiffusionModel, f: Callable, w):
-    """(psi(w), phi(w)) at a point of the scale image; OutOfDomain beyond it."""
-    tc = model.transformed(f)
-    return tc.psi(w), tc.phi(w)
+    """(psi(w), phi(w)) at a point of the scale image; OutOfDomain beyond it.
+
+    psi = (s' sigma)(x) and phi = f(x) / psi^2 at x = s^-1(w) are the
+    scale-transformed coefficients.
+    """
+    core = model.core()
+    f = _array_fn(f, "f")
+    x = np.asarray(core.inv_s(w))
+    psi = core.sprime(x) * model.diffusion(x)
+    return psi, f(x) / psi**2

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import _workspace
 from ._rng import TAG_DIRECT, TAG_TIMECHANGE, checked_seed
-from ._workspace import _ChunkWorkspace, _cumsum_end, _first_passages, _Normals, _run_blocks
+from ._workspace import _ChunkWorkspace, _cumsum_end, _Normals, _run_blocks
 from .asymptotics import LimitLaw
 from .errors import (
     ConfigError,
@@ -73,6 +73,7 @@ _CLOCK_SLAB = 256         # normals a clock-walk path draws per generator call
                           # _CLOCK_SLAB * _BLOCK // width, so that no block's
                           # slab buffer passes the full block's 2 MiB
 _GUIDE_CAP = 1 << 21      # most entries of a clock table's bracket guide
+_CLOCK_NODES = 6001       # sinh-spaced nodes of the clock tables, 0 the middle one
 _GUARD_FACTOR = 10.0      # explosion guard at |X| > guard_factor * domain_cutoff
 _MAX_RETRIES = 3          # substitute draws attempted per exploded path
 _EXPLODED_TOL = 1e-3      # run fails if more than this fraction of paths explode
@@ -660,15 +661,15 @@ class _ClockTables:
         object.__setattr__(self, "exact", exact)
 
 
-def _clock_tables(model: DiffusionModel, f: Callable, n_nodes: int = 6001) -> _ClockTables:
+def _clock_tables(model: DiffusionModel, f: Callable) -> _ClockTables:
     ss = model.scale_speed()
     c = model.domain_cutoff
     g_top = math.asinh(c)
-    x = np.sinh(np.linspace(-g_top, g_top, n_nodes))
+    x = np.sinh(np.linspace(-g_top, g_top, _CLOCK_NODES))
     # sinh(asinh(c)) rounds past c, by 7.3e-11 at c = 1e5: beyond the model's
     # domain, which the quadrature core refuses
     np.clip(x, -c, c, out=x)
-    x[n_nodes // 2] = 0.0
+    x[_CLOCK_NODES // 2] = 0.0
     y = np.asarray(ss.scale(x), dtype=np.float64)
     psi = np.asarray(ss.scale_deriv(x), dtype=np.float64) \
         * np.asarray(model.diffusion(x), dtype=np.float64)
@@ -761,6 +762,30 @@ class _Bracket:
     def outside(self) -> np.ndarray:
         """Points strictly beyond the first or the last node."""
         return self.off & ((self.y < self.tab.y[0]) | (self.y > self.tab.y[-1]))
+
+
+def _first_passages(clock, dclock, value, dvalue, targets, crossed, end):
+    """Where a chunk's non-decreasing clocks first reach sorted targets.
+
+    The clock walk calls it on the columns that pass a target in the chunk
+    only.  ``clock`` and ``value`` are step-major ``(k+1, n)`` running sums
+    with the carried state in row 0; row s+1 of ``dclock`` and ``dvalue``
+    holds step s's increments.  Column j passed ``crossed[j]`` targets
+    before the chunk and ``end[j]`` by its end; target t is passed in the
+    first step s whose end ``clock[s+1]`` reaches t.  Returns, per passage
+    in column then target order, the column, target index, step s and the
+    in-step interpolated ``value[s] + (t - clock[s]) / dclock[s+1] *
+    dvalue[s+1]``.
+    """
+    n_ev = end - crossed
+    col = np.repeat(np.arange(n_ev.size), n_ev)
+    # passage i of column j is target i - (passages of columns < j) + crossed[j]
+    tgt = np.arange(col.size) - np.repeat(np.cumsum(n_ev) - end, n_ev)
+    t = targets[tgt]
+    step = np.count_nonzero(clock[1:, col] < t, axis=0)
+    val = value[step, col] + (t - clock[step, col]) / dclock[step + 1, col] \
+        * dvalue[step + 1, col]
+    return col, tgt, step, val
 
 
 def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
@@ -868,9 +893,9 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
             ti_end = np.searchsorted(targets, a_end, side="right")
             pc = np.flatnonzero(ti_end > ti[live])
             DAp, DHp = DA[:, pc], DH[:, pc]
-            _, col, tgt, s_ev, val = _first_passages(
+            col, tgt, s_ev, val = _first_passages(
                 np.cumsum(DAp, axis=0), DAp, np.cumsum(DHp, axis=0), DHp, targets,
-                ti[live[pc]])
+                ti[live[pc]], ti_end[pc])
             col = pc[col]
             out[live[col], tgt] = val
             steps = np.full(n, k)          # steps each path takes in the chunk

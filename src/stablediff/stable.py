@@ -31,7 +31,7 @@ import numpy as np
 
 from ._rng import TAG_CMS, TAG_EXCURSION, checked_seed, stream
 from ._workspace import _MIN_WIDTH, _run_blocks
-from .asymptotics import EULER_GAMMA, LimitLaw, _lambda_alpha
+from .asymptotics import EULER_GAMMA, LimitLaw, _lambda_alpha, _xlogabs
 from .errors import InvalidAlpha, InvalidRequest
 
 __all__ = [
@@ -43,15 +43,15 @@ __all__ = [
 ]
 
 _RATIO = 1.02   # largest ratio of neighbouring levels of the Ray-Knight grid
+# a t_points increment below _DEPTH * dt moves the innermost level down to
+# the increment / _DEPTH: a column started that close to its first level
+# is mostly absorbed within the first cell, where Z is taken as linear
+_DEPTH = 1000.0
 _HALF_PI = math.pi / 2.0
 
 
 def _signed_power(x: float, alpha: float) -> float:
     return math.copysign(abs(x) ** alpha, x)
-
-
-def _xlogx(x: float) -> float:
-    return x * math.log(abs(x)) if x != 0.0 else 0.0
 
 
 def _check_count(name: str, value) -> None:
@@ -101,15 +101,10 @@ class StableSpec:
         tau = 0.0
         if alpha == 1.0:
             tau = -((a + b) * (2.0 * EULER_GAMMA + math.log(2.0))
-                    + _xlogx(a) + _xlogx(b))
+                    + _xlogabs(a) + _xlogabs(b))
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "tau", tau)
-
-    def sgn_ab(self, x: np.ndarray) -> np.ndarray:
-        """a on (0, inf), b on (-inf, 0), zero at 0."""
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(x > 0.0, self.a, np.where(x < 0.0, self.b, 0.0))
 
 
 def stable_cf(spec: StableSpec, xi, t: float):
@@ -204,12 +199,12 @@ def _cell_weights(p: float, x0: float, x1: float) -> tuple[float, float]:
     return m0 - b, b
 
 
-def _levels(dt: float):
-    """The level grid's nodes, without end: dt, then a geometric sequence
+def _levels(x_min: float):
+    """The level grid's nodes, without end: x_min, then a geometric sequence
     whose ratio is the largest at most ``_RATIO`` that makes 1 a node."""
-    n = math.ceil(-math.log(dt) / math.log(_RATIO))
-    yield from np.geomspace(dt, 1.0, n + 1).tolist()
-    r = dt ** (-1.0 / n)
+    n = math.ceil(-math.log(x_min) / math.log(_RATIO))
+    yield from np.geomspace(x_min, 1.0, n + 1).tolist()
+    r = x_min ** (-1.0 / n)
     for k in itertools.count(1):
         yield r ** k
 
@@ -227,7 +222,7 @@ def _besq_step(gen: np.random.Generator, z: np.ndarray, h: float) -> np.ndarray:
     return z
 
 
-def _ray_knight_block(spec: StableSpec, inc: np.ndarray, dt: float, seed: int,
+def _ray_knight_block(spec: StableSpec, inc: np.ndarray, x_min: float, seed: int,
                       block: int, m: int) -> np.ndarray:
     """K at the targets for the m paths of block ``block``, from its stream.
 
@@ -238,14 +233,14 @@ def _ray_knight_block(spec: StableSpec, inc: np.ndarray, dt: float, seed: int,
     with Z linear within each (:func:`_cell_weights`), until it is absorbed
     at 0 and leaves the chain.  The weight is compensated by -ell per unit
     on all levels when alpha > 1 and on levels up to 1 when alpha = 1.  The
-    first cell, [0, dt], is then taken against Z - ell, whose A term is 0;
-    the rest of the compensator, -ell int_dt x^p dx over the compensated
+    first cell, [0, x_min], is then taken against Z - ell, whose A term is
+    0; the rest of the compensator, -ell int_x_min x^p dx over the compensated
     levels, is owed in closed form wherever the column is absorbed.
     """
     gen = stream(seed, TAG_EXCURSION, block)
     p = 1.0 / spec.alpha - 2.0
     ell = np.broadcast_to(inc, (2, m, inc.size)).ravel()
-    levels = _levels(dt)
+    levels = _levels(x_min)
     x0 = next(levels)
     a0, b0 = _cell_weights(p, 0.0, x0)
     z = _besq_step(gen, ell, x0)
@@ -281,10 +276,11 @@ def stable_via_excursions(spec: StableSpec, t_points, dt: float, n_paths: int,
     inverse local time of the origin, is the stable law of ``spec``.
     Returns an (n_paths, len(t_points)) array; column j holds K at
     tau_{t_j}.  The local-time field comes from its Ray-Knight law, an
-    exact BESQ^0 chain per side over a grid of levels: ``dt`` is the
-    innermost level, the cells then grow geometrically by a ratio of at
-    most 1.02, and 1 is a level.  The chain's steps are exact; within a
-    cell, the field is integrated as linear between its ends.
+    exact BESQ^0 chain per side over a grid of levels: the innermost level
+    is ``dt``, or the smallest increment of ``t_points`` over 1000 when that
+    increment is below 1000 ``dt``; the cells then grow geometrically by a
+    ratio of at most 1.02, and 1 is a level.  The chain's steps are exact;
+    within a cell, the field is integrated as linear between its ends.
 
     ``threads`` is the number of forked worker processes the path blocks
     are shared among (``None``: one per CPU this process may run on; 1
@@ -294,7 +290,8 @@ def stable_via_excursions(spec: StableSpec, t_points, dt: float, n_paths: int,
     output is bit-identical whatever ``threads`` is.  A seed that is not an
     integer in [0, 2**64) raises :class:`InvalidRequest`, and so does an
     increment of ``t_points`` too large against ``dt`` for numpy's Poisson
-    sampler.
+    sampler, or so small that its innermost level leaves the normal range
+    of float64.
     """
     seed = checked_seed(seed)
     if not (0.0 < spec.alpha < 2.0):
@@ -309,7 +306,12 @@ def stable_via_excursions(spec: StableSpec, t_points, dt: float, n_paths: int,
         raise InvalidRequest(f"dt must lie in (0, 0.25], got {dt!r}")
     _check_count("n_paths", n_paths)
     inc = np.diff(t_arr, prepend=0.0)
+    x_min = inc.min() / _DEPTH if inc.min() < _DEPTH * dt else dt
+    if x_min < np.finfo(np.float64).tiny:
+        raise InvalidRequest(
+            f"a t_points increment of {inc.min():g} is too small for the level grid")
     parts = _run_blocks(
-        lambda idx: _ray_knight_block(spec, inc, dt, seed, int(idx[0]) // _MIN_WIDTH, idx.size),
+        lambda idx: _ray_knight_block(spec, inc, x_min, seed, int(idx[0]) // _MIN_WIDTH,
+                                      idx.size),
         n_paths, _MIN_WIDTH, threads)
     return np.vstack(parts)

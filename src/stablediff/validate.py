@@ -203,9 +203,9 @@ def ks_two_sample(samples_a, samples_b) -> tuple[float, float]:
     return stat, crit
 
 
-def default_xi_grid(law: LimitLaw, n_points: int = 21) -> np.ndarray:
+def default_xi_grid(law: LimitLaw) -> np.ndarray:
     """21 log-spaced points over [0.05, 20] divided by the law's scale."""
-    return np.geomspace(0.05, 20.0, n_points) / law.sigma_alpha
+    return np.geomspace(0.05, 20.0, 21) / law.sigma_alpha
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Regime classification, limit-law constants, and the Poisson cross-check."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -43,6 +44,19 @@ def f_id(x):
 
 def ell_logsq(v):
     return (1.0 + np.log(v)) ** 2
+
+
+def ell_model():
+    """Zero drift and sigma^2 = max(1,|x|)^1.5 (1 + log max(1,|x|))^2 with
+    f = sign(x) min(1, |x|): the tail ratio carries ell = (1 + log v)^2, so
+    the claim (2, ell_logsq, 1, -1) is Diffusive with a finite rho."""
+    def sigma(x):
+        a = np.maximum(1.0, np.abs(np.asarray(x, dtype=np.float64)))
+        return a ** 0.75 * (1.0 + np.log(a))
+
+    model = DiffusionModel(drift=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
+                           diffusion=sigma, domain_cutoff=1e4, name="ell-logsq")
+    return model, lambda x: np.sign(x) * np.minimum(1.0, np.abs(x))
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +124,6 @@ def test_transforms_log_squared():
     # N(x) = int_x^inf dv/(v (1+log v)^2) = 1/(1+log x) exactly
     for x in (10.0, 100.0, 1e4):
         assert tr.N(x) == pytest.approx(1.0 / (1.0 + math.log(x)), rel=1e-3)
-    # M(x) is the rho integrand truncated at x, i.e. rho_eps at eps = 1/x
-    assert tr.M(50.0) == pytest.approx(compute_rho_eps(ell_logsq, 1.0 / 50.0), rel=1e-10)
 
 
 def test_L_slow_variation_trend():
@@ -421,6 +433,42 @@ def test_diffusive_law_runs_one_fm_quadrature(monkeypatch):
     law = limit_law(rep, model, f)
     assert law.sigma_alpha.hex() == "0x1.20e225e961dcfp-1"
     assert seen.count(f) == 1
+
+
+def test_diffusive_law_with_slowly_varying_ell():
+    # the claimed ell enters the tail ratio, the regime split on rho and
+    # the law's rho and rho_eps
+    model, f = ell_model()
+    rep = classify_regime(model, f, claimed=(2.0, ell_logsq, 1.0, -1.0))
+    assert rep.regime == "Diffusive"
+    assert rep.ell_name == "ell_logsq"
+    rho = compute_rho(ell_logsq)
+    assert math.isfinite(rho) and rep.tail_diagnostics["rho"] == rho
+    law = limit_law(rep, model, f)
+    assert law.regime == "Diffusive" and law.ell_name == "ell_logsq"
+    assert law.rho == rho
+    assert law.rho_eps(1e-4) == compute_rho_eps(ell_logsq, 1e-4) < rho
+    assert law.sigma_alpha == pytest.approx(1.56, rel=1e-2)
+
+
+def test_limit_law_reads_the_classified_rho(monkeypatch):
+    # classify_regime stores rho at alpha = 2, so limit_law computes it
+    # zero times; a hand-built report without it computes it once
+    driftless = presets.driftless(2.5)
+    f_dl = presets.driftless_observable(1.0)
+    model, f = ell_model()
+    cases = [(classify_regime(driftless, f_dl, claimed=(2.0, None, 1.0, -1.0)), driftless, f_dl),
+             (classify_regime(model, f, claimed=(2.0, ell_logsq, 1.0, -1.0)), model, f)]
+    assert [rep.regime for rep, _, _ in cases] == ["CriticalDiffusive", "Diffusive"]
+    calls = []
+    real = asymptotics.compute_rho
+    monkeypatch.setattr(asymptotics, "compute_rho", lambda ell: calls.append(ell) or real(ell))
+    laws = [limit_law(*case) for case in cases]
+    assert calls == []
+    for (rep, model, f), law in zip(cases, laws):
+        bare = dataclasses.replace(rep, tail_diagnostics={"mode": "claimed", "warnings": []})
+        assert limit_law(bare, model, f).to_json() == law.to_json()
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,6 @@ def test_spec_rejects_bad_parameters():
         StableSpec(1.5, math.inf, 0.0)
 
 
-def test_spec_sgn_ab():
-    sp = StableSpec(0.8, 2.0, -3.0)
-    assert sp.sgn_ab(1.7) == 2.0
-    assert sp.sgn_ab(-0.2) == -3.0
-    assert sp.sgn_ab(0.0) == 0.0
-
-
 @given(alpha=st.floats(0.05, 2.0), a=st.floats(-5.0, 5.0), b=st.floats(-5.0, 5.0))
 @settings(max_examples=60, deadline=None)
 def test_spec_invariants(alpha, a, b):
@@ -303,6 +296,8 @@ def test_excursions_validates_inputs():
         stable_via_excursions(sp, [1.0, 0.5], 1e-3, 4)
     with pytest.raises(InvalidRequest):
         stable_via_excursions(sp, [-1.0], 1e-3, 4)
+    with pytest.raises(InvalidRequest, match="too small for the level grid"):
+        stable_via_excursions(sp, [1e-310, 1.0], 1e-3, 4)
     with pytest.raises(InvalidRequest):
         stable_via_excursions(sp, [1.0], 0.3, 4)
     with pytest.raises(InvalidRequest):
@@ -313,13 +308,13 @@ def test_excursions_validates_inputs():
 
 # sha256 of the (64, 3) output of stable_via_excursions(StableSpec(alpha, 1.0,
 # 0.5), EXCURSION_PIN_TIMES, 1e-3, 64, seed=0).  The second target lies 1e-6
-# above the first, an increment far below dt, so most of its columns are
-# absorbed within the first cell.
+# above the first, an increment far below dt, so the innermost level is
+# 1e-6 / 1000 = 1e-9 rather than dt.
 EXCURSION_PIN_TIMES = [0.3, 0.3 + 1e-6, 1.0]
 EXCURSION_PINS = {
-    0.5: "c88a359e05dc598ca6bb77ef800e8f0b6ee1681b7612893eb37feeff783f32dc",
-    1.0: "da7b7162f9870d84d50f55827c7ac0bf9933a26e87cb9d77046571d442e061d3",
-    1.5: "de2007b82bda7c7945f9c73e9bff3a13b5e1b9d05d9cfaa58245d6c90f5e6820",
+    0.5: "fdbed889e7d05383dde4737aca2a3634820305fe54323bfb1a1b7a8994f9c42a",
+    1.0: "4316027554ccad6c8f2276d4897175f8135095f765e0ad1ad896159b2b573d83",
+    1.5: "d24d87756a1fe6b3ed45c842f51841100d20aee76e0696a68dd1f581b94100f5",
 }
 
 
@@ -351,6 +346,18 @@ def test_excursion_cell_weights_match_quadrature(alpha):
             continue
         ref_a = quad(lambda x: (x1 - x) / h * x ** p, x0, x1, epsabs=0.0, epsrel=1e-12)[0]
         assert a == pytest.approx(ref_a, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_excursions_increment_at_dt_matches_cms(alpha):
+    # an increment equal to dt puts the innermost level at dt / 1000: a
+    # column started at ell is mostly absorbed within the first cell, where
+    # Z is taken as linear, unless that cell is far below ell (at dt
+    # itself, KS read 0.32-0.35)
+    sp = StableSpec(alpha, 1.0, 0.5)
+    k = stable_via_excursions(sp, [1e-3], 1e-3, 8000, seed=0)[:, 0]
+    ref = sample_stable_cf(sp, 1e-3, 8000, seed=1)
+    assert ks_statistic(k, ref) < ks_critical_1pct(k.size, ref.size)
 
 
 def test_excursions_reject_an_increment_too_large_for_dt():

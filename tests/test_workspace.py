@@ -1,7 +1,7 @@
 """Chunked-walk helpers: the block scheduler, split invariance of
 ``_Normals``, the pooled generators, the workspace's dtype check, the
-``_cumsum_end`` reduction and the ``_first_passages`` read-out against a
-step-by-step reference."""
+``_cumsum_end`` reduction and the clock walk's ``pathsim._first_passages``
+read-out against a step-by-step reference."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablediff import _rng, _workspace
+from stablediff import _rng, _workspace, pathsim
 from stablediff._rng import TAG_TIMECHANGE, stream
 from stablediff.errors import PathExploded
 
@@ -179,9 +179,12 @@ def stepwise_passages(clock, dclock, value, dvalue, targets, crossed):
 
 
 def check_passages(clock, dclock, value, dvalue, targets):
+    # the counts before and after the chunk, as the walk reads them off the
+    # carried and the end clock
     crossed = np.searchsorted(targets, clock[0], side="right")
-    end, col, tgt, step, val = _workspace._first_passages(
-        clock, dclock, value, dvalue, targets, crossed)
+    end = np.searchsorted(targets, clock[-1], side="right")
+    col, tgt, step, val = pathsim._first_passages(
+        clock, dclock, value, dvalue, targets, crossed, end)
     ref_end, ref = stepwise_passages(clock, dclock, value, dvalue, targets, crossed)
     assert end.tolist() == ref_end
     assert list(zip(col.tolist(), tgt.tolist(), step.tolist())) == [e[:3] for e in ref]
