@@ -48,7 +48,6 @@ from .errors import (
     NotCentered,
     NotIntegrable,
     PoissonUnavailable,
-    QuadratureError,
 )
 from .model import (
     DiffusionModel,
@@ -174,14 +173,17 @@ def compute_rho(ell: Callable) -> float:
     return float(panels.sum() + tail)
 
 
+def _finite_real(v) -> bool:
+    """Whether v is a finite real number (a bool is not one)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _check_eps(eps) -> float:
     """eps as a float when it is a finite real > 0 (not a bool);
     InvalidRequest otherwise."""
-    real = isinstance(eps, numbers.Real) and not isinstance(eps, bool)
-    value = float(eps) if real else math.nan
-    if not (math.isfinite(value) and value > 0.0):
+    if not (_finite_real(eps) and eps > 0.0):
         raise InvalidRequest(f"eps must be finite and > 0, got {eps!r}")
-    return value
+    return float(eps)
 
 
 def _log_panels(g: Callable, u: float, rel_tol: float) -> float:
@@ -475,6 +477,13 @@ class LimitLaw:
     are None in diffusive regimes and vice versa; the eps-indexed functions
     raise InvalidRequest where they are not defined, and for an eps that is
     not finite and > 0.
+
+    A law, built by hand or read by :meth:`from_json`, raises
+    InvalidRequest unless its regime is one of ``REGIMES``; alpha,
+    sigma_alpha, kappa, f_plus, f_minus and the constants that
+    :meth:`z_of_xi` reads (beta_f for Levy, the three z1 constants for
+    CriticalLevy) are finite real numbers; and sigma_alpha and kappa are
+    > 0 (the validation grid is scaled by 1/sigma_alpha).
     """
 
     regime: str
@@ -495,6 +504,26 @@ class LimitLaw:
     _rho_eps_fn: Callable | None = field(default=None, repr=False)
     _xi_eps_fn: Callable | None = field(default=None, repr=False)
     _zeta_eps_fn: Callable | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.regime not in REGIMES:
+            raise InvalidRequest(f"unknown regime {self.regime!r}")
+        needed = [("alpha", self.alpha), ("sigma_alpha", self.sigma_alpha),
+                  ("kappa", self.kappa), ("f_plus", self.f_plus), ("f_minus", self.f_minus)]
+        if self.regime == "Levy":
+            needed.append(("beta_f", self.beta_f))
+        if self._z1 is not None or self.regime == "CriticalLevy":
+            if not isinstance(self._z1, (tuple, list)) or len(self._z1) != 3:
+                raise InvalidRequest(f"z1_constants must be three numbers, got {self._z1!r}")
+            self._z1 = tuple(self._z1)
+            needed += [("z1_constants", v) for v in self._z1]
+        bad = sorted({name for name, v in needed if not _finite_real(v)})
+        if bad:
+            raise InvalidRequest(
+                f"{self.regime} law has a missing or non-finite {', '.join(bad)}")
+        if not (self.sigma_alpha > 0.0 and self.kappa > 0.0):
+            raise InvalidRequest(f"sigma_alpha and kappa must be > 0, got "
+                                 f"{self.sigma_alpha!r} and {self.kappa!r}")
 
     # -- characteristic exponent factor ------------------------------------
 
@@ -591,7 +620,9 @@ class LimitLaw:
                 return -np.inf
             return v
 
-        z1 = data.get("z1_constants")
+        notes = data.get("notes", [])
+        if not (isinstance(notes, list) and all(isinstance(n, str) for n in notes)):
+            raise InvalidRequest("limit-law notes must be a list of strings")
         return cls(
             regime=data["regime"], alpha=data["alpha"],
             sigma_alpha=data["sigma_alpha"], kappa=data["kappa"],
@@ -602,8 +633,7 @@ class LimitLaw:
             levy_c_plus=dec(data.get("levy_c_plus")),
             levy_c_minus=dec(data.get("levy_c_minus")),
             generator_drift_a=dec(data.get("generator_drift_a")),
-            notes=tuple(data.get("notes", ())),
-            _z1=tuple(z1) if z1 is not None else None)
+            notes=tuple(notes), _z1=data.get("z1_constants"))
 
 
 def _lambda_alpha(alpha: float, kappa: float) -> float:
@@ -613,8 +643,11 @@ def _lambda_alpha(alpha: float, kappa: float) -> float:
             * (alpha**alpha / math.gamma(alpha)) ** 2)
 
 
-def _check_centered(model: DiffusionModel, f: Callable, fm_sides: list,
-                    tol: float = 1e-6) -> None:
+# mu(f) counts as 0 below _CENTER_TOL (1 + mu(|f|)), plus the tail slack
+_CENTER_TOL = 1e-6
+
+
+def _check_centered(model: DiffusionModel, f: Callable, fm_sides: list) -> None:
     """NotCentered unless mu(f) vanishes; ``fm_sides`` are the
     ``m_side_integrals`` of f, from which mu(f) is summed as
     :func:`invariant_integral` sums it."""
@@ -623,20 +656,16 @@ def _check_centered(model: DiffusionModel, f: Callable, fm_sides: list,
     if divergent or not np.isfinite(tail):
         raise NotIntegrable("int f dmu diverges (non-decaying tail trend)")
     mu_f = kappa * (total + tail)
-    # |f| has a kink wherever a centered f crosses zero, which can defeat the
-    # default panel tolerance; 1% is plenty since |f| only calibrates the check
-    try:
-        total, tail, divergent = model.core().integrate_against_m(
-            lambda x: np.abs(f(x)))
-    except QuadratureError:
-        total, tail, divergent = model.core().integrate_against_m(
-            lambda x: np.abs(f(x)), rel_tol=1e-2)
+    # |f| has a kink wherever a centered f crosses zero, which can defeat a
+    # tight panel tolerance; 1% is plenty since |f| only calibrates the check
+    total, tail, divergent = model.core().integrate_against_m(
+        lambda x: np.abs(f(x)), rel_tol=1e-2)
     if divergent or not np.isfinite(tail):
         raise NotIntegrable("int |f| dmu diverges")
     mu_abs = kappa * (total + tail)
     # mu(f) cannot be resolved below the extrapolation error of the
     # beyond-cutoff remainder, so half the |f| tail joins the tolerance
-    slack = tol * (1.0 + mu_abs) + 0.5 * kappa * tail
+    slack = _CENTER_TOL * (1.0 + mu_abs) + 0.5 * kappa * tail
     if abs(mu_f) > slack:
         raise NotCentered(
             f"f integrates against the invariant law to {mu_f:.3g} "

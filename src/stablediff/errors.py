@@ -91,7 +91,7 @@ class PathExploded(StableDiffError):
 
 
 class HorizonExceeded(StableDiffError):
-    """The simulated horizon (after auto-extension) did not reach the target."""
+    """A walk reached its Brownian horizon or step cap before the target time."""
 
 
 class InvalidAlpha(StableDiffError):

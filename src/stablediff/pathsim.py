@@ -81,7 +81,7 @@ _CLIP_RATE = 1e6          # cap on the clock rate dA/du of the time-change walk
 _CLIP_TOL = 1e-4          # run fails if more than this fraction of steps clip
                           # (or lie off the clock tables)
 _WALK_ITER_CAP = 10_000_000   # lockstep steps a time-change block may take
-_MAX_EXTENSIONS = 48      # doublings of the clock walk's Brownian horizon
+_HORIZON = 16.0 * 2.0**48  # clock walk's Brownian horizon, in units of max(1, t_n)^2
 _MAGIC = b"SDFSAMP1"
 _SCHEMA = 1
 # the JSON type of each sample-file header key (a bool is none of them)
@@ -183,7 +183,7 @@ class FunctionalSample:
     n_exploded: int = 0
     clip_fraction: float = 0.0
     #: free-form JSON-serializable run description (model/observable names,
-    #: stable-law parameters, ...) carried through both file formats
+    #: stable-law parameters, ...) carried through the sample file
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -202,8 +202,10 @@ class FunctionalSample:
     def n_paths(self) -> int:
         return self.values.shape[0]
 
-    def _meta(self) -> dict:
-        return {
+    def to_binary(self, path) -> None:
+        """Magic ``SDFSAMP1``, u32-LE header length, UTF-8 JSON header, then
+        the value matrix as little-endian float64 in row-major order."""
+        header = json.dumps({
             "format": "stablediff-functional-sample",
             "schema": _SCHEMA,
             "scheme": self.scheme,
@@ -217,14 +219,26 @@ class FunctionalSample:
             "clip_fraction": self.clip_fraction,
             "law": None if self.law is None else self.law.to_json(),
             "extra": self.extra,
-        }
+        }).encode("utf-8")
+        payload = np.ascontiguousarray(self.values, dtype="<f8").tobytes()
+        Path(path).write_bytes(_MAGIC + struct.pack("<I", len(header)) + header + payload)
 
-    @staticmethod
-    def _header(raw: bytes) -> tuple[dict, int, int]:
-        """A file's UTF-8 JSON header and its ``(n_paths, n_times)``, once checked."""
+    @classmethod
+    def from_binary(cls, path) -> "FunctionalSample":
+        """Read a :meth:`to_binary` file back, bit for bit.  A file that is
+        not one, a header key that is missing or of the wrong JSON type, a
+        payload of the wrong length and a law that :class:`LimitLaw` rejects
+        all raise :class:`InvalidRequest`."""
+        blob = Path(path).read_bytes()
+        if blob[: len(_MAGIC)] != _MAGIC:
+            raise InvalidRequest("not a functional-sample file (bad magic)")
+        start = len(_MAGIC) + 4
+        hlen = struct.unpack_from("<I", blob, len(_MAGIC))[0] if len(blob) >= start else 0
+        if len(blob) < start or start + hlen > len(blob):
+            raise InvalidRequest("sample file ends inside its header")
         try:
-            meta = json.loads(raw.decode("utf-8"))
-        except ValueError:      # a cut line or a non-UTF-8 byte
+            meta = json.loads(blob[start:start + hlen].decode("utf-8"))
+        except ValueError:      # a cut header or a non-UTF-8 byte
             raise InvalidRequest("sample file header is not UTF-8 JSON") from None
         if not isinstance(meta, dict) or meta.get("format") != "stablediff-functional-sample":
             raise InvalidRequest("not a functional-sample file")
@@ -241,71 +255,18 @@ class FunctionalSample:
             wrong.append("times")
         if wrong:
             raise InvalidRequest(f"sample file header has a wrong-typed {', '.join(wrong)}")
-        if meta["n_paths"] < 0 or meta["n_times"] < 0:
+        n_paths, n_times = meta["n_paths"], meta["n_times"]
+        if n_paths < 0 or n_times < 0:
             raise InvalidRequest("sample file header has a negative n_paths or n_times")
-        return meta, meta["n_paths"], meta["n_times"]
-
-    @classmethod
-    def _from_meta(cls, meta: dict, values: np.ndarray) -> "FunctionalSample":
-        law = None if meta["law"] is None else LimitLaw.from_json(meta["law"])
-        return cls(values=values, law=law, scheme=meta["scheme"], seed=meta["seed"],
-                   dt=meta["dt"], epsilon=meta["epsilon"], times=tuple(meta["times"]),
-                   n_exploded=meta.get("n_exploded", 0),
-                   clip_fraction=meta.get("clip_fraction", 0.0),
-                   extra=meta.get("extra", {}))
-
-    # -- text format --------------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        """One row per path, one column per horizon time.
-
-        Line 1 is a ``#``-prefixed JSON metadata comment; floats are written
-        with ``repr`` so a read-back is bit-exact.
-        """
-        lines = ["# " + json.dumps(self._meta())]
-        lines.append("path," + ",".join(f"t={t!r}" for t in self.times))
-        for i, row in enumerate(self.values):
-            lines.append(f"{i}," + ",".join(repr(float(v)) for v in row))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    @classmethod
-    def from_csv(cls, path) -> "FunctionalSample":
-        lines = Path(path).read_bytes().splitlines()
-        if not lines or not lines[0].startswith(b"# "):
-            raise InvalidRequest("not a functional-sample file (missing metadata line)")
-        meta, n_paths, n_times = cls._header(lines[0][2:])
-        rows = [ln.split(b",")[1:] for ln in lines[2:] if ln]
-        if len(rows) != n_paths or any(len(r) != n_times for r in rows):
-            raise InvalidRequest(f"sample body is not {n_paths} rows of {n_times} values")
-        try:
-            values = np.array([[float(v) for v in r] for r in rows]).reshape(n_paths, n_times)
-        except ValueError:
-            raise InvalidRequest("sample body holds a value that is not a float") from None
-        return cls._from_meta(meta, values)
-
-    # -- binary format -------------------------------------------------------
-
-    def to_binary(self, path) -> None:
-        """Magic ``SDFSAMP1``, u32-LE header length, UTF-8 JSON header, then
-        the value matrix as little-endian float64 in row-major order."""
-        header = json.dumps(self._meta()).encode("utf-8")
-        payload = np.ascontiguousarray(self.values, dtype="<f8").tobytes()
-        Path(path).write_bytes(_MAGIC + struct.pack("<I", len(header)) + header + payload)
-
-    @classmethod
-    def from_binary(cls, path) -> "FunctionalSample":
-        blob = Path(path).read_bytes()
-        if blob[: len(_MAGIC)] != _MAGIC:
-            raise InvalidRequest("not a functional-sample file (bad magic)")
-        start = len(_MAGIC) + 4
-        hlen = struct.unpack_from("<I", blob, len(_MAGIC))[0] if len(blob) >= start else 0
-        if len(blob) < start or start + hlen > len(blob):
-            raise InvalidRequest("sample file ends inside its header")
-        meta, n_paths, n_times = cls._header(blob[start:start + hlen])
         if len(blob) != start + hlen + 8 * n_paths * n_times:
             raise InvalidRequest(f"sample payload is not {n_paths} x {n_times} float64 values")
         values = np.frombuffer(blob[start + hlen:], dtype="<f8").astype(np.float64)
-        return cls._from_meta(meta, values.reshape(n_paths, n_times))
+        law = None if meta["law"] is None else LimitLaw.from_json(meta["law"])
+        return cls(values=values.reshape(n_paths, n_times), law=law, scheme=meta["scheme"],
+                   seed=meta["seed"], dt=meta["dt"], epsilon=meta["epsilon"],
+                   times=tuple(meta["times"]), n_exploded=meta.get("n_exploded", 0),
+                   clip_fraction=meta.get("clip_fraction", 0.0),
+                   extra=meta.get("extra", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -799,9 +760,9 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
     dt * max(a^2, W^2): rounding is monotone, so the square of the larger
     rounds to the larger of the rounded squares, bit for bit, and the
     ``abs`` call goes.  When A reaches t_i, H is
-    read by linear interpolation within the step.  The Brownian horizon
-    starts at 16*max(1, t_n)^2 and doubles while any unfinished path is
-    beyond it, failing after ``_MAX_EXTENSIONS`` doublings.
+    read by linear interpolation within the step.  The walk fails with
+    :class:`HorizonExceeded` once an unfinished path's Brownian time u
+    reaches the horizon ``_HORIZON * max(1, t_n)^2``.
 
     The walk runs in chunks of lockstep steps, ``_CHUNK`` long at full
     width and longer as paths finish (see :meth:`_Normals.take`).  Phase
@@ -835,8 +796,7 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
     w_cur, a_cur, h_cur, u_cur = np.zeros((4, width))   # the carried state
     ti = np.zeros(width, dtype=np.int64)   # targets crossed so far
     ws = _ChunkWorkspace(width)
-    horizon = 16.0 * max(1.0, targets[-1]) ** 2
-    extensions = 0
+    horizon = _HORIZON * max(1.0, targets[-1]) ** 2
     clipped = off_table = total = iters = 0
     # the longest slab, in whole chunks, whose buffer fits a full block's
     chunk = _workspace._CHUNK
@@ -915,19 +875,14 @@ def _timechange_block(tab: _ClockTables, kappa: float, cfg: SimConfig,
             # before its finishing step, which is not checked
             u_end = _cumsum_end(U)
             u_end[fcol] = np.cumsum(U[:, fcol], axis=0)[s_ev[done], np.arange(fcol.size)]
-            reach = u_end.max()
-            unfinished = steps - fin
-            while reach >= horizon:
-                if extensions >= _MAX_EXTENSIONS:
-                    pending = (np.cumsum(U, axis=0)[1:] >= horizon) \
-                        & (np.arange(k)[:, None] < unfinished)
-                    per_step = np.count_nonzero(pending, axis=1)
-                    raise HorizonExceeded(
-                        f"clock did not reach t = {targets[-1]:g} within the Brownian "
-                        f"horizon {horizon:g} after {_MAX_EXTENSIONS} extensions "
-                        f"({int(per_step[np.argmax(per_step > 0)])} paths pending)")
-                horizon *= 2.0
-                extensions += 1
+            if u_end.max() >= horizon:
+                pending = (np.cumsum(U, axis=0)[1:] >= horizon) \
+                    & (np.arange(k)[:, None] < steps - fin)
+                per_step = np.count_nonzero(pending, axis=1)
+                raise HorizonExceeded(
+                    f"clock did not reach t = {targets[-1]:g} within the Brownian "
+                    f"horizon {horizon:g} ({int(per_step[np.argmax(per_step > 0)])} "
+                    "paths pending)")
             iters += int(steps.max()) if fin.all() else k
             keep = ~fin
             ti[live] = ti_end

@@ -254,7 +254,7 @@ def test_direct_emissions_match_left_rule_oracle(identity_model):
     # the left-rule running sum plus the fractional remainder must match
     # the engine bit for bit (one read-out lands on a grid point exactly)
     law = LimitLaw(regime="Levy", alpha=1.0, sigma_alpha=1.0, kappa=1.0,
-                   f_plus=1.0, f_minus=0.0)
+                   f_plus=1.0, f_minus=0.0, beta_f=1.0)
     cfg = SimConfig(dt=0.008, epsilon=0.8, horizon_times=(0.8, 0.847, 1.0),
                     n_paths=3, seed=13, scheme="Direct")
     s = rescaled_functional(identity_model, f_id, law, cfg)
@@ -655,7 +655,7 @@ def test_critical_centering_uses_exact_integral(kinetic_critical, law_critical_l
 
 def test_critical_diffusive_normalization_factor(identity_model):
     lev = LimitLaw(regime="Levy", alpha=1.0, sigma_alpha=1.0, kappa=1.0,
-                   f_plus=1.0, f_minus=0.0)
+                   f_plus=1.0, f_minus=0.0, beta_f=1.0)
     cd = LimitLaw(regime="CriticalDiffusive", alpha=2.0, sigma_alpha=1.0,
                   kappa=1.0, f_plus=0.0, f_minus=0.0,
                   _rho_eps_fn=lambda e: 4.0 * math.log(1.0 / e))
@@ -671,7 +671,7 @@ def test_critical_diffusive_normalization_factor(identity_model):
 
 def test_nontrivial_slowly_varying_factor_rejected(identity_model):
     law = LimitLaw(regime="Levy", alpha=1.5, sigma_alpha=1.0, kappa=1.0,
-                   f_plus=1.0, f_minus=0.0, ell_name="log")
+                   f_plus=1.0, f_minus=0.0, beta_f=1.0, ell_name="log")
     cfg = SimConfig(dt=0.005, epsilon=0.25, horizon_times=(0.5,), n_paths=4)
     with pytest.raises(InvalidRequest):
         rescaled_functional(identity_model, f_id, law, cfg)
@@ -746,10 +746,10 @@ def test_clock_horizon_extends_then_fails(kinetic3, monkeypatch):
     cfg = SimConfig(dt=0.01, epsilon=0.05, horizon_times=(1.0,), n_paths=64,
                     seed=5, scheme="TimeChange")
     with monkeypatch.context() as m:
-        m.setattr(pathsim, "_MAX_EXTENSIONS", 0)
+        m.setattr(pathsim, "_HORIZON", 16.0)
         with pytest.raises(HorizonExceeded):
             rescaled_functional(kinetic3, f_id, None, cfg)
-    s = rescaled_functional(kinetic3, f_id, None, cfg)   # default budget succeeds
+    s = rescaled_functional(kinetic3, f_id, None, cfg)   # the default horizon suffices
     assert np.all(np.isfinite(s.values))
 
 
@@ -762,14 +762,13 @@ def test_clock_rate_clip_gate(kinetic3, monkeypatch):
 
 
 def test_clock_horizon_extension_boundary(kinetic3, monkeypatch):
-    # three doublings (16 -> 128) are the fewest this run needs
+    # this run needs a horizon above 64; 128 is enough
     cfg = SimConfig(dt=0.01, epsilon=0.05, horizon_times=(1.0,), n_paths=64,
                     seed=5, scheme="TimeChange")
-    monkeypatch.setattr(pathsim, "_MAX_EXTENSIONS", 2)
-    with pytest.raises(HorizonExceeded,
-                       match=r"horizon 64 after 2 extensions \(1 paths pending\)"):
+    monkeypatch.setattr(pathsim, "_HORIZON", 64.0)
+    with pytest.raises(HorizonExceeded, match=r"horizon 64 \(1 paths pending\)"):
         rescaled_functional(kinetic3, f_id, None, cfg)
-    monkeypatch.setattr(pathsim, "_MAX_EXTENSIONS", 3)
+    monkeypatch.setattr(pathsim, "_HORIZON", 128.0)
     s = rescaled_functional(kinetic3, f_id, None, cfg)
     assert hashlib.sha256(s.values.tobytes()).hexdigest() == \
         "9828b46e435bbc49d96962d1794b040905cece6ad3e43f31e2eafd11c51b6fd6"
@@ -777,7 +776,7 @@ def test_clock_horizon_extension_boundary(kinetic3, monkeypatch):
     # only the paths still unfinished after a step meet the horizon (16)
     cfg = SimConfig(dt=0.02, epsilon=0.1, horizon_times=(0.5,), n_paths=8,
                     seed=12, scheme="TimeChange")
-    monkeypatch.setattr(pathsim, "_MAX_EXTENSIONS", 0)
+    monkeypatch.setattr(pathsim, "_HORIZON", 16.0)
     s = rescaled_functional(kinetic3, f_id, None, cfg)
     assert hashlib.sha256(s.values.tobytes()).hexdigest() == \
         "8342524c1d965dca184469fa91edb6f98083db5ba3fd09761a0c64dce8cf5934"
@@ -1038,31 +1037,20 @@ def small_sample(kinetic3, law_levy):
     return rescaled_functional(kinetic3, f_id, law_levy, cfg)
 
 
-def test_csv_round_trip_is_bit_exact(small_sample, tmp_path):
-    p = tmp_path / "sample.csv"
-    small_sample.to_csv(p)
-    lines = p.read_text().splitlines()
-    assert lines[0].startswith("# ")
-    meta = json.loads(lines[0][2:])
-    assert meta["n_paths"] == 6 and meta["scheme"] == "Direct"
-    assert lines[1].split(",")[0] == "path"
-    back = FunctionalSample.from_csv(p)
-    assert np.array_equal(back.values, small_sample.values)
-    assert back.times == small_sample.times
-    assert back.seed == small_sample.seed and back.dt == small_sample.dt
-    assert back.epsilon == small_sample.epsilon
-    assert back.law.regime == "Levy" and back.law.alpha == small_sample.law.alpha
-
-
 def test_binary_round_trip_is_bit_exact(small_sample, tmp_path):
     p = tmp_path / "sample.bin"
     small_sample.to_binary(p)
     blob = p.read_bytes()
     assert blob[:8] == b"SDFSAMP1"
+    meta = json.loads(blob[12:12 + int.from_bytes(blob[8:12], "little")])
+    assert meta["n_paths"] == 6 and meta["scheme"] == "Direct"
     back = FunctionalSample.from_binary(p)
     assert np.array_equal(back.values, small_sample.values)
-    assert back.law.f_plus == small_sample.law.f_plus
     assert back.times == small_sample.times
+    assert back.seed == small_sample.seed and back.dt == small_sample.dt
+    assert back.epsilon == small_sample.epsilon
+    assert back.law.regime == "Levy" and back.law.alpha == small_sample.law.alpha
+    assert back.law.f_plus == small_sample.law.f_plus
 
 
 def test_serialization_rejects_foreign_files(small_sample, tmp_path):
@@ -1070,21 +1058,7 @@ def test_serialization_rejects_foreign_files(small_sample, tmp_path):
     junk.write_bytes(b"whatever this is, it is not a sample")
     with pytest.raises(InvalidRequest):
         FunctionalSample.from_binary(junk)
-    text = tmp_path / "junk.csv"
-    text.write_text("path,t=1.0\n0,0.5\n")
-    with pytest.raises(InvalidRequest):
-        FunctionalSample.from_csv(text)
-    # files whose body disagrees with their own header
-    p = tmp_path / "s.csv"
-    small_sample.to_csv(p)
-    lines = p.read_text().splitlines()
-    widened = lines[-1] + ",0.5"
-    for body in (lines[2:-1], lines[2:-1] + [widened], lines[2:] + [lines[-1]],
-                 lines[2:-1] + [lines[-1].rsplit(",", 1)[0]],
-                 lines[2:-1] + [lines[-1].rsplit(",", 1)[0] + ",oops"]):
-        text.write_text("\n".join(lines[:2] + body) + "\n")
-        with pytest.raises(InvalidRequest):
-            FunctionalSample.from_csv(text)
+    # files whose header or payload is cut, oversized or disagrees with itself
     p = tmp_path / "s.bin"
     small_sample.to_binary(p)
     blob = p.read_bytes()
@@ -1094,7 +1068,7 @@ def test_serialization_rejects_foreign_files(small_sample, tmp_path):
         junk.write_bytes(bad)
         with pytest.raises(InvalidRequest):
             FunctionalSample.from_binary(junk)
-    # corrupt headers: a cut JSON line, a required key missing, a JSON list,
+    # corrupt headers: a cut JSON header, a required key missing, a JSON list,
     # bytes that are not UTF-8, required keys of the wrong JSON type, and a
     # law without its constants
     meta = blob[12:12 + hlen]
@@ -1108,10 +1082,43 @@ def test_serialization_rejects_foreign_files(small_sample, tmp_path):
     for header in [meta[:hlen // 2], meta.replace(b'"n_paths": ', b'"paths": '),
                    meta.replace(b'"law": ', b'"laws": '), b"[1, 2]",
                    b"\xff" + meta[1:]] + retyped:
-        text.write_bytes(b"# " + header + b"\n" + "\n".join(lines[1:]).encode() + b"\n")
-        with pytest.raises(InvalidRequest):
-            FunctionalSample.from_csv(text)
         junk.write_bytes(blob[:8] + len(header).to_bytes(4, "little") + header
                          + blob[12 + hlen:])
         with pytest.raises(InvalidRequest):
             FunctionalSample.from_binary(junk)
+
+
+def test_sample_file_rejects_a_corrupt_law(small_sample, law_critical_levy, tmp_path):
+    # a law the package could not use: a constant of the wrong type or not
+    # finite, a scale or kappa not > 0, an unknown regime, a Levy law
+    # without the beta_f that z_of_xi reads, a CriticalLevy law without its
+    # three z1 constants
+    p = tmp_path / "s.bin"
+    small_sample.to_binary(p)
+    blob = p.read_bytes()
+    hlen = int.from_bytes(blob[8:12], "little")
+    meta = json.loads(blob[12:12 + hlen])
+    levy, critical = meta["law"], law_critical_levy.to_json()
+
+    def read_with(law):
+        header = json.dumps({**meta, "law": law}).encode()
+        p.write_bytes(blob[:8] + len(header).to_bytes(4, "little") + header
+                      + blob[12 + hlen:])
+        return FunctionalSample.from_binary(p)
+
+    assert read_with(levy).law.beta_f == small_sample.law.beta_f
+    assert read_with(critical).law.z_of_xi(2.0) == law_critical_levy.z_of_xi(2.0)
+    corrupt = [{**levy, key: value} for key, value in (
+        ("alpha", "1.3"), ("alpha", math.nan), ("alpha", True), ("sigma_alpha", None),
+        ("sigma_alpha", math.inf), ("sigma_alpha", 0.0), ("kappa", [1]), ("kappa", -1.0),
+        ("f_plus", "inf"), ("f_minus", None), ("regime", "Nope"), ("beta_f", None),
+        ("beta_f", "inf"), ("notes", 5))]
+    corrupt += [{**critical, "z1_constants": z1} for z1 in (
+        None, [1.0, 2.0], [1.0, 2.0, math.nan], [1.0, 2.0, "3"], 5)]
+    for law in corrupt:
+        with pytest.raises(InvalidRequest):
+            read_with(law)
+    # the same checks hold for a law built by hand
+    with pytest.raises(InvalidRequest, match="missing or non-finite beta_f"):
+        LimitLaw(regime="Levy", alpha=1.5, sigma_alpha=1.0, kappa=1.0,
+                 f_plus=1.0, f_minus=0.0)

@@ -317,11 +317,3 @@ def test_report_serialization_roundtrip(tmp_path, law_levy):
     json_path = tmp_path / "report.json"
     report.write_json(json_path)
     assert json.loads(json_path.read_text()) == payload
-
-    csv_path = tmp_path / "report.csv"
-    report.write_plot_csv(csv_path)
-    rows = csv_path.read_text().strip().split("\n")
-    assert rows[0] == "xi,ecf_re,ecf_im,se,target_re,target_im"
-    assert len(rows) == report.xi_grid.size + 1
-    # repr round-trip keeps the grid exact
-    assert float(rows[1].split(",")[0]) == report.xi_grid[0]
