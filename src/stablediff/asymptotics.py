@@ -482,8 +482,12 @@ class LimitLaw:
     InvalidRequest unless its regime is one of ``REGIMES``; alpha,
     sigma_alpha, kappa, f_plus, f_minus and the constants that
     :meth:`z_of_xi` reads (beta_f for Levy, the three z1 constants for
-    CriticalLevy) are finite real numbers; and sigma_alpha and kappa are
-    > 0 (the validation grid is scaled by 1/sigma_alpha).
+    CriticalLevy) are finite real numbers; sigma_alpha and kappa are > 0
+    (the validation grid is scaled by 1/sigma_alpha); and alpha fits the
+    regime as :func:`classify_regime` assigns it: 0 < alpha < 2 with
+    alpha != 1 for Levy (z_of_xi's tan(alpha pi/2) is 1.6e16 at 1), alpha = 1
+    for CriticalLevy, alpha >= 2 for Diffusive, alpha = 2 for
+    CriticalDiffusive.
     """
 
     regime: str
@@ -524,6 +528,11 @@ class LimitLaw:
         if not (self.sigma_alpha > 0.0 and self.kappa > 0.0):
             raise InvalidRequest(f"sigma_alpha and kappa must be > 0, got "
                                  f"{self.sigma_alpha!r} and {self.kappa!r}")
+        alpha = self.alpha
+        fits = {"Levy": 0.0 < alpha < 2.0 and alpha != 1.0, "CriticalLevy": alpha == 1.0,
+                "Diffusive": alpha >= 2.0, "CriticalDiffusive": alpha == 2.0}
+        if not fits[self.regime]:
+            raise InvalidRequest(f"alpha = {alpha!r} does not fit the {self.regime} regime")
 
     # -- characteristic exponent factor ------------------------------------
 

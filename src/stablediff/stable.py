@@ -209,41 +209,110 @@ def _levels(x_min: float):
         yield r ** k
 
 
-def _besq_step(gen: np.random.Generator, z: np.ndarray, h: float) -> np.ndarray:
-    """BESQ^0 from z, an exact step of h: Gamma(N, 2h) with N ~ Poisson(z / 2h)."""
+class _LevelGrid:
+    """The cells of :func:`_levels` with their :func:`_cell_weights`, made
+    once per call and shared by its blocks; a block that walks past the
+    deepest cell yet made extends the grid."""
+
+    def __init__(self, p: float, x_min: float):
+        self._p = p
+        self._levels = _levels(x_min)
+        self.x_min = self._x1 = next(self._levels)
+        self.first = _cell_weights(p, 0.0, self.x_min)     # (A, B) of [0, x_min]
+        self._cells: list[tuple[float, float, float]] = []
+
+    def __iter__(self):
+        """(2 h, A, B) of each cell after the first, h its width."""
+        for k in itertools.count():
+            if k == len(self._cells):
+                x0, self._x1 = self._x1, next(self._levels)
+                self._cells.append((2.0 * (self._x1 - x0),
+                                    *_cell_weights(self._p, x0, self._x1)))
+            yield self._cells[k]
+
+
+def _level_too_large(z: float, h2: float) -> InvalidRequest:
+    return InvalidRequest(
+        f"a local-time level of {z:g} is too large against the level step "
+        f"{h2 / 2.0:g}: raise dt or split the t_points increments")
+
+
+def _besq_step(gen: np.random.Generator, z: np.ndarray, h2: float,
+               lam: np.ndarray) -> np.ndarray:
+    """BESQ^0 from z, an exact step of h = h2 / 2: Gamma(N, h2) with N ~
+    Poisson(z / h2).  ``lam`` is a buffer of z's size."""
     try:
-        n = gen.poisson(z / (2.0 * h))
+        n = gen.poisson(np.divide(z, h2, out=lam))
     except ValueError as err:       # a rate beyond what numpy's sampler takes
-        raise InvalidRequest(
-            f"a local-time level of {z.max():g} is too large against the level step "
-            f"{h:g}: raise dt or split the t_points increments") from err
-    z = gen.standard_gamma(n)       # gamma(n, 2h)'s bits, without its broadcasting
-    z *= 2.0 * h
+        raise _level_too_large(z.max(), h2) from err
+    z = gen.standard_gamma(n)       # gamma(n, h2)'s bits, without its broadcasting
+    z *= h2
     return z
 
 
-def _ray_knight_block(spec: StableSpec, inc: np.ndarray, x_min: float, seed: int,
+# Columns are stepped as arrays while more than this many are live, and in
+# Python floats after.  numpy's array poisson and standard_gamma cost 7.4
+# and 8.7 us per call before any draw, the scalar calls 0.5 and 0.67 us.
+# Over 128-path blocks at dt = 1e-5 (alpha 4/3 and 1, 10 interleaved
+# rounds on a 2-core x86 VM), a block took 0.82-0.86 of the array-only
+# time at 16 and 24, against 0.88-0.91 at 8 and 0.86-0.95 at 32-64.
+_SCALAR_COLUMNS = 24
+
+
+def _scalar_tail(gen: np.random.Generator, cells, z: np.ndarray, s: np.ndarray,
+                 live: np.ndarray, acc: np.ndarray) -> None:
+    """Steps the live columns over ``cells`` in Python floats until all are
+    absorbed, writing each one's sum into ``acc``.  The draws are the array
+    step's, in its order: every Poisson draw of a level in column order,
+    then every Gamma draw, none where N = 0 (numpy's Gamma(0) draws
+    nothing)."""
+    poisson, gamma = gen.poisson, gen.standard_gamma
+    z, s, live = z.tolist(), s.tolist(), live.tolist()
+    while live:
+        h2, a, b = next(cells)
+        try:
+            n = [poisson(zi / h2) for zi in z]
+        except ValueError as err:
+            raise _level_too_large(max(z), h2) from err
+        z1 = [gamma(k) * h2 if k else 0.0 for k in n]
+        s = [si + a * zi + b * zj for si, zi, zj in zip(s, z, z1)]
+        z = z1
+        if 0.0 in z:
+            for col, zi, si in zip(live, z, s):
+                if zi == 0.0:
+                    acc[col] = si
+            live = [col for col, zi in zip(live, z) if zi != 0.0]
+            s = [si for si, zi in zip(s, z) if zi != 0.0]
+            z = [zi for zi in z if zi != 0.0]
+
+
+def _ray_knight_block(spec: StableSpec, inc: np.ndarray, grid: _LevelGrid, seed: int,
                       block: int, m: int) -> np.ndarray:
     """K at the targets for the m paths of block ``block``, from its stream.
 
     A path has a column per side of 0 and per increment ell_j of the
     targets, in (side, path, increment) order: a BESQ^0 chain from ell_j
-    over the levels of :func:`_levels`, one Poisson and one Gamma draw per
-    cell.  Each column sums int Z x^p dx, p = 1/alpha - 2, over the cells,
-    with Z linear within each (:func:`_cell_weights`), until it is absorbed
-    at 0 and leaves the chain.  The weight is compensated by -ell per unit
-    on all levels when alpha > 1 and on levels up to 1 when alpha = 1.  The
+    over the levels of ``grid``, one Poisson and one Gamma draw per cell.
+    Each column sums int Z x^p dx, p = 1/alpha - 2, over the cells, with Z
+    linear within each (:func:`_cell_weights`), until it is absorbed at 0
+    and leaves the chain.  The weight is compensated by -ell per unit on
+    all levels when alpha > 1 and on levels up to 1 when alpha = 1.  The
     first cell, [0, x_min], is then taken against Z - ell, whose A term is
-    0; the rest of the compensator, -ell int_x_min x^p dx over the compensated
-    levels, is owed in closed form wherever the column is absorbed.
+    0; the rest of the compensator, -ell int_x_min x^p dx over the
+    compensated levels, is owed in closed form wherever the column is
+    absorbed.  The levels and weights come from the call's shared grid, the
+    array steps reuse one rate and one product buffer, and once at most
+    ``_SCALAR_COLUMNS`` columns are live they are stepped in Python floats
+    (:func:`_scalar_tail`), with the same draws in the same order.
     """
     gen = stream(seed, TAG_EXCURSION, block)
     p = 1.0 / spec.alpha - 2.0
     ell = np.broadcast_to(inc, (2, m, inc.size)).ravel()
-    levels = _levels(x_min)
-    x0 = next(levels)
-    a0, b0 = _cell_weights(p, 0.0, x0)
-    z = _besq_step(gen, ell, x0)
+    x0 = grid.x_min
+    a0, b0 = grid.first
+    lam = np.empty(ell.size)
+    prod = np.empty(ell.size)
+    z = _besq_step(gen, ell, 2.0 * x0, lam)
     if spec.alpha < 1.0:
         s, owed = ell * a0 + z * b0, 0.0
     else:
@@ -251,19 +320,22 @@ def _ray_knight_block(spec: StableSpec, inc: np.ndarray, x_min: float, seed: int
         owed = -math.log(x0) if spec.alpha == 1.0 else x0 ** (p + 1.0) / -(p + 1.0)
     acc = np.empty_like(s)
     live = np.arange(s.size)        # columns not yet absorbed
-    for x1 in levels:
-        a, b = _cell_weights(p, x0, x1)
-        z1 = _besq_step(gen, z, x1 - x0)
-        s += a * z
-        s += b * z1
-        z, x0 = z1, x1
-        gone = z == 0.0
-        if gone.any():
-            acc[live[gone]] = s[gone]
-            keep = ~gone
-            live, z, s = live[keep], z[keep], s[keep]
-            if not live.size:
-                break
+    cells = iter(grid)
+    if live.size > _SCALAR_COLUMNS:
+        for h2, a, b in cells:
+            w = z.size
+            z1 = _besq_step(gen, z, h2, lam[:w])
+            s += np.multiply(z, a, out=prod[:w])
+            s += np.multiply(z1, b, out=prod[:w])
+            z = z1
+            if np.count_nonzero(z) < w:
+                gone = z == 0.0
+                acc[live[gone]] = s[gone]
+                keep = ~gone
+                live, z, s = live[keep], z[keep], s[keep]
+                if live.size <= _SCALAR_COLUMNS:
+                    break
+    _scalar_tail(gen, cells, z, s, live, acc)
     k = (acc - owed * ell).reshape(2, m, inc.size)
     return np.cumsum(spec.b * k[0] + spec.a * k[1], axis=1)
 
@@ -310,8 +382,9 @@ def stable_via_excursions(spec: StableSpec, t_points, dt: float, n_paths: int,
     if x_min < np.finfo(np.float64).tiny:
         raise InvalidRequest(
             f"a t_points increment of {inc.min():g} is too small for the level grid")
+    grid = _LevelGrid(1.0 / spec.alpha - 2.0, x_min)
     parts = _run_blocks(
-        lambda idx: _ray_knight_block(spec, inc, x_min, seed, int(idx[0]) // _MIN_WIDTH,
+        lambda idx: _ray_knight_block(spec, inc, grid, seed, int(idx[0]) // _MIN_WIDTH,
                                       idx.size),
         n_paths, _MIN_WIDTH, threads)
     return np.vstack(parts)

@@ -27,7 +27,8 @@ from .errors import InvalidRequest, WindowNotFound
 KS_COEFF_01 = 1.6277
 _ECF_BAND = (0.2, 0.9)  # |ECF| window used for index regression
 _MIN_WINDOW = 8
-_ECF_BLOCK = 8          # grid points per _ecf_rows call in estimate_alpha
+_ECF_BLOCK = 8          # grid points per pass of estimate_alpha's float32 screen
+_TWO_PI = 2.0 * math.pi
 _BOOT_DRAWS = 2**17     # resample indices drawn per bootstrap batch (1 MB)
 # the verdict thresholds of validate_against_law, stated in its docstring
 _N_SE = 3.0             # CF band half-width, in standard errors
@@ -64,15 +65,57 @@ def _finite_samples(samples, name: str = "samples") -> np.ndarray:
 
 
 def _ecf_rows(x: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ECF values on the grid and the rows they average: row i of the
-    ``(2 m, n)`` result holds cos(xi_i x), row m + i sin(xi_i x), m the
-    grid size."""
-    m = xi.size
-    trig = np.empty((2 * m, x.size))
-    phase = np.outer(xi, x, out=trig[:m])
-    np.sin(phase, out=trig[m:])
+    """The ECF values on the grid and the rows they average: the
+    ``(m, 2, n)`` result holds cos(xi_i x) at ``[i, 0]`` and sin(xi_i x) at
+    ``[i, 1]``, m the grid size, so a point's two rows are adjacent."""
+    trig = np.empty((xi.size, 2, x.size))
+    phase = np.multiply.outer(xi, x, out=trig[:, 0])
+    np.sin(phase, out=trig[:, 1])
     np.cos(phase, out=phase)        # phase is not needed again
-    return trig[:m].mean(axis=1) + 1j * trig[m:].mean(axis=1), trig
+    return trig[:, 0].mean(axis=1) + 1j * trig[:, 1].mean(axis=1), trig
+
+
+def _screened_ecf(x: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|ECF| on the grid from float32 trig, and a bound on its distance
+    from the |ECF| of :func:`_ecf_rows`, a block of ``_ECF_BLOCK`` points
+    at a time.
+
+    Each phase t = xi x is the float64 product :func:`_ecf_rows` takes.
+    It is reduced in float64 to r = t - k c, with k = rint(t / 2 pi) and
+    c = fl(2 pi): k c misses k 2 pi by |k| |c - 2 pi| < |t| 2^-54 + 2^-51,
+    its rounding adds |t| 2^-53, and the subtraction rounds by at most
+    2^-51.  Casting r to float32 moves it by |r| 2^-24, about 2e-7, and
+    numpy's float32 cos and sin are within a few float32 ulps, about
+    2.4e-7.  So each float32 cos and sin is within 5e-7 + 1.5 |t| 2^-53 of
+    the float64 one.  The means, summed in float64, keep the mean of those
+    errors (xi mean|x| in place of |t|), and |ECF| moves by at most sqrt(2)
+    times it.  The bound ``1e-5 + 2**-49 xi mean|x|`` exceeds that tenfold
+    (measured at n = 20 000: at most 1.45e-7 per value, 1.4e-9 on |ECF|).
+    A phase past the float64 range gives a NaN screened value or an
+    infinite bound.
+    """
+    n = x.size
+    mod = np.empty(xi.size)
+    phase = np.empty((_ECF_BLOCK, n))
+    turns = np.empty((_ECF_BLOCK, n))
+    r32 = np.empty((_ECF_BLOCK, n), dtype=np.float32)
+    trig32 = np.empty((_ECF_BLOCK, n), dtype=np.float32)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(0, xi.size, _ECF_BLOCK):
+            block = xi[j:j + _ECF_BLOCK]
+            w = block.size
+            t = np.multiply.outer(block, x, out=phase[:w])
+            k = np.multiply(t, 1.0 / _TWO_PI, out=turns[:w])
+            np.rint(k, out=k)
+            k *= _TWO_PI
+            t -= k
+            r = r32[:w]
+            np.copyto(r, t, casting="same_kind")
+            re = np.cos(r, out=trig32[:w]).mean(axis=1, dtype=np.float64)
+            im = np.sin(r, out=trig32[:w]).mean(axis=1, dtype=np.float64)
+            mod[j:j + w] = np.hypot(re, im)
+        bound = 1e-5 + 2.0**-49 * xi * np.abs(x).mean()
+    return mod, bound
 
 
 def empirical_cf(samples, xi_grid) -> EmpiricalCF:
@@ -82,7 +125,7 @@ def empirical_cf(samples, xi_grid) -> EmpiricalCF:
     if x.size < 100:
         raise InvalidRequest(f"empirical CF needs at least 100 samples, got {x.size}")
     values, trig = _ecf_rows(x, xi)
-    re, im = trig[:xi.size], trig[xi.size:]
+    re, im = trig[:, 0], trig[:, 1]
     se_re = re.std(axis=1, ddof=1) / math.sqrt(x.size)
     se_im = im.std(axis=1, ddof=1) / math.sqrt(x.size)
     return EmpiricalCF(xi=xi, values=values, se=np.hypot(se_re, se_im),
@@ -110,15 +153,22 @@ def estimate_alpha(samples, seed: int = 0, n_boot: int = 200) -> AlphaEstimate:
     the fewest that give a spread, and ``seed`` an integer in [0, 2**64);
     anything else raises :class:`InvalidRequest`.
 
-    ``alpha_hat`` is the ``np.polyfit`` slope of the full sample.  The grid's
-    ECF is computed a few points at a time, and only the window points' cos
-    and sin rows are kept.  A resample's ECF on the window is the
-    multiplicity-weighted sum of those rows over the sample.  The resamples
-    are drawn and counted in batches of up to ``_BOOT_DRAWS // n``, and a
-    batch's counts meet the kept rows in one matrix product per ECF block;
-    the bootstrap slopes are then fitted together in closed form, as the
-    least-squares slope ``sum(c * y) / sum(c * c)`` with c the centered
-    log xi.
+    ``alpha_hat`` is the ``np.polyfit`` slope of the full sample.  The
+    grid's |ECF| is first screened in float32 (:func:`_screened_ecf`): each
+    phase reduced mod 2 pi in float64, then float32 cos and sin, with a
+    per-point bound on the distance to the float64 |ECF|.  A point whose
+    screened value lies farther than its bound from the band is outside the
+    window; every other point, and any whose screened value or bound is not
+    finite, is evaluated exactly in float64, and those exact values alone
+    pick the window, so the window and ``alpha_hat`` are those of the exact
+    grid.  The window points' exact cos and sin rows, each point's cos row
+    then its sin row, form one ``(2 n_window, n)`` array.  A resample's
+    ECF on the window is the multiplicity-weighted sum of those rows over
+    the sample.  The resamples are drawn and counted in batches of up to
+    ``_BOOT_DRAWS // n``, and a batch's counts meet the rows in one matrix
+    product; the bootstrap slopes are then fitted together in closed form,
+    as the least-squares slope ``sum(c * y) / sum(c * c)`` with c the
+    centered log xi.
     """
     seed = checked_seed(seed)
     if not isinstance(n_boot, (int, np.integer)) or isinstance(n_boot, bool) or n_boot < 2:
@@ -132,33 +182,28 @@ def estimate_alpha(samples, seed: int = 0, n_boot: int = 200) -> AlphaEstimate:
     # dense internal grid: the [0.2, 0.9] band must catch >= 8 points even for
     # the fast Gaussian decay, hence 61 points over three orders of magnitude
     xi = np.geomspace(0.02, 50.0, 61) / scale
-    # the ECF a few grid points at a time; a point is in the window by its
-    # own |ECF| alone, so each block keeps the rows of its window points only.
-    # The kept blocks stay apart: stacking them would copy every kept row
-    # once more, and at small alpha the window covers most of the grid
-    mod = np.empty(xi.size)
-    window = np.empty(xi.size, dtype=bool)
-    kept = []
-    for j in range(0, xi.size, _ECF_BLOCK):
-        block = slice(j, j + _ECF_BLOCK)
-        values, trig = _ecf_rows(x, xi[block])
-        mod[block] = np.abs(values)
-        window[block] = (mod[block] >= _ECF_BAND[0]) & (mod[block] <= _ECF_BAND[1])
-        pts = np.flatnonzero(window[block])
-        if pts.size:
-            # each window point's cos row, then its sin row
-            kept.append(trig[np.column_stack([pts, pts + values.size]).ravel()])
-    n_win = int(window.sum())
+    screened, bound = _screened_ecf(x, xi)
+    # a NaN or infinity fails both compares, so such a point is near too
+    near = np.flatnonzero(~((screened + bound < _ECF_BAND[0])
+                            | (screened - bound > _ECF_BAND[1])))
+    values, trig = _ecf_rows(x, xi[near])
+    mod = np.abs(values)
+    in_band = (mod >= _ECF_BAND[0]) & (mod <= _ECF_BAND[1])
+    xi_win = xi[near[in_band]]
+    n_win = xi_win.size
     if n_win < _MIN_WINDOW:
         raise WindowNotFound(
             f"only {n_win} grid points have |ECF| in {_ECF_BAND}")
-    lxi = np.log(xi[window])
+    if n_win < near.size:       # a copy, made only for near points outside the band
+        trig = trig[in_band]
+    rows = trig.reshape(2 * n_win, x.size)
+    lxi = np.log(xi_win)
 
     def loglog(mags):
         # resampled |ECF| can graze 1 at the window's soft end; clip for the log
         return np.log(-np.log(np.clip(mags, 1e-12, 1.0 - 1e-12)))
 
-    alpha_hat = float(np.polyfit(lxi, loglog(mod[window]), 1)[0])
+    alpha_hat = float(np.polyfit(lxi, loglog(mod[in_band]), 1)[0])
     n = x.size
     gen = stream(seed, TAG_BOOTSTRAP, 0)
     sums = np.empty((n_boot, 2 * n_win))
@@ -171,14 +216,14 @@ def estimate_alpha(samples, seed: int = 0, n_boot: int = 200) -> AlphaEstimate:
         idx = gen.integers(0, n, size=(b, n))
         idx += offsets[:b]
         counts = np.bincount(idx.ravel(), minlength=b * n).reshape(b, n).astype(np.float64)
-        np.concatenate([counts @ rows.T for rows in kept], axis=1, out=sums[k:k + b])
+        np.matmul(counts, rows.T, out=sums[k:k + b])
     centered = lxi - lxi.mean()
     boot = loglog(np.hypot(sums[:, 0::2], sums[:, 1::2]) / n) @ centered
     boot /= centered @ centered
     lo, hi = np.quantile(boot, [0.025, 0.975])
     return AlphaEstimate(alpha_hat=alpha_hat, ci=(float(lo), float(hi)),
                          se=float(boot.std(ddof=1)),
-                         xi_window=(float(xi[window][0]), float(xi[window][-1])),
+                         xi_window=(float(xi_win[0]), float(xi_win[-1])),
                          n_window=n_win)
 
 

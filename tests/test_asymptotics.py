@@ -689,6 +689,28 @@ def test_from_json_rejects_unknown_schema():
         LimitLaw.from_json([1])
 
 
+@pytest.mark.parametrize("regime,alpha", [
+    ("Levy", -1.0), ("Levy", 0.0), ("Levy", 1.0), ("Levy", 2.0), ("Levy", 3.0),
+    ("CriticalLevy", 1.5), ("Diffusive", 1.5), ("CriticalDiffusive", 3.0),
+])
+def test_law_rejects_an_alpha_outside_its_regime(law_levy, regime, alpha):
+    # each regime's alpha as classify_regime assigns it; a Levy law at
+    # alpha = 1 would read tan(pi/2) = 1.6e16 in z_of_xi
+    consts = dict(sigma_alpha=1.0, kappa=1.0, f_plus=1.0, f_minus=0.0, beta_f=1.0,
+                  _z1=(1.0, 0.0, 1.0) if regime == "CriticalLevy" else None)
+    with pytest.raises(InvalidRequest, match=f"does not fit the {regime} regime"):
+        LimitLaw(regime=regime, alpha=alpha, **consts)
+    # a law read back from JSON goes through the same check
+    with pytest.raises(InvalidRequest, match="does not fit the Levy regime"):
+        LimitLaw.from_json({**law_levy.to_json(), "alpha": alpha if regime == "Levy" else 1.0})
+    # the alphas each regime does take
+    for fit_regime, fit_alpha in (("Levy", 0.5), ("Levy", 1.999), ("CriticalLevy", 1.0),
+                                  ("Diffusive", 2.0), ("Diffusive", 7.0),
+                                  ("CriticalDiffusive", 2.0)):
+        consts["_z1"] = (1.0, 0.0, 1.0) if fit_regime == "CriticalLevy" else None
+        assert LimitLaw(regime=fit_regime, alpha=fit_alpha, **consts).alpha == fit_alpha
+
+
 def test_char_exponent_basics(kinetic3):
     a3 = presets.kinetic_tail_limits(3.0)
     law = limit_law(classify_regime(kinetic3, f_id, claimed=(a3[0], None, a3[1], a3[2])),

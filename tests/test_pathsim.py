@@ -252,12 +252,11 @@ def test_zero_observable_gives_zero_sample(kinetic3, law_levy):
 def test_direct_emissions_match_left_rule_oracle(identity_model):
     # hand-rolled Euler-Maruyama on Brownian motion, same keyed streams:
     # the left-rule running sum plus the fractional remainder must match
-    # the engine bit for bit (one read-out lands on a grid point exactly)
-    law = LimitLaw(regime="Levy", alpha=1.0, sigma_alpha=1.0, kappa=1.0,
-                   f_plus=1.0, f_minus=0.0, beta_f=1.0)
+    # the engine's raw integrals bit for bit (one read-out lands on a grid
+    # point exactly)
     cfg = SimConfig(dt=0.008, epsilon=0.8, horizon_times=(0.8, 0.847, 1.0),
                     n_paths=3, seed=13, scheme="Direct")
-    s = rescaled_functional(identity_model, f_id, law, cfg)
+    s = rescaled_functional(identity_model, f_id, None, cfg)
     n_steps = cfg.n_steps
     want = np.empty((3, 3))
     for p in range(3):
@@ -275,7 +274,7 @@ def test_direct_emissions_match_left_rule_oracle(identity_model):
             if k < n_steps:
                 fsum += x
                 x = x + math.sqrt(cfg.dt) * z[k]
-    assert np.array_equal(s.values, cfg.epsilon * want)
+    assert np.array_equal(s.values, want)
 
 
 def test_diffusive_variance_tracks_horizon(kinetic7, law_diffusive):
@@ -654,19 +653,16 @@ def test_critical_centering_uses_exact_integral(kinetic_critical, law_critical_l
 
 
 def test_critical_diffusive_normalization_factor(identity_model):
-    lev = LimitLaw(regime="Levy", alpha=1.0, sigma_alpha=1.0, kappa=1.0,
-                   f_plus=1.0, f_minus=0.0, beta_f=1.0)
     cd = LimitLaw(regime="CriticalDiffusive", alpha=2.0, sigma_alpha=1.0,
                   kappa=1.0, f_plus=0.0, f_minus=0.0,
                   _rho_eps_fn=lambda e: 4.0 * math.log(1.0 / e))
     cfg = SimConfig(dt=0.005, epsilon=0.25, horizon_times=(0.5,), n_paths=4,
                     seed=6, scheme="Direct")
-    v_lev = rescaled_functional(identity_model, f_id, lev, cfg).values
+    raw = rescaled_functional(identity_model, f_id, None, cfg).values
     v_cd = rescaled_functional(identity_model, f_id, cd, cfg).values
-    # same raw integrals underneath, so the two results differ by the
-    # ratio of the normalizing factors
-    ratio = math.sqrt(cfg.epsilon / (4.0 * math.log(1.0 / cfg.epsilon))) / cfg.epsilon
-    assert np.allclose(v_cd, ratio * v_lev, rtol=1e-12)
+    # same raw integrals underneath, scaled by sqrt(eps / rho_eps)
+    factor = math.sqrt(cfg.epsilon / (4.0 * math.log(1.0 / cfg.epsilon)))
+    assert np.allclose(v_cd, factor * raw, rtol=1e-12)
 
 
 def test_nontrivial_slowly_varying_factor_rejected(identity_model):

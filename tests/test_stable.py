@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablediff import stable
+from stablediff._rng import TAG_EXCURSION, stream
 from stablediff.asymptotics import EULER_GAMMA, LimitLaw, char_exponent
 from stablediff.errors import InvalidAlpha, InvalidRequest
 from stablediff.stable import (
@@ -360,11 +361,75 @@ def test_excursions_increment_at_dt_matches_cms(alpha):
     assert ks_statistic(k, ref) < ks_critical_1pct(k.size, ref.size)
 
 
+def loop_ray_knight_block(spec, inc, x_min, seed, block, m):
+    """The Ray-Knight chain of a block with every level an array step: the
+    level grid walked afresh, each cell's weights computed in place, one
+    numpy poisson and standard_gamma call per level, and absorbed columns
+    dropped as they go."""
+    gen = stream(seed, TAG_EXCURSION, block)
+    p = 1.0 / spec.alpha - 2.0
+    ell = np.broadcast_to(inc, (2, m, inc.size)).ravel()
+
+    def step(z, h):
+        z = gen.standard_gamma(gen.poisson(z / (2.0 * h)))
+        z *= 2.0 * h
+        return z
+
+    levels = stable._levels(x_min)
+    x0 = next(levels)
+    a0, b0 = stable._cell_weights(p, 0.0, x0)
+    z = step(ell, x0)
+    if spec.alpha < 1.0:
+        s, owed = ell * a0 + z * b0, 0.0
+    else:
+        s = (z - ell) * b0
+        owed = -math.log(x0) if spec.alpha == 1.0 else x0 ** (p + 1.0) / -(p + 1.0)
+    acc = np.empty_like(s)
+    live = np.arange(s.size)
+    for x1 in levels:
+        a, b = stable._cell_weights(p, x0, x1)
+        z1 = step(z, x1 - x0)
+        s += a * z
+        s += b * z1
+        z, x0 = z1, x1
+        gone = z == 0.0
+        acc[live[gone]] = s[gone]
+        live, z, s = live[~gone], z[~gone], s[~gone]
+        if not live.size:
+            break
+    k = (acc - owed * ell).reshape(2, m, inc.size)
+    return np.cumsum(spec.b * k[0] + spec.a * k[1], axis=1)
+
+
+@pytest.mark.parametrize("alpha", [4.0 / 3.0, 1.0])
+@pytest.mark.parametrize("m,blocks", [
+    # the workload's blocks: 256 columns, stepped as arrays until few are live
+    pytest.param(128, (0, 5, 17), id="128"),
+    # 8 columns, stepped in Python floats from the first level on
+    pytest.param(4, (0, 1, 2, 3), id="4"),
+])
+def test_ray_knight_block_matches_array_loop(alpha, m, blocks):
+    # the shared grid, the reused buffers and the scalar tail keep the
+    # draws and the sums of the array-per-level chain, bit for bit
+    spec = StableSpec(alpha, 0.8, -0.3)
+    inc = np.array([1.0])
+    grid = stable._LevelGrid(1.0 / alpha - 2.0, 1e-5)
+    for block in blocks:
+        got = stable._ray_knight_block(spec, inc, grid, 9, block, m)
+        np.testing.assert_array_equal(got, loop_ray_knight_block(spec, inc, 1e-5, 9, block, m))
+
+
 def test_excursions_reject_an_increment_too_large_for_dt():
     # a local-time increment of 1e17 against dt = 1e-3 asks numpy's Poisson
-    # sampler for a rate past its limit
+    # sampler for a rate past its limit on the first level; one of 1e15
+    # passes there and fails on the next, 50 times narrower cell, whether
+    # 256 columns step it as arrays or 8 in Python floats
     with pytest.raises(InvalidRequest, match="too large against the level step"):
         stable_via_excursions(StableSpec(1.5, 1.0, 1.0), [1e17], 1e-3, 4)
+    for n_paths in (128, 4):
+        with pytest.raises(InvalidRequest, match="too large against the level step"):
+            stable_via_excursions(StableSpec(1.5, 1.0, 1.0), [1e15], 1e-3, n_paths,
+                                  threads=1)
 
 
 def test_excursions_degenerate_zero_weights():

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from stablediff import validate
 from stablediff._rng import TAG_BOOTSTRAP, TAG_CMS, stream
 from stablediff.errors import InvalidRequest, WindowNotFound
 from stablediff.stable import StableSpec, sample_limit_law, sample_stable_cf
 from stablediff.validate import (
     _ecf_rows,
+    _screened_ecf,
     cf_distance,
     default_xi_grid,
     empirical_cf,
@@ -123,21 +125,75 @@ def test_alpha_hat_bootstrap_matches_loop(n, n_boot):
     assert est.se == pytest.approx(se, rel=0, abs=1e-12)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.5])
-@pytest.mark.parametrize("n", [500, 1023, 20_001])
-def test_alpha_hat_matches_full_grid(n, alpha):
-    # the ECF taken a block of grid points at a time finds the window and
-    # alpha_hat of the whole 61-point grid, bit for bit (at alpha = 0.5 the
-    # window spans most blocks)
-    x = sample_stable_cf(StableSpec(alpha, 1.0, 0.5), 1.0, n, seed=4)
+def stable_draws(alpha, n):
+    return sample_stable_cf(StableSpec(alpha, 1.0, 0.5), 1.0, n, seed=4)
+
+
+def with_outlier(x):
+    x = x.copy()
+    x[x.size // 3] = 1e12
+    return x
+
+
+# inputs chosen to break a float32 screen of the grid's |ECF|: stable draws
+# ("n-alpha") of three indices and sizes, integer lattices (whose ECF
+# returns to 1 at xi = 2 pi k), an outlier whose phases reach 1e13, a
+# constant with 1e-9 noise (|ECF| near 1 on the whole grid) and Gaussian
+# draws
+WINDOW_INPUTS = {
+    **{f"{n}-{alpha}": (lambda alpha=alpha, n=n: stable_draws(alpha, n))
+       for alpha in (0.5, 1.0, 1.5) for n in (500, 1023, 20_001)},
+    "lattice": lambda: stream(2, TAG_CMS, 0).integers(-3, 4, 3000).astype(np.float64),
+    "lattice-wide": lambda: stream(2, TAG_CMS, 0).integers(-40, 41, 3000).astype(np.float64),
+    "outlier": lambda: with_outlier(stable_draws(1.5, 5000)),
+    "constant": lambda: 5.0 + 1e-9 * normals(2000),
+    "gauss": lambda: normals(4000),
+}
+
+
+def full_grid(x):
+    """The grid and its exact |ECF| in one _ecf_rows call."""
     xi = np.geomspace(0.02, 50.0, 61) / float(np.median(np.abs(x)))
-    mod = np.abs(_ecf_rows(x, xi)[0])
+    return xi, np.abs(_ecf_rows(x, xi)[0])
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_INPUTS))
+def test_alpha_hat_matches_full_grid(name):
+    # the screened grid with exact values near the band finds the window
+    # and alpha_hat of the exact 61-point grid, bit for bit (at alpha = 0.5
+    # the window spans most of the grid)
+    x = WINDOW_INPUTS[name]()
+    xi, mod = full_grid(x)
     window = (mod >= 0.2) & (mod <= 0.9)
+    if window.sum() < 8:
+        with pytest.raises(WindowNotFound):
+            estimate_alpha(x, seed=1)
+        return
     y = np.log(-np.log(np.clip(mod[window], 1e-12, 1.0 - 1e-12)))
     est = estimate_alpha(x, seed=1)
     assert est.alpha_hat == float(np.polyfit(np.log(xi[window]), y, 1)[0])
     assert est.n_window == window.sum()
     assert est.xi_window == (xi[window][0], xi[window][-1])
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_INPUTS))
+def test_screened_ecf_within_its_bound(name):
+    x = WINDOW_INPUTS[name]()
+    xi, mod = full_grid(x)
+    screened, bound = _screened_ecf(x, xi)
+    assert np.all(np.abs(screened - mod) <= bound)
+
+
+@pytest.mark.parametrize("name", ["1023-0.5", "lattice", "outlier"])
+def test_alpha_hat_with_every_point_exact(name, monkeypatch):
+    # a screen that settles nothing (NaN values) sends every grid point to
+    # the exact evaluation, whose out-of-band rows are then dropped: the
+    # estimate keeps every bit
+    x = WINDOW_INPUTS[name]()
+    want = estimate_alpha(x, seed=1)
+    monkeypatch.setattr(validate, "_screened_ecf",
+                        lambda x, xi: (np.full(xi.size, np.nan), np.ones(xi.size)))
+    assert estimate_alpha(x, seed=1) == want
 
 
 def test_alpha_hat_keeps_only_window_rows():
