@@ -14,11 +14,14 @@ Route two samples the field from its exact law.  By the Ray-Knight theorem
 the inverse local time tau_ell of the origin the field x -> L^x, on each
 side of 0, is a BESQ^0 process started at ell, the two sides independent.
 BESQ^0 has an exact transition law, a Gamma law whose shape is a Poisson
-draw, so the field is drawn level by level over a geometric grid, with no
-Brownian path and no time step.  Between two local-time targets the field
-grows by an independent field of the same law, started at the increment
-of ell, so each increment has its own chains and a cumulative sum reads
-the targets.
+draw, so the field is drawn level by level, with no Brownian path and no
+time step.  The field is integrated as linear within each cell of levels,
+and the grid spends its levels where that error lies: geometric by 1.02
+at and above the smallest local-time increment (or 1), and wider cells
+below it, where the field has barely left its start (``_levels``).
+Between two local-time targets the field grows by an independent field
+of the same law, started at the increment of ell, so each increment has
+its own chains and a cumulative sum reads the targets.
 """
 
 from __future__ import annotations
@@ -42,10 +45,14 @@ __all__ = [
     "stable_via_excursions",
 ]
 
-_RATIO = 1.02   # largest ratio of neighbouring levels of the Ray-Knight grid
+# largest ratio of neighbouring levels of the Ray-Knight grid at and above
+# x_c = min(1, smallest t_points increment); below x_c a cell's ratio grows
+# to at most 1.5 as its share of the quadrature error falls (``_levels``)
+_RATIO = 1.02
 # a t_points increment below _DEPTH * dt moves the innermost level down to
 # the increment / _DEPTH: a column started that close to its first level
 # is mostly absorbed within the first cell, where Z is taken as linear
+# (with its bridge term, ``_LevelGrid.bridge``)
 _DEPTH = 1000.0
 _HALF_PI = math.pi / 2.0
 
@@ -199,26 +206,67 @@ def _cell_weights(p: float, x0: float, x1: float) -> tuple[float, float]:
     return m0 - b, b
 
 
-def _levels(x_min: float):
-    """The level grid's nodes, without end: x_min, then a geometric sequence
-    whose ratio is the largest at most ``_RATIO`` that makes 1 a node."""
-    n = math.ceil(-math.log(x_min) / math.log(_RATIO))
-    yield from np.geomspace(x_min, 1.0, n + 1).tolist()
-    r = x_min ** (-1.0 / n)
+def _levels(p: float, x_min: float, x_c: float):
+    """The level grid's nodes, without end: x_min, x_c and 1 among them.
+
+    At and above x_c the cells grow geometrically by a ratio of at most
+    ``_RATIO``, 1 a node, and by ``_RATIO`` above 1.  Below x_c a cell
+    whose lower end is x has a ratio of at most
+
+        R(x) = 1 + min(1/2, (_RATIO - 1) (x_c / x)^((2p + 3) / 4)).
+
+    Why: a cell [x, R x] integrates Z as linear, and what it misses is the
+    integral of a Brownian bridge with the variance rate 4 Z of BESQ^0
+    against x^p, of variance about Z (R - 1)^3 x^(2p+3) / 3.  Per unit of
+    log-level that is Z (R - 1)^2 x^(2p+3) / 3.  Below x_c, where Z is still
+    close to the column's start, a fixed ratio makes this density fall like
+    x^(2p+3) = x^(2/alpha - 1): the deep cells cost levels and carry almost
+    no error.  Under R(x) it falls like x^((2p+3)/2), so the missed variance
+    below x_c at most doubles (an rms error at most sqrt(2) times the fixed
+    ratio's), while the levels up to 1 from x_min = 1e-5, x_c = 1 fall from
+    583 to 84, 195, 312, 377 and 541 at alpha = 0.5, 1, 4/3, 1.5 and 1.9.
+
+    The cells below x_c are walked up from x_min, each at its ratio R(x),
+    and the walk is then pulled towards x_min until its last node is x_c:
+    every ratio shrinks and every node moves down, where R allows more.
+    """
+    e = (2.0 * p + 3.0) / 4.0
+    x_cap = x_c * (0.5 / (_RATIO - 1.0)) ** (-1.0 / e)     # R is 1.5 at and below
+
+    def ratio(x: float) -> float:
+        return 1.5 if x <= x_cap else 1.0 + (_RATIO - 1.0) * (x_c / x) ** e
+
+    walk = [x_min]
+    while walk[-1] < x_c:
+        walk.append(walk[-1] * ratio(walk[-1]))
+    f = math.log(x_c / x_min) / math.log(walk[-1] / x_min)
+    yield x_min
+    yield from (x_min * (x / x_min) ** f for x in walk[1:-1])
+    n = math.ceil(-math.log(x_c) / math.log(_RATIO))
+    yield from np.geomspace(x_c, 1.0, n + 1).tolist()
     for k in itertools.count(1):
-        yield r ** k
+        yield _RATIO ** k
 
 
 class _LevelGrid:
     """The cells of :func:`_levels` with their :func:`_cell_weights`, made
     once per call and shared by its blocks; a block that walks past the
-    deepest cell yet made extends the grid."""
+    deepest cell yet made extends the grid.
 
-    def __init__(self, p: float, x_min: float):
+    ``bridge`` is 2 sqrt(C), C = x_min^(2p+3) / ((p+2)^2 (2p+3)): on the
+    first cell Z - ell is about 2 sqrt(ell) W for a Brownian motion W in
+    the level, and C is the variance of int_0^x_min W x^p dx given
+    W(x_min), the part that a Z linear on [0, x_min] misses.  It is the
+    fraction alpha/2 of that cell's variance (95% at alpha = 1.9).
+    """
+
+    def __init__(self, p: float, x_min: float, x_c: float):
         self._p = p
-        self._levels = _levels(x_min)
+        self._levels = _levels(p, x_min, x_c)
         self.x_min = self._x1 = next(self._levels)
         self.first = _cell_weights(p, 0.0, self.x_min)     # (A, B) of [0, x_min]
+        q = 2.0 * p + 3.0
+        self.bridge = 2.0 * math.sqrt(x_min ** q / ((p + 2.0) ** 2 * q))
         self._cells: list[tuple[float, float, float]] = []
 
     def __iter__(self):
@@ -300,9 +348,12 @@ def _ray_knight_block(spec: StableSpec, inc: np.ndarray, grid: _LevelGrid, seed:
     first cell, [0, x_min], is then taken against Z - ell, whose A term is
     0; the rest of the compensator, -ell int_x_min x^p dx over the
     compensated levels, is owed in closed form wherever the column is
-    absorbed.  The levels and weights come from the call's shared grid, the
-    array steps reuse one rate and one product buffer, and once at most
-    ``_SCALAR_COLUMNS`` columns are live they are stepped in Python floats
+    absorbed.  The first cell also gets the Brownian-bridge part that a
+    linear Z misses, sqrt(ell) ``grid.bridge`` N with N a standard normal
+    per column, drawn before the chain's first step.  The levels and
+    weights come from the call's shared grid, the array steps reuse one
+    rate and one product buffer, and once at most ``_SCALAR_COLUMNS``
+    columns are live they are stepped in Python floats
     (:func:`_scalar_tail`), with the same draws in the same order.
     """
     gen = stream(seed, TAG_EXCURSION, block)
@@ -312,12 +363,14 @@ def _ray_knight_block(spec: StableSpec, inc: np.ndarray, grid: _LevelGrid, seed:
     a0, b0 = grid.first
     lam = np.empty(ell.size)
     prod = np.empty(ell.size)
+    bridge = np.sqrt(ell) * grid.bridge * gen.standard_normal(ell.size)
     z = _besq_step(gen, ell, 2.0 * x0, lam)
     if spec.alpha < 1.0:
         s, owed = ell * a0 + z * b0, 0.0
     else:
         s = (z - ell) * b0
         owed = -math.log(x0) if spec.alpha == 1.0 else x0 ** (p + 1.0) / -(p + 1.0)
+    s += bridge
     acc = np.empty_like(s)
     live = np.arange(s.size)        # columns not yet absorbed
     cells = iter(grid)
@@ -350,9 +403,14 @@ def stable_via_excursions(spec: StableSpec, t_points, dt: float, n_paths: int,
     tau_{t_j}.  The local-time field comes from its Ray-Knight law, an
     exact BESQ^0 chain per side over a grid of levels: the innermost level
     is ``dt``, or the smallest increment of ``t_points`` over 1000 when that
-    increment is below 1000 ``dt``; the cells then grow geometrically by a
-    ratio of at most 1.02, and 1 is a level.  The chain's steps are exact;
-    within a cell, the field is integrated as linear between its ends.
+    increment is below 1000 ``dt``.  At and above x_c, the smallest
+    increment or 1 if that is less, the cells grow geometrically by a ratio
+    of at most 1.02, and 1 is a level; below x_c a cell's ratio grows with
+    depth, up to 1.5, so that each cell carries a like share of the
+    quadrature error (``_levels``).  The chain's steps are exact; within a
+    cell, the field is integrated as linear between its ends, and the first
+    cell, [0, innermost level], adds the Brownian-bridge part that a linear
+    field misses there.
 
     ``threads`` is the number of forked worker processes the path blocks
     are shared among (``None``: one per CPU this process may run on; 1
@@ -382,7 +440,7 @@ def stable_via_excursions(spec: StableSpec, t_points, dt: float, n_paths: int,
     if x_min < np.finfo(np.float64).tiny:
         raise InvalidRequest(
             f"a t_points increment of {inc.min():g} is too small for the level grid")
-    grid = _LevelGrid(1.0 / spec.alpha - 2.0, x_min)
+    grid = _LevelGrid(1.0 / spec.alpha - 2.0, x_min, min(1.0, float(inc.min())))
     parts = _run_blocks(
         lambda idx: _ray_knight_block(spec, inc, grid, seed, int(idx[0]) // _MIN_WIDTH,
                                       idx.size),

@@ -310,12 +310,13 @@ def test_excursions_validates_inputs():
 # sha256 of the (64, 3) output of stable_via_excursions(StableSpec(alpha, 1.0,
 # 0.5), EXCURSION_PIN_TIMES, 1e-3, 64, seed=0).  The second target lies 1e-6
 # above the first, an increment far below dt, so the innermost level is
-# 1e-6 / 1000 = 1e-9 rather than dt.
+# 1e-6 / 1000 = 1e-9 rather than dt, and x_c, below which cells widen, is
+# 1e-6.
 EXCURSION_PIN_TIMES = [0.3, 0.3 + 1e-6, 1.0]
 EXCURSION_PINS = {
-    0.5: "fdbed889e7d05383dde4737aca2a3634820305fe54323bfb1a1b7a8994f9c42a",
-    1.0: "4316027554ccad6c8f2276d4897175f8135095f765e0ad1ad896159b2b573d83",
-    1.5: "d24d87756a1fe6b3ed45c842f51841100d20aee76e0696a68dd1f581b94100f5",
+    0.5: "9aa73986d41e4fbc240a72e17822cae5d1ff7509565308fff400a763ba451ca8",
+    1.0: "d8f123a6960f1b916f4c6353ca8342252ba8fcf4748ca25716c5701c68bb63f3",
+    1.5: "3ccd3982b67e2f4ebd23b37619a9834f277b5143d00ad5be2649c1f30cfe585a",
 }
 
 
@@ -326,18 +327,31 @@ def test_excursions_bit_pinned(alpha):
     assert hashlib.sha256(out.tobytes()).hexdigest() == EXCURSION_PINS[alpha]
 
 
+def rule_ratio(p, x, x_c):
+    """The largest ratio a cell whose lower end is x may have."""
+    if x >= x_c:
+        return stable._RATIO
+    return 1.0 + min(0.5, (stable._RATIO - 1.0) * (x_c / x) ** ((2.0 * p + 3.0) / 4.0))
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_excursion_cell_weights_match_quadrature(alpha):
-    # A and B against quad of x^p times the linear Z that is 1 at x0 and 0
-    # at x1, then 0 at x0 and 1 at x1, on the first cell [0, dt] and on the
-    # cell that ends at the level 1; the first cell's A is finite only when
-    # p > -1
+    # the grid from x_min = dt, with x_c = 1e-2 so that it has cells on
+    # both sides of x_c: x_min, x_c and 1 are nodes, a cell below x_c has
+    # at most the ratio R of its lower end (at most 1.5), one at or above
+    # x_c at most 1.02.  Then A and B against quad of x^p times the linear
+    # Z that is 1 at x0 and 0 at x1, then 0 at x0 and 1 at x1, on the first
+    # cell [0, dt], on the coarse cell next to it and on the cell that ends
+    # at the level 1; the first cell's A is finite only when p > -1
     quad = pytest.importorskip("scipy.integrate").quad
-    p, dt = 1.0 / alpha - 2.0, 1e-5
-    levels = list(itertools.takewhile(lambda x: x <= 1.0, stable._levels(dt)))
-    assert levels[0] == dt and levels[-1] == 1.0
-    assert max(x1 / x0 for x0, x1 in zip(levels, levels[1:])) <= stable._RATIO
-    for x0, x1 in ((0.0, dt), (levels[-2], 1.0)):
+    p, dt, x_c = 1.0 / alpha - 2.0, 1e-5, 1e-2
+    levels = list(itertools.takewhile(lambda x: x <= 1.0, stable._levels(p, dt, x_c)))
+    assert levels[0] == dt and levels[-1] == 1.0 and x_c in levels
+    for x0, x1 in zip(levels, levels[1:]):
+        assert x1 / x0 <= rule_ratio(p, x0, x_c) * (1.0 + 1e-12)
+        assert x1 / x0 <= 1.5
+    assert levels[1] / levels[0] > stable._RATIO     # coarser than any cell above x_c
+    for x0, x1 in ((0.0, dt), (dt, levels[1]), (levels[-2], 1.0)):
         a, b = stable._cell_weights(p, x0, x1)
         h = x1 - x0
         ref_b = quad(lambda x: (x - x0) / h * x ** p, x0, x1, epsabs=0.0, epsrel=1e-12)[0]
@@ -347,6 +361,52 @@ def test_excursion_cell_weights_match_quadrature(alpha):
             continue
         ref_a = quad(lambda x: (x1 - x) / h * x ** p, x0, x1, epsabs=0.0, epsrel=1e-12)[0]
         assert a == pytest.approx(ref_a, rel=1e-10)
+
+
+# levels up to 1 of the grid from dt = 1e-5 with x_c = 1 (the workload's
+# single target t = 1); the 1.02-ratio grid had 583 at every alpha
+LEVELS_TO_ONE = {0.5: 84, 1.0: 195, 4.0 / 3.0: 312, 1.5: 377, 1.9: 541}
+
+
+@pytest.mark.parametrize("alpha", sorted(LEVELS_TO_ONE))
+def test_excursion_level_count(alpha):
+    levels = itertools.takewhile(lambda x: x <= 1.0, stable._levels(1.0 / alpha - 2.0, 1e-5, 1.0))
+    assert abs(sum(1 for _ in levels) - LEVELS_TO_ONE[alpha]) <= 2
+
+
+def coupled_grid_error(p, nodes, n, seed, split=8):
+    """rms over n BESQ^0 columns from 1 of the gap between int Z x^p dx
+    with Z linear on the cells of ``nodes`` and with Z linear on a grid that
+    splits every cell into ``split`` geometric subcells; one exact chain on
+    the fine grid gives Z at both grids' nodes."""
+    fine = np.concatenate([np.geomspace(x0, x1, split + 1)[:-1]
+                           for x0, x1 in zip(nodes, nodes[1:])] + [nodes[-1:]])
+    gen = np.random.default_rng(seed)
+    z = np.ones(n)
+    zs = []
+    for h2 in 2.0 * np.diff(fine, prepend=0.0):
+        z = gen.standard_gamma(gen.poisson(z / h2)) * h2
+        zs.append(z)
+
+    def integral(zs, xs):
+        return sum(a * z0 + b * z1 for (a, b), z0, z1 in zip(
+            (stable._cell_weights(p, x0, x1) for x0, x1 in zip(xs, xs[1:])), zs, zs[1:]))
+
+    gap = integral(zs[::split], nodes) - integral(zs, fine)
+    return float(np.sqrt(np.mean(gap ** 2)))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0 / 3.0, 1.6])
+def test_excursion_grid_error_stays_balanced(alpha):
+    # below level 1 the error-balanced grid at most doubles the missed
+    # variance of the 1.02-ratio grid, so its rms error is at most sqrt(2)
+    # times that grid's; 1.6 is sqrt(2) plus slack for the sampling spread
+    # of two rms over 2000 columns each (ratios of 1.25-1.51 were seen)
+    p, dt = 1.0 / alpha - 2.0, 1e-5
+    new = list(itertools.takewhile(lambda x: x <= 1.0, stable._levels(p, dt, 1.0)))
+    n = math.ceil(-math.log(dt) / math.log(stable._RATIO))
+    old = np.geomspace(dt, 1.0, n + 1).tolist()
+    assert coupled_grid_error(p, new, 2000, 1) <= 1.6 * coupled_grid_error(p, old, 2000, 2)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
@@ -361,7 +421,17 @@ def test_excursions_increment_at_dt_matches_cms(alpha):
     assert ks_statistic(k, ref) < ks_critical_1pct(k.size, ref.size)
 
 
-def loop_ray_knight_block(spec, inc, x_min, seed, block, m):
+def test_excursions_near_alpha_two_match_cms():
+    # at alpha = 1.9 a Z linear on the first cell [0, dt] keeps only 5% of
+    # that cell's variance, and the missing part shrinks only like
+    # dt^(2/alpha - 1); without the first cell's bridge term KS read 0.081
+    sp = StableSpec(1.9, 1.0, -0.3)
+    k = stable_via_excursions(sp, [1.0], 1e-5, 8000, seed=0)[:, 0]
+    ref = sample_stable_cf(sp, 1.0, 8000, seed=1)
+    assert ks_statistic(k, ref) < ks_critical_1pct(k.size, ref.size)
+
+
+def loop_ray_knight_block(spec, inc, x_min, x_c, seed, block, m):
     """The Ray-Knight chain of a block with every level an array step: the
     level grid walked afresh, each cell's weights computed in place, one
     numpy poisson and standard_gamma call per level, and absorbed columns
@@ -375,15 +445,20 @@ def loop_ray_knight_block(spec, inc, x_min, seed, block, m):
         z *= 2.0 * h
         return z
 
-    levels = stable._levels(x_min)
+    levels = stable._levels(p, x_min, x_c)
     x0 = next(levels)
     a0, b0 = stable._cell_weights(p, 0.0, x0)
+    # the first cell's Brownian-bridge part, drawn before the first step
+    q = 2.0 * p + 3.0
+    bridge = np.sqrt(ell) * (2.0 * math.sqrt(x0 ** q / ((p + 2.0) ** 2 * q))) \
+        * gen.standard_normal(ell.size)
     z = step(ell, x0)
     if spec.alpha < 1.0:
         s, owed = ell * a0 + z * b0, 0.0
     else:
         s = (z - ell) * b0
         owed = -math.log(x0) if spec.alpha == 1.0 else x0 ** (p + 1.0) / -(p + 1.0)
+    s += bridge
     acc = np.empty_like(s)
     live = np.arange(s.size)
     for x1 in levels:
@@ -413,16 +488,17 @@ def test_ray_knight_block_matches_array_loop(alpha, m, blocks):
     # draws and the sums of the array-per-level chain, bit for bit
     spec = StableSpec(alpha, 0.8, -0.3)
     inc = np.array([1.0])
-    grid = stable._LevelGrid(1.0 / alpha - 2.0, 1e-5)
+    grid = stable._LevelGrid(1.0 / alpha - 2.0, 1e-5, 1.0)
     for block in blocks:
         got = stable._ray_knight_block(spec, inc, grid, 9, block, m)
-        np.testing.assert_array_equal(got, loop_ray_knight_block(spec, inc, 1e-5, 9, block, m))
+        np.testing.assert_array_equal(
+            got, loop_ray_knight_block(spec, inc, 1e-5, 1.0, 9, block, m))
 
 
 def test_excursions_reject_an_increment_too_large_for_dt():
     # a local-time increment of 1e17 against dt = 1e-3 asks numpy's Poisson
     # sampler for a rate past its limit on the first level; one of 1e15
-    # passes there and fails on the next, 50 times narrower cell, whether
+    # passes there and fails on the next, 28 times narrower cell, whether
     # 256 columns step it as arrays or 8 in Python floats
     with pytest.raises(InvalidRequest, match="too large against the level step"):
         stable_via_excursions(StableSpec(1.5, 1.0, 1.0), [1e17], 1e-3, 4)
