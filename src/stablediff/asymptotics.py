@@ -806,9 +806,10 @@ def limit_law(report: RegimeReport, model: DiffusionModel, f: Callable) -> Limit
 def char_exponent(law: LimitLaw, xi, t: float):
     """Characteristic function of the limit at time t: exp(-t sigma^2 xi^2/2)
     in the diffusive regimes, exp(-t |sigma_alpha xi|^alpha z_alpha(sigma_alpha
-    xi)) in the stable ones.  Accepts scalar or array xi."""
-    if t < 0.0:
-        raise InvalidRequest("char_exponent requires t >= 0")
+    xi)) in the stable ones.  Accepts scalar or array xi; a t that is
+    negative, NaN or infinite raises :class:`InvalidRequest`."""
+    if not (math.isfinite(t) and t >= 0.0):
+        raise InvalidRequest(f"char_exponent requires a finite t >= 0, got {t!r}")
     xi = np.asarray(xi, dtype=np.float64)
     scalar = xi.ndim == 0
     xi = np.atleast_1d(xi)

@@ -32,6 +32,7 @@ __all__ = [
     "heavy_tailed",
     "kinetic",
     "driftless",
+    "driftless_observable",
     "from_table",
     "kinetic_tail_limits",
 ]

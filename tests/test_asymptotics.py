@@ -717,8 +717,9 @@ def test_char_exponent_basics(kinetic3):
                     kinetic3, f_id)
     assert char_exponent(law, 0.0, 5.0) == 1.0 + 0.0j
     assert char_exponent(law, 1.3, 0.0) == 1.0 + 0.0j
-    with pytest.raises(InvalidRequest):
-        char_exponent(law, 1.0, -1.0)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(InvalidRequest, match="finite t >= 0"):
+            char_exponent(law, 1.0, t)
 
 
 @settings(max_examples=60, deadline=None)

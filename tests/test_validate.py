@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +58,13 @@ def test_ecf_rejects_small_sample():
         empirical_cf(np.zeros(99), np.array([1.0]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_ecf_rejects_non_finite_grid(value):
+    # a NaN point would give a NaN value, an infinite one RuntimeWarnings
+    with pytest.raises(InvalidRequest, match="xi_grid hold 1 non-finite values out of 3"):
+        empirical_cf(normals(500), np.array([0.3, value, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # index estimation from the ECF decay
 
@@ -82,10 +93,10 @@ def test_alpha_hat_scale_equivariant():
     assert a4.n_window == a1.n_window
 
 
-def loop_estimate_alpha(x, seed, n_boot=200):
-    """The bootstrap one resample at a time: the resample's ECF on the
-    window from its counts, and each slope by np.polyfit.  Returns
-    (alpha_hat, ci, se)."""
+def window_of(x):
+    """On the exact grid's index window of x: the full sample's slope, the
+    np.polyfit slope of a window modulus, and the phases xi x of the
+    window points."""
     xi = np.geomspace(0.02, 50.0, 61) / float(np.median(np.abs(x)))
     mod = np.abs(empirical_cf(x, xi).values)
     window = (mod >= 0.2) & (mod <= 0.9)
@@ -95,34 +106,100 @@ def loop_estimate_alpha(x, seed, n_boot=200):
         y = np.log(-np.log(np.clip(mags, 1e-12, 1.0 - 1e-12)))
         return float(np.polyfit(lxi, y, 1)[0])
 
-    phase = np.outer(xi[window], x)
+    return slope_of(mod[window]), slope_of, np.outer(xi[window], x)
+
+
+def summary(alpha_hat, boot):
+    """(alpha_hat, ci, se) of a list of bootstrap slopes."""
+    lo, hi = np.quantile(boot, [0.025, 0.975])
+    return alpha_hat, (lo, hi), np.std(boot, ddof=1)
+
+
+def loop_estimate_alpha(x, seed, n_boot=200):
+    """The multinomial bootstrap one resample at a time: the resample's ECF
+    on the window from its counts, and each slope by np.polyfit."""
+    alpha_hat, slope_of, phase = window_of(x)
     cos_p, sin_p = np.cos(phase), np.sin(phase)
     gen = stream(seed, TAG_BOOTSTRAP, 0)
     boot = []
     for _ in range(n_boot):
         counts = np.bincount(gen.integers(0, x.size, size=x.size), minlength=x.size)
         boot.append(slope_of(np.abs(cos_p @ counts + 1j * (sin_p @ counts)) / x.size))
-    lo, hi = np.quantile(boot, [0.025, 0.975])
-    return slope_of(mod[window]), (lo, hi), np.std(boot, ddof=1)
+    return summary(alpha_hat, boot)
+
+
+def gaussian_loop_estimate_alpha(x, seed, n_boot=200):
+    """The moment-matched bootstrap one replicate at a time: the window rows'
+    mean r and covariance S, the symmetric root of S / n, and per row z of
+    the normal draw the replicate r + root z, fitted by np.polyfit.  S is
+    formed as estimate_alpha forms it: its root is sensitive to rounding in
+    the directions where S is singular to rounding."""
+    alpha_hat, slope_of, phase = window_of(x)
+    rows = np.empty((2 * phase.shape[0], x.size))
+    rows[0::2], rows[1::2] = np.cos(phase), np.sin(phase)
+    mean = rows.mean(axis=1)
+    lam, vec = np.linalg.eigh(rows @ rows.T / x.size - np.outer(mean, mean))
+    root = vec @ np.diag(np.sqrt(np.maximum(lam, 0.0) / x.size)) @ vec.T
+    z = stream(seed, TAG_BOOTSTRAP, 0).standard_normal((n_boot, rows.shape[0]))
+    boot = []
+    for row in z:
+        rep = mean + root @ row
+        boot.append(slope_of(np.abs(rep[0::2] + 1j * rep[1::2])))
+    return summary(alpha_hat, boot)
 
 
 @pytest.mark.parametrize("n,n_boot", [
     pytest.param(512, 200, id="512"),
-    pytest.param(20_000, 200, id="20000"),
-    # batches of 128 resamples, the last one short
     pytest.param(1023, 200, id="1023"),
-    # more than 2^17 samples: batches of one resample
-    pytest.param(140_001, 7, id="140001-b1"),
+    pytest.param(20_000, 200, id="20000"),
+    pytest.param(140_001, 7, id="140001"),
 ])
 def test_alpha_hat_bootstrap_matches_loop(n, n_boot):
-    # the batched matrix products and the closed-form slopes move the CI and
-    # se by rounding only; alpha_hat keeps its bits
+    # the replicates drawn together and the closed-form slopes move the CI
+    # and se by rounding only; alpha_hat keeps its bits
     x = sample_stable_cf(StableSpec(1.5, 1.0, 0.5), 1.0, n, seed=3)
     est = estimate_alpha(x, seed=5, n_boot=n_boot)
-    alpha_hat, ci, se = loop_estimate_alpha(x, 5, n_boot)
+    alpha_hat, ci, se = gaussian_loop_estimate_alpha(x, 5, n_boot)
     assert est.alpha_hat == alpha_hat
     np.testing.assert_allclose(est.ci, ci, rtol=0, atol=1e-12)
     assert est.se == pytest.approx(se, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,n_seeds", [(512, 20), (1023, 20), (20_000, 10)],
+                         ids=["512", "1023", "20000"])
+def test_alpha_hat_bootstrap_matches_multinomial(n, n_seeds):
+    # over a fixed seed set the moment-matched bootstrap gives the
+    # multinomial bootstrap's spread: mean se within 5%, mean CI endpoints
+    # within a tenth of the multinomial's mean CI width (fewer seeds at
+    # n = 2e4, where the multinomial loop is slowest)
+    gauss, multi = [], []
+    for seed in range(n_seeds):
+        x = sample_stable_cf(StableSpec(1.5, 1.0, 0.5), 1.0, n, seed=100 + seed)
+        est = estimate_alpha(x, seed=seed)
+        alpha_hat, ci, se = loop_estimate_alpha(x, seed)
+        assert est.alpha_hat == alpha_hat
+        gauss.append((*est.ci, est.se))
+        multi.append((*ci, se))
+    (g_lo, g_hi, g_se), (m_lo, m_hi, m_se) = np.mean(gauss, axis=0), np.mean(multi, axis=0)
+    assert g_se == pytest.approx(m_se, rel=0.05)
+    width = m_hi - m_lo
+    assert abs(g_lo - m_lo) <= 0.1 * width and abs(g_hi - m_hi) <= 0.1 * width
+
+
+def test_alpha_hat_bootstrap_thread_invariant():
+    # the covariance product and its eigenproblem keep their bits under one
+    # OpenBLAS thread, so the CI and se do not depend on the host's cores
+    x = sample_stable_cf(StableSpec(1.5, 1.0, 0.5), 1.0, 20_000, seed=3)
+    est = estimate_alpha(x, seed=5)
+    script = ("from stablediff.stable import StableSpec, sample_stable_cf; "
+              "from stablediff.validate import estimate_alpha; "
+              "e = estimate_alpha(sample_stable_cf(StableSpec(1.5, 1.0, 0.5), 1.0, 20000, seed=3), seed=5); "
+              "print(*(v.hex() for v in (*e.ci, e.se)))")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(validate.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == [v.hex() for v in (*est.ci, est.se)]
 
 
 def stable_draws(alpha, n):
@@ -268,6 +345,16 @@ def test_cf_distance_detects_wrong_target():
     assert n_out == 2
 
 
+@pytest.mark.parametrize("target", [[np.nan] * 3, [1.0, complex(np.inf, 0.0), 0.5]],
+                         ids=["all_nan", "one_inf"])
+def test_cf_distance_rejects_non_finite_target(target):
+    # a NaN gap is never outside the band, so the check would pass
+    ecf = empirical_cf(normals(500), np.array([0.3, 1.0, 3.0]))
+    count = sum(not np.isfinite(v) for v in target)
+    with pytest.raises(InvalidRequest, match=f"target holds {count} non-finite"):
+        cf_distance(ecf, target)
+
+
 def test_cf_distance_rejects_misaligned_grids():
     ecf = empirical_cf(normals(500), np.array([0.3, 1.0]))
     with pytest.raises(InvalidRequest):
@@ -339,6 +426,13 @@ def test_validate_small_sample_skips_index(law_diffusive):
     assert report.alpha_hat is None
     assert "alpha_hat" not in report.verdict
     assert report.verdict["cf_band"]
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_validate_rejects_non_finite_t(law_levy, t):
+    # a NaN t gave cf_band True with sup_gap nan; an infinite one warned
+    with pytest.raises(InvalidRequest, match="finite t >= 0"):
+        validate_against_law(sample_limit_law(law_levy, 1.0, 1000, seed=3), law_levy, t)
 
 
 @pytest.mark.parametrize("name,at,value,count", [
