@@ -32,6 +32,13 @@ __all__ = ["CubicHermiteSpline", "CubicSpline", "brentq", "simpson", "cumulative
 #: two cost the same at about this size on 721 knots (x86, numpy 2.4)
 _SWEEP_MIN = 1536
 
+#: a call on more queries evaluates them in slices of at most this many, so
+#: that its half a dozen temporaries (96 KB each at most, under glibc's
+#: 128 KB mmap threshold) come from reused heap instead of fresh pages: a
+#: 512 KB temporary costs about 130 page faults, which take longer than the
+#: arithmetic
+_EVAL_SLICE = 12288
+
 #: scipy's default cap on the steps of brentq
 _BRENT_STEPS = 100
 
@@ -86,6 +93,18 @@ class CubicHermiteSpline:
     def __call__(self, q):
         q = np.asarray(q, dtype=np.float64)
         u = q.ravel()
+        if u.size <= _EVAL_SLICE:
+            return self._eval(u).reshape(q.shape)
+        slices = -(-u.size // _EVAL_SLICE)
+        w = -(-u.size // slices)    # equal widths: none too short for the sweep
+        out = np.empty(u.size)
+        for k in range(0, u.size, w):
+            out[k:k + w] = self._eval(u[k:k + w])
+        return out.reshape(q.shape)
+
+    def _eval(self, u: np.ndarray) -> np.ndarray:
+        """The spline at the 1-d queries u (each query on its own, so any
+        slicing of u gives the same bits)."""
         c3, c2, c1, c0 = self._c
         nan = None
         if u.size >= _SWEEP_MIN and (u[1:] >= u[:-1]).all():
@@ -112,7 +131,7 @@ class CubicHermiteSpline:
         if nan is not None and nan.any():
             # PPoly writes its own nan, whatever the sign of the query's
             c2[nan] = np.nan
-        return c2.reshape(q.shape)
+        return c2
 
 
 class CubicSpline(CubicHermiteSpline):
@@ -266,25 +285,33 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
 
     Interval k (from 0) takes the three-node rule through nodes k..k+2 when
     k is even and through nodes k-1..k+1 when k is odd, and the last
-    interval always the latter; at least three nodes."""
+    interval always the latter; at least three nodes.  Only those windows
+    are evaluated: the forward and the backward rule at the even windows,
+    and the backward rule at the last window when the length is even."""
     y = np.asarray(y)
     if y.ndim != 1 or y.size < 3:
         raise ValueError("cumulative_simpson takes a 1-d array of >= 3 nodes")
     d = dx / 3
 
-    def h1(f):
-        # eqn (10) of Cartwright (2017): int over [x1, x2] from nodes 1..3
-        return d * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+    def h1(f0, f1, f2, out):
+        # eqn (10) of Cartwright (2017): int over [x0, x1] from nodes 0..2,
+        # as d * (5 f0 / 4 + f1 - f2 / 4) with f1 = 2 y1 evaluates it
+        np.multiply(f0, 5, out=out)
+        out /= 4
+        out += f1
+        out -= f2 / 4
+        out *= d
 
-    forward = h1(y)
-    backward = h1(y[::-1])[::-1]
+    y0, y2 = y[0:-2:2], y[2::2]
+    y1 = 2 * y[1:-1:2]
     sub = np.empty(y.size, dtype=np.float64)
     sub[0] = 0.0
-    sub[1:-1:2] = forward[::2]
-    sub[2::2] = backward[::2]
-    sub[-1] = backward[-1]
+    h1(y0, y1, y2, sub[1:-1:2])     # interval k from nodes k..k+2
+    h1(y2, y1, y0, sub[2::2])       # interval k + 1 from the same nodes, reversed
+    if y.size % 2 == 0:
+        sub[-1] = d * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
     # scipy adds initial = 0.0 to the running sum (which turns -0.0 to 0.0)
-    out = np.cumsum(sub[1:])
+    out = sub[1:]
+    np.cumsum(out, out=out)
     out += 0.0
-    sub[1:] = out
     return sub

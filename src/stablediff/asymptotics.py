@@ -842,12 +842,14 @@ class PoissonSolution:
     ``g`` and ``g_prime`` are cubic Hermite read-outs through the even ones
     of the ``_POISSON_GRID`` nodes per side: g with g' as its slopes, g' with
     g'' = -(2 f + 2 b g') / sigma^2 taken from the equation at the nodes.
-    Beyond a side's cutoff both return that side's end value.  Each
-    read-out builds its two splines (and g, or g'') on its first call, so a
-    drift that fails on the grid raises there, not in ``poisson_solution``.
-    ``gamma_sq_err`` is the Richardson estimate |S_h - S_2h| / 15 of the
-    Simpson body of gamma^2 (reported, not a bound; the octave tail beyond
-    the cutoff is not in it).
+    Beyond a side's cutoff both return that side's end value.  The solution
+    keeps only g' at the nodes of each side.  Each read-out builds its two
+    splines on its first call: ``g`` integrates g' by cumulative Simpson,
+    ``g_prime`` evaluates f, b and sigma again at the even nodes for g''.
+    So a drift that fails on the grid raises there, not in
+    ``poisson_solution``.  ``gamma_sq_err`` is the Richardson estimate
+    |S_h - S_2h| / 15 of the Simpson body of gamma^2 (reported, not a bound;
+    the octave tail beyond the cutoff is not in it).
     """
 
     g: Callable
@@ -871,131 +873,164 @@ def poisson_solution(model: DiffusionModel, f: Callable) -> PoissonSolution:
     nodes g and g' are cubic Hermite interpolants whose slopes are g' and
     g'' = -(2 f + 2 b g') / sigma^2, the latter exact from the equation.
 
-    Only what gamma^2 needs is computed here: T, g' at the nodes and the
-    two variance sums, so every NotCentered and PoissonUnavailable is
-    raised by this call.  g by cumulative Simpson, g'' and the splines are
-    built when ``g`` or ``g_prime`` is first called.  ``simpson``,
-    ``cumulative_simpson`` and the Hermite splines are ``_numerics``'s numpy
-    ports of their scipy namesakes, equal to them to the bit.
+    Only what gamma^2 needs is computed here, one side and one stage at a
+    time: T, g' at the nodes and the side's variance sum, each grid array
+    dropped after its last reader, so every NotCentered and
+    PoissonUnavailable is raised by this call.  The solution keeps g' on
+    each side; g by cumulative Simpson, f, b and sigma at the even nodes for
+    g'', and the splines are computed when ``g`` or ``g_prime`` is first
+    called.  ``simpson``, ``cumulative_simpson`` and the Hermite splines are
+    ``_numerics``'s numpy ports of their scipy namesakes, equal to them to
+    the bit.
     """
     core = model.core()
     kappa = compute_kappa(model)
     f = _array_fn(f, "f")
+    n = _POISSON_GRID   # the read-outs rebuild the grid of this call
 
-    def octave_tail(xs, y):
-        """Geometric tail beyond xs[-1] from trapezoid sums of |y| over 8 octaves."""
-        hi = xs[-1]
-        octs = []
+    def octave_tail(xs):
+        """y -> the geometric tail beyond xs[-1] from trapezoid sums of |y|
+        over 8 octaves, each summed as ``np.trapezoid`` sums the octave's
+        slice; the octaves and their node spacings are taken once."""
+        hi, cuts = xs[-1], []
         for _ in range(8):
             lo = hi / 2.0
-            # xs ascends, so the octave [lo, hi] is one slice
+            # xs ascends, so the octave [lo, hi] is the slice xs[i:j]
             i, j = np.searchsorted(xs, lo, "left"), np.searchsorted(xs, hi, "right")
-            octs.append(float(np.trapezoid(np.abs(y[i:j]), xs[i:j])))
+            cuts.append((i, j, np.diff(xs[i:j])))
             hi = lo
-        return _tail_extrapolate(np.asarray(octs[::-1]))
 
-    def power_tail(xs, y):
-        """int_{xs[-1]}^inf of the power law |y| ~ u^-p through the last two
-        nodes; inf where that law is not integrable (p <= 1).  It is exact
-        for a power tail and, with p = 2 x^2, close for a Gaussian one, whose
-        octave extrapolation overstates it by up to ~10^120 (heavy_tailed(1):
-        9.4e-171 against about 1e-294 at the cutoff)."""
+        def tail(y):
+            octs = []
+            for i, j, d in reversed(cuts):
+                a = np.abs(y[i:j])
+                a = a[1:] + a[:-1]
+                a *= d
+                a /= 2.0
+                octs.append(float(a.sum()))
+            return _tail_extrapolate(np.asarray(octs))
+
+        return tail
+
+    def power_tail(x1, x0, y):
+        """int_{x1}^inf of the power law |y| ~ u^-p through the last two
+        nodes x0 < x1; inf where that law is not integrable (p <= 1).  It is
+        exact for a power tail and, with p = 2 x^2, close for a Gaussian one,
+        whose octave extrapolation overstates it by up to ~10^120
+        (heavy_tailed(1): 9.4e-171 against about 1e-294 at the cutoff)."""
         y1, y0 = abs(float(y[-1])), abs(float(y[-2]))
         if not 0.0 < y1 < y0:
             return math.inf
-        p = math.log(y0 / y1) / math.log(xs[-1] / xs[-2])
-        return y1 * xs[-1] / (p - 1.0) if p > 1.0 else math.inf
+        p = math.log(y0 / y1) / math.log(x1 / x0)
+        return y1 * x1 / (p - 1.0) if p > 1.0 else math.inf
 
-    sides = {}
-    for side in (core.pos, core.neg):
+    def solve_side(side):
+        """(g', T(0), variance piece, its error, whether its tail converged)
+        on one side, in the distance u = |x|."""
         sign = side.sign
-        xs = np.linspace(0.0, side.x[-1], _POISSON_GRID)
+        xs = np.linspace(0.0, side.x[-1], n)
         dx = xs[1] - xs[0]
-        E = side.E_spline(xs)
-        sig = side.sigma(sign * xs)
-        m = np.exp(-E) / sig**2
-        fv = f(sign * xs)
-        fm = fv * m
+        tail_of = octave_tail(xs)
+        gp = side.E_spline(xs)      # E, turned into g' in place below
+        x = sign * xs
+        x1, x0 = xs[-1], xs[-2]
+        del xs
+        sig = side.sigma(x)
+        fm = f(x)
+        del x
+        m = np.negative(gp)
+        np.exp(m, out=m)
+        m /= sig**2
+        fm = fm * m
 
         # geometric tail estimate beyond the cutoff, from trapezoid octaves
-        tail_abs, divergent = octave_tail(xs, fm)
+        tail_abs, divergent = tail_of(fm)
         if divergent or not np.isfinite(tail_abs):
             raise PoissonUnavailable(
                 "int_x^inf f m diverges; the Poisson solution does not exist")
-        outer_sign = float(np.sign(fm[int(0.9 * _POISSON_GRID):].sum())) or 1.0
+        outer_sign = float(np.sign(fm[int(0.9 * n):].sum())) or 1.0
         # g' = 2 e^E T multiplies the tail by the inverse of the decaying
         # factor, so it is bounded by the local power-law estimate
-        tail = outer_sign * min(tail_abs, power_tail(xs, fm))
+        tail = outer_sign * min(tail_abs, power_tail(x1, x0, fm))
 
         # accumulate int_x^{cutoff} from the outer end inward: summing the
         # small outer contributions first keeps T accurate where it is tiny
         # (a left-to-right cumulative sum subtracted from its total would
         # drown the far tail in rounding noise)
-        T = cumulative_simpson(fm[::-1], dx)[::-1] + tail
-        sides[sign] = (xs, dx, E, sig, m, fv, T)
+        T = cumulative_simpson(fm[::-1], dx)
+        del fm
+        T += tail
+        T = T[::-1]
+        if sign < 0:
+            # This assembly gives int_{|x|}^inf (f m)(sign * u) du in the
+            # distance coordinate u = |x|.  On the negative side the true
+            # tail integral is T(x) = -int_{-inf}^x f m (when mu(f) = 0),
+            # and substituting v = -u turns that into minus the assembled
+            # quantity.
+            np.negative(T, out=T)
+        np.exp(gp, out=gp)
+        gp *= 2.0
+        gp *= T
+        t0 = float(T[0])
+        del T
 
-    xp, dxp, Ep, sigp, mp, fp, Tp = sides[+1.0]
-    xn, dxn, En, sig_n, mn, fn, Tn = sides[-1.0]
-    # The per-side assembly gives int_{|x|}^inf (f m)(sign * u) du in the
-    # distance coordinate u = |x|.  On the negative side the true tail
-    # integral is T(x) = -int_{-inf}^x f m (when mu(f) = 0), and substituting
-    # v = -u turns that into minus the assembled quantity.
-    Tn = -Tn
+        # int (g' sigma)^2 m on this side
+        integrand = gp * sig
+        integrand **= 2
+        integrand *= m
+        del sig, m
+        body = float(simpson(integrand, dx))
+        coarse = float(simpson(integrand[::2], 2.0 * dx))
+        tail, divergent = tail_of(integrand)
+        finite = not divergent and bool(np.isfinite(tail))
+        return gp, t0, body + tail, abs(body - coarse) / 15.0, finite
 
-    mismatch = float(Tp[0] - Tn[0])
-    scale0 = 1.0 + abs(Tp[0]) + abs(Tn[0])
+    gp_pos, t_pos, var_p, err_p, finite_p = solve_side(core.pos)
+    gp_neg, t_neg, var_n, err_n, finite_n = solve_side(core.neg)
+    mismatch = t_pos - t_neg
+    scale0 = 1.0 + abs(t_pos) + abs(t_neg)
     if abs(mismatch) > 1e-6 * scale0:
         raise NotCentered(
             f"two-sided assemblies of int_x^inf f m disagree at 0 by {mismatch:.3g}; "
             "mu(f) is not 0")
-
-    gp_pos = 2.0 * np.exp(Ep) * Tp
-    gp_neg = 2.0 * np.exp(En) * Tn
-
-    def _var_piece(xs, dx, gp, sig, m):
-        """(body + tail, |S_h - S_2h| / 15) of int (g' sigma)^2 m on one side."""
-        integrand = (gp * sig) ** 2 * m
-        body = float(simpson(integrand, dx))
-        coarse = float(simpson(integrand[::2], 2.0 * dx))
-        tail, divergent = octave_tail(xs, integrand)
-        if divergent or not np.isfinite(tail):
-            raise PoissonUnavailable("int (g' sigma)^2 dmu diverges")
-        return body + tail, abs(body - coarse) / 15.0
-
-    var_p, err_p = _var_piece(xp, dxp, gp_pos, sigp, mp)
-    var_n, err_n = _var_piece(xn, dxn, gp_neg, sig_n, mn)
+    if not (finite_p and finite_n):
+        raise PoissonUnavailable("int (g' sigma)^2 dmu diverges")
     gamma_sq = kappa * (var_p + var_n)
     gamma_sq_err = kappa * (err_p + err_n)
 
-    def read_out(xs, nodes):
+    def read_out(side, nodes):
         """Hermite spline in the distance u through the even nodes, held at
         its end values beyond the grid (np.clip keeps a nan a nan).
-        ``nodes()`` gives the (values, slopes) at all nodes; it and the
-        spline run on the read-out's first call only.
+        ``nodes(xs, dx)`` gives the (values, slopes) at the even nodes
+        ``xs[::2]`` of the side's grid; the grid, the nodes and the spline
+        are computed on the read-out's first call only.
 
         The even nodes are composite-Simpson sums; the odd nodes of
         ``cumulative_simpson`` (scipy's rule) add its one-interval rule,
         whose error alternates in sign from node to node (2.6e-8 relative in
         g' on kinetic(7) near 0, 6x the error of the even-node spline)."""
+        cut = side.x[-1]
+
         @functools.cache
         def spline():
-            values, slopes = nodes()
-            return CubicHermiteSpline(xs[::2], values[::2], slopes[::2])
+            xs = np.linspace(0.0, cut, n)
+            return CubicHermiteSpline(xs[::2], *nodes(xs, xs[1] - xs[0]))
 
-        cut = xs[-1]
         return lambda u: spline()(np.clip(u, 0.0, cut))
 
-    def gpp(x, f_nodes, gp, sig):
-        """g'' = -(2 f + 2 b g') / sigma^2 at the nodes x."""
-        return -(2.0 * f_nodes + 2.0 * model.drift(x) * gp) / sig**2
+    def gpp(side, xs, gp):
+        """g'' = -(2 f + 2 b g') / sigma^2 at the even nodes x = sign * xs[::2]."""
+        x = side.sign * xs[::2]
+        return -(2.0 * f(x) + 2.0 * model.drift(x) * gp[::2]) / side.sigma(x) ** 2
 
     # On the negative side the distance u = -x reverses every slope:
     # d/du g(-u) = -g'(-u) and d/du g'(-u) = -g''(-u).
-    g_p = read_out(xp, lambda: (cumulative_simpson(gp_pos, dxp), gp_pos))
-    g_n = read_out(xn, lambda: (-cumulative_simpson(gp_neg, dxn),  # int_0^{-u}
-                                -gp_neg))
-    gp_p = read_out(xp, lambda: (gp_pos, gpp(xp, fp, gp_pos, sigp)))
-    gp_n = read_out(xn, lambda: (gp_neg, -gpp(-xn, fn, gp_neg, sig_n)))
+    g_p = read_out(core.pos, lambda xs, dx: (cumulative_simpson(gp_pos, dx)[::2],
+                                             gp_pos[::2]))
+    g_n = read_out(core.neg, lambda xs, dx: (-cumulative_simpson(gp_neg, dx)[::2],  # int_0^{-u}
+                                             -gp_neg[::2]))
+    gp_p = read_out(core.pos, lambda xs, dx: (gp_pos[::2], gpp(core.pos, xs, gp_pos)))
+    gp_n = read_out(core.neg, lambda xs, dx: (gp_neg[::2], -gpp(core.neg, xs, gp_neg)))
 
     def g(x):
         return _two_sided(x, g_p, g_n)

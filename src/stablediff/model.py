@@ -217,7 +217,13 @@ class _Side:
         u = np.atleast_1d(np.asarray(u, dtype=np.float64))
         j = np.clip(np.searchsorted(self.x, u, side="right") - 1, 0, self.x.size - 2)
         lo = self.x[j]
-        inc = _panel_values(lambda q: np.exp(self.E_spline(q)), lo, u, _GL15_X, _GL15_W)
+
+        def exp_E(q):
+            # the spline returns a fresh array: one 15-point panel array less
+            e = self.E_spline(q)
+            return np.exp(e, out=e)
+
+        inc = _panel_values(exp_E, lo, u, _GL15_X, _GL15_W)
         return self.s_abs[j] + inc
 
 

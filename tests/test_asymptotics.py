@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,24 @@ def test_poisson_read_outs_built_on_first_call(kinetic7, monkeypatch):
     sol.g_prime(-1.0)
     sol.g(0.0)
     assert built == [asymptotics._POISSON_GRID // 2 + 1] * 4
+
+
+def test_poisson_memory(kinetic7):
+    # poisson_solution works one side and one stage at a time: its traced
+    # peak stays below ten grid arrays of _POISSON_GRID doubles (it measured
+    # 8), and until a read-out runs the solution holds g' on each side, two
+    # such arrays
+    grid = asymptotics._POISSON_GRID * 8
+    kinetic7.core()
+    tracemalloc.start()
+    try:
+        sol = poisson_solution(kinetic7, f_id)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * grid
+    assert held < 3 * grid
+    assert np.isfinite(sol.g_prime(1.0))
 
 
 # sha256 of g and g' on POISSON_PIN_X, and gamma^2 and its error as hex,

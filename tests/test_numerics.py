@@ -17,7 +17,7 @@ import scipy.integrate
 import scipy.interpolate
 import scipy.linalg
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablediff import _numerics, presets
@@ -38,12 +38,12 @@ def same_bits(a, b) -> bool:
 
 def queries(x: np.ndarray, rng) -> list:
     """Knots, midpoints, points beyond both ends, nans of both signs, and
-    ascending runs long enough for the evaluator's sweep, in order and
-    shuffled, plus a scalar and a 2-d array."""
+    an ascending run long enough for the evaluator's sweep and for its
+    slices, in order and shuffled, plus a scalar and a 2-d array."""
     span = x[-1] - x[0]
     mid = 0.5 * (x[1:] + x[:-1])
     outside = np.array([x[0] - 1.0, x[0] - 0.25 * span, x[-1] + 0.5, x[-1] + span])
-    ramp = np.linspace(x[0] - 0.1 * span, x[-1] + 0.1 * span, 2 * _numerics._SWEEP_MIN)
+    ramp = np.linspace(x[0] - 0.1 * span, x[-1] + 0.1 * span, 2 * _numerics._EVAL_SLICE + 3)
     mixed = np.concatenate([x, mid, outside, [np.nan, -np.nan]])
     return [x, mid, outside, ramp, np.sort(mixed[:-2]), mixed, rng.permutation(mixed),
             rng.permutation(ramp), np.float64(x[1] + 0.3 * (x[2] - x[1])),
@@ -108,15 +108,20 @@ def test_tridiagonal_solve_with_row_swaps():
         assert same_bits(x, scipy.linalg.solve_banded((1, 1), ab, b))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3000), st.floats(1e-6, 1e3), st.integers(0, 2**32 - 1))
-def test_simpson_rules(half, dx, seed):
-    y = np.random.default_rng(seed).normal(size=2 * half + 1) * 10.0 ** (seed % 7 - 3)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 6001), st.floats(1e-6, 1e3), st.integers(0, 2**32 - 1))
+@example(3, 0.1, 1)
+@example(4, 0.1, 2)
+def test_simpson_rules(n, dx, seed):
+    # cumulative_simpson on every length, with the odd last interval of an
+    # even one; simpson on the odd ones
+    y = np.random.default_rng(seed).normal(size=n) * 10.0 ** (seed % 7 - 3)
     for v in (y, y[::-1]):
-        assert same_bits(_numerics.simpson(v, dx), scipy.integrate.simpson(v, dx=dx))
         assert same_bits(_numerics.cumulative_simpson(v, dx),
                          scipy.integrate.cumulative_simpson(v, dx=dx, initial=0.0))
-    if half % 2 == 0:  # the coarse grid of a Richardson pair
+        if n % 2:
+            assert same_bits(_numerics.simpson(v, dx), scipy.integrate.simpson(v, dx=dx))
+    if n % 4 == 1:  # the coarse grid of a Richardson pair
         assert same_bits(_numerics.simpson(y[::2], 2.0 * dx),
                          scipy.integrate.simpson(y[::2], dx=2.0 * dx))
 
@@ -124,8 +129,9 @@ def test_simpson_rules(half, dx, seed):
 def test_simpson_rules_at_the_poisson_grid_size():
     y = np.random.default_rng(2).normal(size=2**16 + 1)
     assert same_bits(_numerics.simpson(y, 1e-3), scipy.integrate.simpson(y, dx=1e-3))
-    assert same_bits(_numerics.cumulative_simpson(y[::-1], 1e-3),
-                     scipy.integrate.cumulative_simpson(y[::-1], dx=1e-3, initial=0.0))
+    for v in (y[::-1], y[:-1]):
+        assert same_bits(_numerics.cumulative_simpson(v, 1e-3),
+                         scipy.integrate.cumulative_simpson(v, dx=1e-3, initial=0.0))
 
 
 @pytest.mark.parametrize("name", ["kinetic(3)", "heavy_tailed(1)"])
